@@ -208,6 +208,44 @@ def test_thread_count_changes_nothing():
     assert len(reports) == 1
 
 
+@pytest.mark.parametrize(
+    "start, goal, states",
+    [
+        (lambda: torus_knot_diagram(2, 3), Goal.zero_crossing, (1, 28, 609)),
+        (hopf, Goal.split_any, (1, 22, 372)),
+    ],
+    ids=["trefoil", "hopf"],
+)
+def test_pinned_plane_corpus(start, goal, states):
+    # closure sizes are the certified answers: no refactor may move them
+    cert = verify_hard(start(), goal(), 2)
+    assert cert.verdict == "hard"
+    assert tuple(r.states_explored for r in cert.outcome.runs) == states
+
+
+@pytest.mark.parametrize(
+    "start, goal, states, root",
+    [
+        (lambda: torus_knot_diagram(2, 3), Goal.zero_crossing, (1, 6, 95), 0),
+        (lambda: torus_knot_diagram(2, 3), Goal.zero_crossing, (1, 6, 95), -1),
+        (hopf, Goal.split_any, (1, 5, 69), 0),
+        (hopf, Goal.split_any, (1, 5, 69), -1),
+    ],
+    ids=["trefoil-first-root", "trefoil-last-root", "hopf-first-root", "hopf-last-root"],
+)
+def test_pinned_sphere_corpus(start, goal, states, root):
+    d = start().with_mode(SPHERE)
+    d = d.rerooted(d.region_keys[root])
+    cert = verify_hard(d, goal(), 2)
+    assert cert.verdict == "hard"
+    assert tuple(r.states_explored for r in cert.outcome.runs) == states
+
+
+def test_pinned_kinked_unknot_closure():
+    got, exhausted = closure_digests(unknot_diagram(1), 2)
+    assert exhausted and len(got) == 169
+
+
 def test_floor_violations_raise():
     with pytest.raises(DiagramError):
         bfs_reachable(d_pq(2, 3), Goal.split_any(), 0, floor=11)
