@@ -1,13 +1,22 @@
-"""Pure-Python walk-code kernel.
-
-The compiled module `_canon_cy` exports the same `best_walk`; this one is
-the fallback and the reference the compiled kernel is tested against.
+"""Walk-code kernel: the one routine every canonical code is built on.
 
 A walk code is a breadth-first certificate of one connected piece rooted
 at a start dart: darts are numbered in discovery order (neighbors pushed
 as rotation-successor first, then edge partner), and each dart in that
 order contributes three bytes — the numbers of its two neighbors and its
 decoration byte.  Equal codes mean isomorphic rooted decorated pieces.
+
+`best_walk` does not root a walk at every dart.  Each dart gets an
+isomorphism-invariant signature: the length of its face, the length of
+the face across its edge (faces traced by phi = rot o theta), and its
+decoration byte.  Walks start only from the darts whose signature is
+smallest, as the canonical codes of plantri do (Brinkmann–McKay, "Fast
+generation of planar graphs").  An isomorphism of decorated pieces keeps
+faces and decorations, so it maps that start set onto the start set of
+the image, and the two sets produce the same codes.  The minimum over
+them is therefore still a complete invariant, and the achievers still
+correspond under every isomorphism, which keeps the face markers built
+from them canonical.
 """
 
 from __future__ import annotations
@@ -53,23 +62,47 @@ def _walk_code_wide(theta, deco, start):
     return bytes(out)
 
 
-def best_walk(theta, deco, starts):
-    """Smallest walk code over the given start darts, and all its achievers.
+def _start_darts(theta, deco, darts):
+    "The darts of smallest signature (face length, face across, decoration)."
+    flen = {}
+    for d in darts:
+        if d in flen:
+            continue
+        face = [d]
+        t = theta[d]
+        x = (t & ~3) | ((t + 1) & 3)
+        while x != d:
+            face.append(x)
+            t = theta[x]
+            x = (t & ~3) | ((t + 1) & 3)
+        for x in face:
+            flen[x] = len(face)
+    if len(flen) != len(darts) or any(theta[d] not in flen for d in darts):
+        # not closed under rotation and edge pairing
+        raise ValueError("darts must be the dart set of one connected piece")
+    sig = [(flen[d], flen[theta[d]], deco[d]) for d in darts]
+    low = min(sig)
+    return [d for d, s in zip(darts, sig) if s == low]
 
-    `starts` must be exactly the dart set of one connected piece.  Pieces
-    of more than 252 darts switch to a two-byte encoding; the two widths
-    can never produce codes of equal length, so codes stay unambiguous.
+
+def best_walk(theta, deco, darts):
+    """Smallest walk code over the piece's start darts, and all its achievers.
+
+    `darts` must be exactly the dart set of one connected piece; walks
+    start only from the darts of smallest invariant signature.  Pieces of
+    more than 252 darts switch to a two-byte encoding; the two widths can
+    never produce codes of equal length, so codes stay unambiguous.
     """
-    if len(starts) <= 252:
+    if len(darts) <= 252:
         coder, stride = walk_code, 3
     else:
         coder, stride = _walk_code_wide, 5
     best = None
     argmin = []
-    for s in starts:
+    for s in _start_darts(theta, deco, darts):
         code = coder(theta, deco, s)
-        if len(code) != stride * len(starts):
-            raise ValueError("starts must be the darts of one connected piece")
+        if len(code) != stride * len(darts):
+            raise ValueError("darts must be the dart set of one connected piece")
         if best is None or code < best:
             best, argmin = code, [s]
         elif code == best:

@@ -19,9 +19,12 @@ them by index (0 = unlabeled), so label names take part in equality.  Face
 markers are the smallest walk number on the face, taken over the walk
 numberings that achieve the minimal walk bytes.
 
-The per-piece byte kernel is the hot spot; a compiled version is used when
-available (see `backend`), with `_canon_py` as the pure fallback and as
-the only path for pieces past the compiled kernel's one-byte size class.
+Every island is coded by one kernel, `_canon_py.best_walk`: the smallest
+breadth-first walk code over the island's start darts.  Only the darts of
+smallest isomorphism-invariant signature (face lengths on both sides and
+decoration) are tried as starts; because the start set is invariant, the
+minimum over it, and the set of starts achieving it, are canonical (see
+`_canon_py`).
 """
 
 from __future__ import annotations
@@ -31,13 +34,8 @@ from hashlib import blake2b
 from . import _canon_py
 from .maps import ROOT, SPHERE, DiagramError
 
-try:  # pragma: no cover - exercised only when the extension is built
-    from . import _canon_cy as _kernel
-
-    backend = "compiled"
-except ImportError:  # pragma: no cover
-    _kernel = _canon_py
-    backend = "python"
+backend = "python"  # reported by bench/run.py
+_kernel = _canon_py  # read by bench/tracer.py
 
 __all__ = ["backend", "canonical_code", "state_digest"]
 
@@ -66,11 +64,7 @@ class _Ctx:
 
     def island_best(self, d, key):
         if key not in self._best:
-            darts = d.islands[key]
-            # the compiled kernel packs dart numbers into single bytes;
-            # bigger pieces take the pure path's two-byte encoding
-            kern = _kernel if len(darts) <= 252 else _canon_py
-            self._best[key] = kern.best_walk(self.theta, self.deco, list(darts))
+            self._best[key] = _canon_py.best_walk(self.theta, self.deco, d.islands[key])
         return self._best[key]
 
     def labmap(self, start):

@@ -1,8 +1,19 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardsplit import canon, _canon_py
 from hardsplit.canon import state_digest
+from hardsplit.generators import (
+    d_pq,
+    goeritz_diagram,
+    split_d_pq,
+    torus_knot_diagram,
+)
 from hardsplit.maps import PLANE, ROOT, SPHERE, Diagram, DiagramError, Loop
+from hardsplit.moves import apply_move, enumerate_moves
 
 KINK = [3, 2, 1, 0]
 TREFOIL = [11, 10, 5, 4, 3, 2, 9, 8, 7, 6, 1, 0]
@@ -83,21 +94,112 @@ def test_label_table_limit():
         d.canonical_code()
 
 
-def test_kernel_parity():
-    "The compiled walk kernel must agree byte for byte with the fallback."
-    if canon.backend != "compiled":
-        pytest.skip("compiled kernel not built")
-    from hardsplit import _canon_cy
+def exhaustive_best_walk(theta, deco, darts):
+    "Reference kernel: the smallest walk code over every dart as a start."
+    if len(darts) <= 252:
+        coder, stride = _canon_py.walk_code, 3
+    else:
+        coder, stride = _canon_py._walk_code_wide, 5
+    best = None
+    argmin = []
+    for s in darts:
+        code = coder(theta, deco, s)
+        if len(code) != stride * len(darts):
+            raise ValueError("darts must be the dart set of one connected piece")
+        if best is None or code < best:
+            best, argmin = code, [s]
+        elif code == best:
+            argmin.append(s)
+    return best, argmin
 
-    for theta, over in [
-        (KINK, [0]),
-        (TREFOIL, [0, 0, 0]),
-        (TREFOIL, [0, 1, 0]),
-        ([7, 6, 10, 9, 8, 11, 1, 0, 4, 3, 2, 5], [0, 0, 1]),
-    ]:
-        d = Diagram(PLANE, theta, over, labels=["T"])
-        ctx = canon._Ctx(d)
-        darts = list(d.islands[0])
-        assert _canon_cy.best_walk(ctx.theta, ctx.deco, darts) == _canon_py.best_walk(
-            ctx.theta, ctx.deco, darts
-        )
+
+def hopf():
+    return Diagram(PLANE, (5, 4, 7, 6, 1, 0, 3, 2), (1, 1))
+
+
+CORPUS = {
+    "trefoil": lambda: torus_knot_diagram(2, 3),
+    "hopf": hopf,
+    "goeritz": goeritz_diagram,
+    "d_pq(2,3)": lambda: d_pq(2, 3),
+    "d_pq(3,4)": lambda: d_pq(3, 4),
+    "T(3,4)": lambda: torus_knot_diagram(3, 4),
+    "split d_pq(2,3)": lambda: split_d_pq(2, 3),
+}
+
+
+def random_relabeling(rng, d):
+    n = d.ncross
+    return d.relabeled(rng.sample(range(n), n), [rng.randrange(4) for _ in range(n)])
+
+
+# under the exhaustive kernel the one-move children of Goeritz and the
+# d_pq diagrams (about 2,000 pieces of 48 to 88 darts) take about 9 s, so
+# only the smaller diagrams contribute their children
+WITH_CHILDREN = ("trefoil", "hopf", "T(3,4)", "split d_pq(2,3)")
+
+
+def partition_corpus():
+    rng = random.Random(7)
+    out = []
+    for name, make in CORPUS.items():
+        d = make()
+        out += [d, random_relabeling(rng, d), random_relabeling(rng, d)]
+        s = d.with_mode(SPHERE)
+        out += [s.rerooted(r) for r in rng.sample(s.region_keys, 2)]
+        if name in WITH_CHILDREN:
+            out += [apply_move(d, site) for site in enumerate_moves(d)]
+    return out
+
+
+def test_pruned_kernel_keeps_the_partition(monkeypatch):
+    # byte codes may differ from the exhaustive kernel's, but equal and
+    # unequal must fall exactly as they do there
+    corpus = partition_corpus()
+    shipped = [canon.canonical_code(d) for d in corpus]
+    monkeypatch.setattr(_canon_py, "best_walk", exhaustive_best_walk)
+    reference = [canon.canonical_code(d) for d in corpus]
+    classes = len(set(shipped))
+    assert classes < len(corpus)  # the corpus does hold equal diagrams
+    assert len(set(reference)) == classes == len(set(zip(shipped, reference)))
+
+
+def test_disconnected_darts_rejected():
+    d = Diagram(PLANE, KINK + [x + 4 for x in KINK], [0, 1])
+    ctx = canon._Ctx(d)
+    with pytest.raises(ValueError):
+        _canon_py.best_walk(ctx.theta, ctx.deco, list(range(8)))
+    with pytest.raises(ValueError):
+        _canon_py.best_walk(ctx.theta, ctx.deco, [0, 1, 2])
+
+
+@st.composite
+def relabelings(draw, d):
+    n = d.ncross
+    perm = draw(st.permutations(range(n)))
+    shifts = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return perm, shifts
+
+
+PROPERTY_CORPUS = ["goeritz", "d_pq(2,3)", "trefoil", "split d_pq(2,3)"]
+
+
+@pytest.mark.parametrize("name", PROPERTY_CORPUS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_digest_survives_relabeling(name, data):
+    d = CORPUS[name]()
+    perm, shifts = data.draw(relabelings(d))
+    e = d.relabeled(perm, shifts)
+    assert state_digest(canon.canonical_code(e)) == state_digest(canon.canonical_code(d))
+
+
+@pytest.mark.parametrize("name", PROPERTY_CORPUS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_sphere_digest_survives_rerooting(name, data):
+    d = CORPUS[name]().with_mode(SPHERE)
+    perm, shifts = data.draw(relabelings(d))
+    e = d.relabeled(perm, shifts)
+    e = e.rerooted(data.draw(st.sampled_from(e.region_keys)))
+    assert state_digest(canon.canonical_code(e)) == state_digest(canon.canonical_code(d))
