@@ -10,16 +10,16 @@ and exhaustion is a proof of unreachability.  On that proof sit
 `min_added` (the least budget that reaches a goal) and `verify_hard`
 (the certificate that no budget up to k_max does).
 
-Results are deterministic for any thread count: workers expand disjoint
-frontier slices and their findings are merged in frontier order, so the
-discovery order - and with it every reported number - matches the
-serial run.  Only a wall-clock truncation can differ between runs, and
-such results are flagged inconclusive rather than trusted.
+Expansion is serial and in frontier order: each parent's children are
+merged, in enumeration order, before the next parent is expanded, so the
+discovery order - and with it every reported number - is the same on
+every run.  A wall-clock cap is checked between parents; the states
+merged before it fired are kept and reported, and the result is flagged
+inconclusive rather than trusted.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from time import monotonic
 from typing import NamedTuple, Optional
 
@@ -108,7 +108,6 @@ class Limits(NamedTuple):
 
     max_states: int = 10_000_000
     max_seconds: float = 600.0
-    threads: int = 1
 
 
 class SearchResult(NamedTuple):
@@ -143,11 +142,7 @@ class HardnessCertificate(NamedTuple):
     report: str
 
 
-class _TimeUp(Exception):
-    pass
-
-
-def _expand_one(d, cap, deadline):
+def _expand_one(d, cap):
     """Children of one state: (root region or None, site, child, digest).
 
     On the sphere a state is expanded from every re-rooting, since some
@@ -159,18 +154,12 @@ def _expand_one(d, cap, deadline):
         reps = [(r, d.rerooted(r)) for r in d.region_keys]
     out = []
     for rkey, rep in reps:
-        if monotonic() > deadline:
-            raise _TimeUp
         for site in enumerate_moves(rep):
             if rep.ncross + CROSSING_DELTA[site.kind] > cap:
                 continue
             child = apply_move(rep, site)
             out.append((rkey, site, child, _digest(child)))
     return out
-
-
-def _expand_chunk(chunk, cap, deadline):
-    return [_expand_one(d, cap, deadline) for _i, d in chunk]
 
 
 def _witness(d0, steplog, idx):
@@ -245,26 +234,12 @@ def _run(d0, goal, budget, limits, floor, sink) -> SearchResult:
     goal_idx = None
     truncated = False
     while frontier and goal_idx is None and not truncated:
-        try:
-            if lim.threads > 1 and len(frontier) > 1:
-                size = -(-len(frontier) // lim.threads)
-                chunks = [
-                    frontier[i : i + size] for i in range(0, len(frontier), size)
-                ]
-                with ThreadPoolExecutor(max_workers=lim.threads) as pool:
-                    futs = [
-                        pool.submit(_expand_chunk, ch, cap, deadline) for ch in chunks
-                    ]
-                    per_item = [x for f in futs for x in f.result()]
-            else:
-                per_item = _expand_chunk(frontier, cap, deadline)
-        except _TimeUp:
-            truncated = True
-            break
-
         nxt = []
-        for (idx, _d), found in zip(frontier, per_item):
-            for rkey, site, child, digest in found:
+        for idx, d in frontier:
+            if monotonic() > deadline:
+                truncated = True
+                break
+            for rkey, site, child, digest in _expand_one(d, cap):
                 if digest in seen:
                     continue
                 if len(seen) >= lim.max_states:
