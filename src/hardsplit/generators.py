@@ -74,9 +74,7 @@ def torus_knot_diagram(p, q):
     n = q * (p - 1)
     pairs, (top, _bottom) = _closed_braid(p, q, 0)
     theta = _theta(pairs, 4 * n)
-    over = (1,) * n
-    skel = Diagram(PLANE, theta, over)
-    return Diagram(PLANE, theta, over, (None,), (), {0: (ROOT, skel.face_of[top])})
+    return Diagram(PLANE, theta, (1,) * n, (None,), (), {0: (ROOT, top)})
 
 
 def d_pq(p, q):
@@ -114,9 +112,7 @@ def d_pq(p, q):
     # the pair really links); U is over at both P and Q (opposite signs,
     # so U links nothing).
     over = (1,) * (2 * n) + (0, 1, 1, 1)
-    skel = Diagram(PLANE, theta, over)
-    hosts = {0: (ROOT, skel.face_of[cp + E])}
-    return Diagram(PLANE, theta, over, ("M1", "M2", "U"), (), hosts)
+    return Diagram(PLANE, theta, over, ("M1", "M2", "U"), (), {0: (ROOT, cp + E)})
 
 
 def split_d_pq(p, q):
@@ -135,8 +131,7 @@ def split_d_pq(p, q):
     ]
     theta = _theta(pairs, 8 * n + 8)
     over = (1,) * (2 * n) + (0, 1)
-    skel = Diagram(PLANE, theta, over)
-    hosts = {0: (ROOT, skel.face_of[a1])}
+    hosts = {0: (ROOT, a1)}
     return Diagram(PLANE, theta, over, ("M1", "M2"), (("U", ROOT),), hosts)
 
 

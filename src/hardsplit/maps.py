@@ -78,6 +78,44 @@ def _orbits(step, domain):
     return out
 
 
+def _components(theta):
+    """Strand components as forward dart cycles, sorted by smallest dart.
+
+    opp . theta traces each strand twice, once per direction, and the two
+    orbits are theta-images of each other.  `_orbits` meets the direction
+    holding the strand's smallest dart first; that one is kept.
+    """
+    mirrored = set()
+    comps = []
+    for orb in _orbits(lambda d: opp(theta[d]), range(len(theta))):
+        if orb[0] not in mirrored:
+            comps.append(orb)
+            mirrored.update(theta[d] for d in orb)
+    return tuple(comps)
+
+
+def _islands(theta):
+    "Map island key (smallest dart) -> sorted darts of each connected piece."
+    seen = set()
+    out = {}
+    for d0 in range(len(theta)):
+        if d0 in seen:
+            continue
+        stack = [d0]
+        seen.add(d0)
+        acc = []
+        while stack:
+            d = stack.pop()
+            acc.append(d)
+            for nb in (rot(d), theta[d]):
+                if nb not in seen:
+                    seen.add(nb)
+                    stack.append(nb)
+        acc.sort()
+        out[acc[0]] = tuple(acc)
+    return out
+
+
 class Diagram:
     """An immutable link diagram.
 
@@ -90,15 +128,42 @@ class Diagram:
     labels : per strand component (ordered by smallest dart), a name or None
     loops : iterable of (label, host_region_key) for crossing-free circles
     hosts : mapping island_key -> (host_region_key, up_face_key); islands
-        not mentioned sit in the root region with a default up face
+        not mentioned sit in the root region with a default up face.  Any
+        dart of the up face may stand for its key.
+
+    Attributes
+    ----------
+    The derived structure is built once, by the constructor:
+
+    faces : face orbits of phi = rot . theta, each starting at its smallest
+        dart, in order of that dart
+    face_of : map dart -> face key (the smallest dart on its face)
+    components : strand components as forward dart cycles (one dart per
+        edge).  The forward direction is the orbit containing the
+        component's smallest dart, which makes derived orientations
+        deterministic.
+    comp_of : map dart -> component index
+    islands : map island key -> sorted tuple of its darts
+    islands_keys : sorted smallest-dart keys of the connected shadow pieces
+    island_of : map dart -> island key
+    region_keys : ROOT, then ("f", face_key) for each face that is not an
+        up face, then ("l", loop_index) for each loop's far side
+    region_children : map region key -> list of ("I", island_key) and
+        ("L", loop_index) hosted there; every region key is present
     """
 
-    __slots__ = ("mode", "theta", "over", "labels", "loops", "hosts", "_cache")
+    __slots__ = (
+        "mode", "theta", "over", "labels", "loops", "hosts",
+        "faces", "face_of", "components", "comp_of",
+        "islands", "islands_keys", "island_of", "region_keys", "region_children",
+        "_code",
+    )
 
     def __init__(self, mode, theta, over, labels=None, loops=(), hosts=None):
+        put = object.__setattr__
         if mode not in (PLANE, SPHERE):
             raise DiagramError("mode must be %r or %r" % (PLANE, SPHERE))
-        object.__setattr__(self, "mode", mode)
+        put(self, "mode", mode)
         theta = tuple(theta)
         if len(theta) % 4:
             raise DiagramError("dart count %d is not a multiple of 4" % len(theta))
@@ -107,14 +172,40 @@ class Diagram:
             t = theta[d]
             if not 0 <= t < nd or t == d or theta[t] != d:
                 raise DiagramError("theta is not a fixed-point-free involution at dart %d" % d)
-        object.__setattr__(self, "theta", theta)
+        put(self, "theta", theta)
         over = tuple(int(o) & 1 for o in over)
         if len(over) * 4 != nd:
             raise DiagramError("over has %d entries for %d crossings" % (len(over), nd // 4))
-        object.__setattr__(self, "over", over)
-        object.__setattr__(self, "_cache", {})
+        put(self, "over", over)
+        put(self, "_code", None)
 
-        comps = self.components
+        faces = tuple(_orbits(lambda d: rot(theta[d]), range(nd)))
+        face_of = {}
+        for orb in faces:
+            for d in orb:
+                face_of[d] = orb[0]
+        put(self, "faces", faces)
+        put(self, "face_of", face_of)
+
+        comps = _components(theta)
+        comp_of = {}
+        for i, orb in enumerate(comps):
+            for d in orb:
+                comp_of[d] = i
+                comp_of[theta[d]] = i
+        put(self, "components", comps)
+        put(self, "comp_of", comp_of)
+
+        islands = _islands(theta)
+        island_of = {}
+        for key, ds in islands.items():
+            for d in ds:
+                island_of[d] = key
+        islands_keys = tuple(sorted(islands))
+        put(self, "islands", islands)
+        put(self, "islands_keys", islands_keys)
+        put(self, "island_of", island_of)
+
         if labels is None:
             labels = (None,) * len(comps)
         labels = tuple(labels)
@@ -122,23 +213,38 @@ class Diagram:
             raise DiagramError(
                 "%d labels for %d strand components" % (len(labels), len(comps))
             )
-        object.__setattr__(self, "labels", labels)
+        put(self, "labels", labels)
 
         loops = tuple(Loop(lab, self._norm_region(host)) for lab, host in loops)
-        object.__setattr__(self, "loops", loops)
+        put(self, "loops", loops)
 
         norm_hosts = {}
-        for key in self.islands_keys:
+        for key in islands_keys:
             if hosts and key in hosts:
                 host, up = hosts[key]
-                norm_hosts[key] = (self._norm_region(host), self.face_of[up])
+                norm_hosts[key] = (self._norm_region(host), face_of[up])
             else:
-                norm_hosts[key] = (ROOT, self.face_of[key])
+                norm_hosts[key] = (ROOT, face_of[key])
         if hosts:
             for key in hosts:
                 if key not in norm_hosts:
                     raise DiagramError("host entry for unknown island %r" % (key,))
-        object.__setattr__(self, "hosts", norm_hosts)
+        put(self, "hosts", norm_hosts)
+
+        ups = {up for (_h, up) in norm_hosts.values()}
+        region_keys = (
+            (ROOT,)
+            + tuple(("f", orb[0]) for orb in faces if orb[0] not in ups)
+            + tuple(("l", i) for i in range(len(loops)))
+        )
+        # a host naming no region still gets an entry; validate() reports it
+        children = {key: [] for key in region_keys}
+        for key in islands_keys:
+            children.setdefault(norm_hosts[key][0], []).append(("I", key))
+        for i, lp in enumerate(loops):
+            children.setdefault(lp.host, []).append(("L", i))
+        put(self, "region_keys", region_keys)
+        put(self, "region_children", children)
 
     def __setattr__(self, name, value):
         raise AttributeError("Diagram is immutable")
@@ -156,33 +262,7 @@ class Diagram:
     def darts(self):
         return range(self.ndart)
 
-    # -- derived structure (memoized) --------------------------------
-
-    def _get(self, key, build):
-        cache = self._cache
-        if key not in cache:
-            cache[key] = build()
-        return cache[key]
-
-    @property
-    def faces(self):
-        "Face orbits of phi = rot . theta, each starting at its smallest dart."
-        return self._get(
-            "faces", lambda: tuple(_orbits(lambda d: rot(self.theta[d]), self.darts()))
-        )
-
-    @property
-    def face_of(self):
-        "Map dart -> face key (the smallest dart on its face)."
-
-        def build():
-            out = {}
-            for orb in self.faces:
-                for d in orb:
-                    out[d] = orb[0]
-            return out
-
-        return self._get("face_of", build)
+    # -- faces, components, islands (built in __init__) ---------------
 
     def face_darts(self, fkey):
         for orb in self.faces:
@@ -190,96 +270,8 @@ class Diagram:
                 return orb
         raise DiagramError("no face with key %r" % (fkey,))
 
-    @property
-    def components(self):
-        """Strand components as forward dart cycles (one dart per edge).
-
-        The forward direction is the orbit containing the component's
-        smallest dart, which makes derived orientations deterministic.
-        """
-
-        def build():
-            step = lambda d: opp(self.theta[d])
-            orbs = _orbits(step, self.darts())
-            paired = set()
-            comps = []
-            for orb in orbs:
-                if orb[0] in paired:
-                    continue
-                mirror_rep = min(self.theta[d] for d in orb)
-                m = min(orb[0], mirror_rep)
-                if m == orb[0]:
-                    comps.append(orb)
-                else:
-                    # rotate the mirror orbit to start at its min dart
-                    mirror = _orbits(step, sorted(self.theta[d] for d in orb))[0]
-                    comps.append(mirror)
-                for d in comps[-1]:
-                    paired.add(d)
-                    paired.add(self.theta[d])
-            comps.sort(key=lambda orb: orb[0])
-            return tuple(comps)
-
-        return self._get("components", build)
-
-    @property
-    def comp_of(self):
-        "Map dart -> component index."
-
-        def build():
-            out = {}
-            for i, orb in enumerate(self.components):
-                for d in orb:
-                    out[d] = i
-                    out[self.theta[d]] = i
-            return out
-
-        return self._get("comp_of", build)
-
     def label_of_dart(self, d):
         return self.labels[self.comp_of[d]]
-
-    @property
-    def islands_keys(self):
-        "Sorted smallest-dart keys of the connected shadow pieces."
-        return self._get("islands_keys", lambda: tuple(sorted(self.islands)))
-
-    @property
-    def islands(self):
-        "Map island key -> sorted tuple of its darts."
-
-        def build():
-            seen = set()
-            out = {}
-            for d0 in self.darts():
-                if d0 in seen:
-                    continue
-                stack = [d0]
-                seen.add(d0)
-                acc = []
-                while stack:
-                    d = stack.pop()
-                    acc.append(d)
-                    for nb in (rot(d), self.theta[d]):
-                        if nb not in seen:
-                            seen.add(nb)
-                            stack.append(nb)
-                acc.sort()
-                out[acc[0]] = tuple(acc)
-            return out
-
-        return self._get("islands", build)
-
-    @property
-    def island_of(self):
-        def build():
-            out = {}
-            for key, ds in self.islands.items():
-                for d in ds:
-                    out[d] = key
-            return out
-
-        return self._get("island_of", build)
 
     def island_faces(self, key):
         return tuple(orb[0] for orb in self.faces if self.island_of[orb[0]] == key)
@@ -288,37 +280,6 @@ class Diagram:
     #
     # Region keys: ROOT, ('f', face_key) for a face that is not some
     # island's up face, or ('l', loop_index) for the far side of a loop.
-
-    @property
-    def region_children(self):
-        "Map region key -> list of ('I', island_key) and ('L', loop_index)."
-
-        def build():
-            out = {ROOT: []}
-            for key in self.islands_keys:
-                host, up = self.hosts[key]
-                out.setdefault(host, []).append(("I", key))
-            for i, lp in enumerate(self.loops):
-                out.setdefault(lp.host, []).append(("L", i))
-            for key in self.region_keys:
-                out.setdefault(key, [])
-            return out
-
-        return self._get("region_children", build)
-
-    @property
-    def region_keys(self):
-        def build():
-            ups = {up for (_h, up) in self.hosts.values()}
-            keys = [ROOT]
-            for orb in self.faces:
-                if orb[0] not in ups:
-                    keys.append(("f", orb[0]))
-            for i in range(len(self.loops)):
-                keys.append(("l", i))
-            return tuple(keys)
-
-        return self._get("region_keys", build)
 
     def _norm_region(self, rkey):
         "Region keys name faces by their smallest dart; fix up any other dart."
@@ -580,13 +541,11 @@ class Diagram:
 
     def canonical_code(self):
         "Canonical code; equal codes mean equal up to relabeling and isotopy."
-
-        def build():
+        if self._code is None:
             from . import canon
 
-            return canon.canonical_code(self)
-
-        return self._get("canonical_code", build)
+            object.__setattr__(self, "_code", canon.canonical_code(self))
+        return self._code
 
     def canonically_equal(self, other) -> bool:
         return self.canonical_code() == other.canonical_code()

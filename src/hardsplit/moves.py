@@ -5,10 +5,13 @@ moves (decoration side conditions, emptiness of the swept disk),
 enumerates every site available on a diagram, and reads/writes the
 one-move-per-line script format.
 
-Enumeration is identical in plane and sphere mode.  The modes differ
-only in which diagrams count as equal: sphere equality quotients out the
-choice of outer region, so "moves across the outer face" never appear as
-extra sites.  Scripts can still record an explicit `ROOT` re-rooting
+Enumeration works on one rooted representative and is identical in
+plane and sphere mode.  Some sites depend on which region is outermost:
+a wrap curl around an island's outer face, and the sets an RII+ poke can
+capture or engulf.  Plane search needs only the given root.  Sphere
+equality quotients out the choice of outer region, so the sphere search
+covers the remaining sites by expanding every re-rooting of a state
+(`search`).  Scripts record such a re-rooting as an explicit `ROOT`
 step - a sphere isotopy, not a Reidemeister move - so a sequence found
 on a re-rooted representative stays replayable line by line.
 """
@@ -133,12 +136,9 @@ def enumerate_moves(d: Diagram):
         if _rii_decorations_ok(d, f) and surgery.swept_face_ok(d, f):
             sites.append(MoveSite("RII-", (f,)))
 
-    for orb in d.faces:
-        if len(orb) == 3 and len({x >> 2 for x in orb}) == 3:
-            if surgery.triangle_coherent(d, orb[0]) and surgery.swept_face_ok(
-                d, orb[0]
-            ):
-                sites.append(MoveSite("RIII", (orb[0],)))
+    for f in surgery.triangle_faces(d):
+        if surgery.triangle_coherent(d, f) and surgery.swept_face_ok(d, f):
+            sites.append(MoveSite("RIII", (f,)))
     return sites
 
 

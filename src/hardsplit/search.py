@@ -143,23 +143,24 @@ class HardnessCertificate(NamedTuple):
 
 
 def _expand_one(d, cap):
-    """Children of one state: (root region or None, site, child, digest).
+    """Children of one state, one at a time: (root region or None, site,
+    child, digest).
 
-    On the sphere a state is expanded from every re-rooting, since some
-    sites only exist when the right region is outermost.
+    A generator, so a parent's children are built only as they are merged
+    and a cap that fires mid-parent stops the building.  On the sphere a
+    state is expanded from every re-rooting, since some sites only exist
+    when the right region is outermost.
     """
     if d.mode == PLANE:
         reps = [(None, d)]
     else:
-        reps = [(r, d.rerooted(r)) for r in d.region_keys]
-    out = []
+        reps = ((r, d.rerooted(r)) for r in d.region_keys)
     for rkey, rep in reps:
         for site in enumerate_moves(rep):
             if rep.ncross + CROSSING_DELTA[site.kind] > cap:
                 continue
             child = apply_move(rep, site)
-            out.append((rkey, site, child, _digest(child)))
-    return out
+            yield rkey, site, child, _digest(child)
 
 
 def _witness(d0, steplog, idx):

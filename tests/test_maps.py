@@ -1,5 +1,12 @@
 import pytest
 
+from hardsplit.generators import (
+    d_pq,
+    goeritz_diagram,
+    split_d_pq,
+    torus_knot_diagram,
+    unknot_diagram,
+)
 from hardsplit.maps import (
     PLANE,
     ROOT,
@@ -13,6 +20,7 @@ from hardsplit.maps import (
     rot_inv,
     slot_of,
 )
+from hardsplit.moves import apply_move, enumerate_moves
 
 KINK = [3, 2, 1, 0]
 # trefoil shadow: three crossings, each pair joined by two parallel edges
@@ -50,6 +58,10 @@ def test_immutability():
     d = Diagram(PLANE, KINK, [0])
     with pytest.raises(AttributeError):
         d.mode = SPHERE
+    with pytest.raises(AttributeError):
+        d.faces = ()
+    with pytest.raises(AttributeError):
+        d.island_of = {}
 
 
 def test_kink_faces():
@@ -197,3 +209,111 @@ def test_with_mode():
     s = d.with_mode(SPHERE)
     assert s.mode == SPHERE and list(s.theta) == KINK
     assert s.with_mode(PLANE).hosts == d.hosts
+
+
+# -- structure oracle --------------------------------------------------
+#
+# Faces, islands and strand components recomputed from theta alone, with
+# the dart algebra written out here: nothing is shared with `maps`.
+
+
+def _next_ccw(x):
+    return 4 * (x // 4) + (x + 1) % 4
+
+
+def _across(x):
+    return 4 * (x // 4) + (x + 2) % 4
+
+
+def _classes(n, pairs):
+    "Union-find classes of 0..n-1 joined by `pairs`, keyed by smallest member."
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for x, y in pairs:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+    groups = {}
+    for x in range(n):
+        groups.setdefault(find(x), []).append(x)
+    return {min(g): tuple(sorted(g)) for g in groups.values()}
+
+
+def assert_structure(d):
+    th = d.theta
+    n = len(th)
+
+    faces = set()
+    for x in range(n):
+        orb = [x]
+        y = _next_ccw(th[x])
+        while y != x:
+            orb.append(y)
+            y = _next_ccw(th[y])
+        i = orb.index(min(orb))
+        faces.add(tuple(orb[i:] + orb[:i]))
+    assert list(d.faces) == sorted(faces)
+    assert d.face_of == {x: f[0] for f in faces for x in f}
+
+    islands = _classes(n, [(x, _next_ccw(x)) for x in range(n)] + list(enumerate(th)))
+    assert d.islands == islands
+    assert d.islands_keys == tuple(sorted(islands))
+    assert d.island_of == {x: k for k, ds in islands.items() for x in ds}
+
+    strands = _classes(n, [(x, _across(x)) for x in range(n)] + list(enumerate(th)))
+    assert len(d.components) == len(strands)
+    for i, (low, ds) in enumerate(sorted(strands.items())):
+        comp = d.components[i]
+        assert comp[0] == low
+        assert tuple(sorted(set(comp) | {th[x] for x in comp})) == ds
+        assert all(d.comp_of[x] == i for x in ds)
+    assert len(d.comp_of) == n
+
+    ups = {up for _host, up in d.hosts.values()}
+    regions = (
+        [ROOT]
+        + [("f", f[0]) for f in sorted(faces) if f[0] not in ups]
+        + [("l", i) for i in range(len(d.loops))]
+    )
+    assert list(d.region_keys) == regions
+    assert set(d.region_children) == set(regions)
+    listed = [e for kids in d.region_children.values() for e in kids]
+    nodes = [("I", k) for k in islands] + [("L", i) for i in range(len(d.loops))]
+    assert sorted(listed) == sorted(nodes)
+    for k in islands:
+        assert ("I", k) in d.region_children[d.hosts[k][0]]
+    for i, lp in enumerate(d.loops):
+        assert ("L", i) in d.region_children[lp.host]
+
+
+def _hopf():
+    return Diagram(PLANE, (5, 4, 7, 6, 1, 0, 3, 2), (1, 1))
+
+
+@pytest.mark.parametrize(
+    "make, with_children",
+    [
+        (lambda: torus_knot_diagram(2, 3), True),
+        (_hopf, False),
+        (goeritz_diagram, False),
+        (lambda: d_pq(2, 3), False),
+        (lambda: split_d_pq(2, 3), True),
+        (lambda: unknot_diagram(2), False),
+    ],
+    ids=["trefoil", "hopf", "goeritz", "d_pq(2,3)", "split d_pq(2,3)", "unknot(2)"],
+)
+def test_structure_matches_oracle(make, with_children):
+    d0 = make()
+    corpus = [d0]
+    if with_children:
+        corpus += [apply_move(d0, s) for s in enumerate_moves(d0)]
+    for d in corpus:
+        s = d.with_mode(SPHERE)
+        for e in (d, s.rerooted(s.region_keys[-1])):
+            assert_structure(e)

@@ -278,6 +278,21 @@ def test_limits_yield_inconclusive():
     assert not stale.reached and not stale.frontier_exhausted
 
 
+def test_capped_search_stops_building_children(monkeypatch):
+    built = []
+
+    def counting_apply_move(d, site):
+        built.append(site)
+        return apply_move(d, site)
+
+    monkeypatch.setattr(search, "apply_move", counting_apply_move)
+    r = bfs_reachable(hopf(), Goal.split_any(), 1, Limits(max_states=3))
+    assert r.states_explored == 3 and not r.frontier_exhausted
+    # the cap fires on the third new child; the start's other children
+    # are never built
+    assert len(built) <= 4
+
+
 def test_bad_arguments():
     with pytest.raises(TypeError):
         bfs_reachable(hopf(), "unknot", 0)
