@@ -5,6 +5,11 @@ moves (decoration side conditions, emptiness of the swept disk),
 enumerates every site available on a diagram, and reads/writes the
 one-move-per-line script format.
 
+Enumeration takes an optional crossing cap and then lists only the sites
+whose result has at most that many crossings; a move kind that cannot
+fit under the cap is never built.  Below the cap the list is the full
+one, in the same order, so a capped search loses nothing it could keep.
+
 Enumeration works on one rooted representative and is identical in
 plane and sphere mode.  Some sites depend on which region is outermost:
 a wrap curl around an island's outer face, and the sets an RII+ poke can
@@ -73,31 +78,59 @@ def _subsets(items):
     return out
 
 
-def enumerate_moves(d: Diagram):
-    """All applicable move sites, deterministically ordered.
+def enumerate_moves(d: Diagram, max_cross=None):
+    """All applicable move sites whose result has at most `max_cross`
+    crossings (no cap when None), deterministically ordered.
 
-    Complete: every diagram one Reidemeister move away is apply_move of
-    some returned site.  Distinct sites may still produce equal diagrams
-    (e.g. a poke described from either strand's point of view).
+    Complete within the cap: every diagram with at most `max_cross`
+    crossings that is one Reidemeister move away is apply_move of some
+    returned site, and the sites returned are those of the uncapped
+    enumeration that fit, in the same order.  Distinct sites may still
+    produce equal diagrams (e.g. a poke described from either strand's
+    point of view).
     """
+
+    def fits(kind):
+        return max_cross is None or d.ncross + CROSSING_DELTA[kind] <= max_cross
+
     sites = []
-    for x in d.darts():
-        for ov in (0, 1):
-            sites.append(MoveSite("RI+", ("d", x, ov)))
-        if d.hosts[d.island_of[x]][1] == d.face_of[x]:
-            # arc on the island's outer face: the lobe can also wrap
-            # around the island, putting everything inside the petal
+    if fits("RI+"):
+        for x in d.darts():
             for ov in (0, 1):
-                sites.append(MoveSite("RI+", ("wrap", x, ov)))
-    for i in range(len(d.loops)):
-        for side in ("out", "in"):
-            for ov in (0, 1):
-                sites.append(MoveSite("RI+", ("loop", i, side, ov)))
+                sites.append(MoveSite("RI+", ("d", x, ov)))
+            if d.hosts[d.island_of[x]][1] == d.face_of[x]:
+                # arc on the island's outer face: the lobe can also wrap
+                # around the island, putting everything inside the petal
+                for ov in (0, 1):
+                    sites.append(MoveSite("RI+", ("wrap", x, ov)))
+        for i in range(len(d.loops)):
+            for side in ("out", "in"):
+                for ov in (0, 1):
+                    sites.append(MoveSite("RI+", ("loop", i, side, ov)))
 
-    for p in surgery.petal_darts(d):
-        if surgery.swept_face_ok(d, d.face_of[p]):
-            sites.append(MoveSite("RI-", (p,)))
+    if fits("RI-"):
+        for p in surgery.petal_darts(d):
+            if surgery.swept_face_ok(d, d.face_of[p]):
+                sites.append(MoveSite("RI-", (p,)))
 
+    if fits("RII+"):
+        sites += _rii_add_sites(d)
+
+    if fits("RII-"):
+        for f in surgery.bigon_faces(d):
+            if _rii_decorations_ok(d, f) and surgery.swept_face_ok(d, f):
+                sites.append(MoveSite("RII-", (f,)))
+
+    if fits("RIII"):
+        for f in surgery.triangle_faces(d):
+            if surgery.triangle_coherent(d, f) and surgery.swept_face_ok(d, f):
+                sites.append(MoveSite("RIII", (f,)))
+    return sites
+
+
+def _rii_add_sites(d):
+    "Every RII+ poke: two boundary elements of a region, plus what it moves."
+    sites = []
     for region in d.region_keys:
         elems = d.region_boundary(region)
         kids = set(d.region_children.get(region, ()))
@@ -131,14 +164,6 @@ def enumerate_moves(d: Diagram):
                                         "RII+", (region, a, b, ov, cap, eng, order)
                                     )
                                 )
-
-    for f in surgery.bigon_faces(d):
-        if _rii_decorations_ok(d, f) and surgery.swept_face_ok(d, f):
-            sites.append(MoveSite("RII-", (f,)))
-
-    for f in surgery.triangle_faces(d):
-        if surgery.triangle_coherent(d, f) and surgery.swept_face_ok(d, f):
-            sites.append(MoveSite("RIII", (f,)))
     return sites
 
 

@@ -10,6 +10,9 @@ and exhaustion is a proof of unreachability.  On that proof sit
 `min_added` (the least budget that reaches a goal) and `verify_hard`
 (the certificate that no budget up to k_max does).
 
+The crossing cap is applied where sites are enumerated
+(`enumerate_moves(d, cap)`): a move that would exceed it is never
+listed, so expansion builds exactly the children it may keep.
 Expansion is serial and in frontier order: each parent's children are
 merged, in enumeration order, before the next parent is expanded, so the
 discovery order - and with it every reported number - is the same on
@@ -26,13 +29,7 @@ from typing import NamedTuple, Optional
 from .canon import canonical_code, state_digest
 from .invariants import is_split_diagram
 from .maps import PLANE, ROOT, Diagram, DiagramError
-from .moves import (
-    CROSSING_DELTA,
-    MoveSequence,
-    MoveSite,
-    apply_move,
-    enumerate_moves,
-)
+from .moves import MoveSequence, MoveSite, apply_move, enumerate_moves
 
 __all__ = [
     "Goal",
@@ -146,19 +143,19 @@ def _expand_one(d, cap):
     """Children of one state, one at a time: (root region or None, site,
     child, digest).
 
-    A generator, so a parent's children are built only as they are merged
-    and a cap that fires mid-parent stops the building.  On the sphere a
-    state is expanded from every re-rooting, since some sites only exist
-    when the right region is outermost.
+    The crossing cap is applied at enumeration, so every site enumerated
+    is built and no site over the cap is.  A generator, so a parent's
+    children are built only as they are merged and a cap that fires
+    mid-parent stops the building.  On the sphere a state is expanded
+    from every re-rooting, since some sites only exist when the right
+    region is outermost.
     """
     if d.mode == PLANE:
         reps = [(None, d)]
     else:
         reps = ((r, d.rerooted(r)) for r in d.region_keys)
     for rkey, rep in reps:
-        for site in enumerate_moves(rep):
-            if rep.ncross + CROSSING_DELTA[site.kind] > cap:
-                continue
+        for site in enumerate_moves(rep, cap):
             child = apply_move(rep, site)
             yield rkey, site, child, _digest(child)
 

@@ -9,7 +9,13 @@ import random
 import pytest
 
 from hardsplit import surgery
-from hardsplit.maps import PLANE, ROOT, Diagram, Loop, MoveError
+from hardsplit.generators import (
+    goeritz_diagram,
+    split_d_pq,
+    torus_knot_diagram,
+    unknot_diagram,
+)
+from hardsplit.maps import PLANE, ROOT, SPHERE, Diagram, Loop, MoveError
 from hardsplit.moves import (
     CROSSING_DELTA,
     MoveSequence,
@@ -60,6 +66,43 @@ def census(d):
 
 
 # -- enumeration -----------------------------------------------------
+
+
+def capped_corpus():
+    plane = [
+        torus_knot_diagram(2, 3),
+        Diagram(PLANE, (5, 4, 7, 6, 1, 0, 3, 2), (1, 1)),  # Hopf
+        goeritz_diagram(),
+        split_d_pq(2, 3),  # has a loop: loop curls and loop pokes
+        unknot_diagram(1),
+        trefoil([0, 1, 0]),  # not alternating: bigon and triangle sites
+    ]
+    out = []
+    for d in plane:
+        s = d.with_mode(SPHERE)
+        out += [d, s.rerooted(s.region_keys[-1])]
+    return out
+
+
+def test_capped_enumeration_is_the_filtered_full_one():
+    kinds = set()
+    loop_kinds = set()
+    for d in capped_corpus():
+        full = enumerate_moves(d)
+        kinds |= {s.kind for s in full}
+        loop_kinds |= {
+            s.kind
+            for s in full
+            if s.spot[0] == "loop" or (s.kind == "RII+" and s.spot[1][0] == "loop")
+        }
+        for k in range(-3, 3):
+            cap = d.ncross + k
+            want = [s for s in full if d.ncross + CROSSING_DELTA[s.kind] <= cap]
+            assert enumerate_moves(d, cap) == want, (d.ncross, k)
+        assert enumerate_moves(d, None) == full
+    # every gate is exercised, loop sites included
+    assert kinds == {"RI+", "RI-", "RII+", "RII-", "RIII"}
+    assert loop_kinds == {"RI+", "RII+"}
 
 
 def test_free_loop_sites():

@@ -1,0 +1,78 @@
+"""Resolution-calculus tests: trace parsing, replay and the crossing bound.
+
+The overlay is the Hopf link with one circle as the sweep curve U and
+the other as the tangle.  The peak is recounted here from the replayed
+diagrams' crossing labels, without `ShadowOverlay`'s counts.
+"""
+
+import pytest
+
+from hardsplit.resolution import (
+    TraceError,
+    build_resolution_graph,
+    find_isotopy_path,
+    parse_trace,
+    verify_isotopy,
+)
+
+HOPF_OVERLAY = "OVERLAY X c0 E1 E2 E3 E4; X c1 E2 E1 E4 E3; C U E1 E3; C T E2 E4; F E1:R"
+
+CURL = "C R1+ dart=0 side=R\nC R1- crossing=2\n"
+
+# the curve first pokes over the tangle (two more mixed crossings), then
+# curls and uncurls, then pulls back
+POKED_CURL = (
+    "X RII+ dartA=0 dartB=6 over=A\n"
+    "C R1+ dart=0 side=R\n"
+    "C R1- crossing=4\n"
+    "X RII- face=6\n"
+)
+
+
+def peak_overlay_crossings(trace):
+    "Most crossings in any replayed state that are not curve self-crossings."
+    peak = 0
+    for st in trace.states:
+        d = st.diagram
+        n = sum(d.strandpair_labels(c) != ("U", "U") for c in range(d.ncross))
+        peak = max(peak, n)
+    return peak
+
+
+@pytest.mark.parametrize(
+    "events, m", [(CURL, 2), (POKED_CURL, 4)], ids=["curl", "poked-curl"]
+)
+def test_curl_then_uncurl_verifies_at_the_peak(events, m):
+    trace = parse_trace(HOPF_OVERLAY + "\n" + events)
+    assert [ev.tag for ev in trace.events] == [
+        line[0] for line in events.splitlines()
+    ]
+    assert trace.nlayers == 3  # start, after the curl, after the uncurl
+    assert trace.overlay.is_simple and trace.states[-1].is_simple
+    assert not trace.layer_state(1).is_simple
+    graph = build_resolution_graph(trace)
+    path = find_isotopy_path(graph)
+    res = verify_isotopy(trace, path, graph=graph)
+    assert res.m == peak_overlay_crossings(trace) == m
+    assert res.steps == len(path.edges) == 2
+    assert "m = %d " % m in res.report
+    assert res.report.endswith("overlay bound m = %d holds throughout\n" % m)
+
+
+def test_trace_without_overlay_line_raises():
+    with pytest.raises(TraceError, match="OVERLAY"):
+        parse_trace(CURL)
+    with pytest.raises(TraceError, match="OVERLAY"):
+        parse_trace("# only a comment\n")
+
+
+def test_unknown_event_tag_raises():
+    with pytest.raises(TraceError, match="line 2: events are tagged C, M, or X"):
+        parse_trace(HOPF_OVERLAY + "\nZ R1+ dart=0 side=R\n")
+
+
+def test_event_tags_must_match_the_strands_touched():
+    # a curve curl tagged as a tangle move, and a tangle curl tagged C
+    for line in ("M RI+ dart=0 side=R over=0", "C R1+ dart=1 side=R"):
+        with pytest.raises(TraceError, match="line 2"):
+            parse_trace(HOPF_OVERLAY + "\n" + line + "\n")

@@ -293,6 +293,28 @@ def test_capped_search_stops_building_children(monkeypatch):
     assert len(built) <= 4
 
 
+def test_every_enumerated_site_is_built(monkeypatch):
+    # the cap is applied at enumeration: the search builds every site it
+    # is given, so none is enumerated only to be thrown away
+    counts = {"sites": 0, "built": 0}
+
+    def counting_enumerate(d, max_cross=None):
+        sites = enumerate_moves(d, max_cross)
+        counts["sites"] += len(sites)
+        return sites
+
+    def counting_apply_move(d, site):
+        counts["built"] += 1
+        return apply_move(d, site)
+
+    monkeypatch.setattr(search, "enumerate_moves", counting_enumerate)
+    monkeypatch.setattr(search, "apply_move", counting_apply_move)
+    cert = verify_hard(torus_knot_diagram(2, 3), Goal.zero_crossing(), 2)
+    assert cert.verdict == "hard"
+    assert tuple(r.states_explored for r in cert.outcome.runs) == (1, 28, 609)
+    assert counts["sites"] == counts["built"] > 0
+
+
 def test_bad_arguments():
     with pytest.raises(TypeError):
         bfs_reachable(hopf(), "unknot", 0)
