@@ -10,6 +10,13 @@ diagrams.
 
 Faces are traced with phi(d) = rot(theta(d)); the orbit of a dart under phi
 is the face lying to the right of that dart.
+
+Everything theta alone determines (faces, strand components, islands) is
+derived by one checking pass, `structure(theta)`, into an immutable
+`Structure` record.  `Diagram` accepts such a record in place of theta, so
+a surgery that has already read faces and islands off its new theta, or a
+re-rooting that keeps theta, hands the record on instead of deriving it
+again.
 """
 
 from __future__ import annotations
@@ -60,60 +67,122 @@ class Loop(NamedTuple):
     host: tuple
 
 
-def _orbits(step, domain):
-    # domain must be sorted ascending; each orbit tuple starts at its min dart
-    seen = set()
-    out = []
-    for d in domain:
-        if d in seen:
-            continue
-        orb = [d]
-        seen.add(d)
-        x = step(d)
-        while x != d:
-            orb.append(x)
-            seen.add(x)
-            x = step(x)
-        out.append(tuple(orb))
-    return out
+class Structure(NamedTuple):
+    """Everything a pairing involution determines on its own.
 
-
-def _components(theta):
-    """Strand components as forward dart cycles, sorted by smallest dart.
-
-    opp . theta traces each strand twice, once per direction, and the two
-    orbits are theta-images of each other.  `_orbits` meets the direction
-    holding the strand's smallest dart first; that one is kept.
+    Built by `structure`; the fields are the `Diagram` attributes of the
+    same names.  A surgery computes it once for its new theta, reads faces
+    and islands from it, and hands it to `Diagram` as the theta argument.
     """
-    mirrored = set()
-    comps = []
-    for orb in _orbits(lambda d: opp(theta[d]), range(len(theta))):
-        if orb[0] not in mirrored:
-            comps.append(orb)
-            mirrored.update(theta[d] for d in orb)
-    return tuple(comps)
+
+    theta: tuple
+    faces: tuple
+    face_of: dict
+    components: tuple
+    comp_of: dict
+    islands: dict
+    islands_keys: tuple
+    island_of: dict
+
+    def face_darts(self, fkey):
+        return _face_darts(self.theta, self.face_of, fkey)
 
 
-def _islands(theta):
-    "Map island key (smallest dart) -> sorted darts of each connected piece."
-    seen = set()
-    out = {}
-    for d0 in range(len(theta)):
-        if d0 in seen:
+def structure(theta) -> Structure:
+    """Check a pairing involution and derive its faces, strands and islands.
+
+    Raises DiagramError unless `theta` is a fixed-point-free involution on
+    0..4n-1.  Faces are phi-orbits, strands are forward (opp . theta)
+    cycles, and islands are found by a search over crossings: an island is
+    a set of whole crossings, keyed by its smallest dart.
+    """
+    theta = tuple(theta)
+    nd = len(theta)
+    if nd % 4:
+        raise DiagramError("dart count %d is not a multiple of 4" % nd)
+    for d in range(nd):
+        t = theta[d]
+        if not 0 <= t < nd or t == d or theta[t] != d:
+            raise DiagramError("theta is not a fixed-point-free involution at dart %d" % d)
+
+    # faces: orbits of phi = rot . theta (inlined), met from their smallest dart
+    fkey = [-1] * nd
+    faces = []
+    for d0 in range(nd):
+        if fkey[d0] >= 0:
             continue
-        stack = [d0]
-        seen.add(d0)
-        acc = []
-        while stack:
-            d = stack.pop()
-            acc.append(d)
-            for nb in (rot(d), theta[d]):
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        acc.sort()
-        out[acc[0]] = tuple(acc)
-    return out
+        orb = [d0]
+        fkey[d0] = d0
+        t = theta[d0]
+        x = (t & ~3) | ((t + 1) & 3)
+        while x != d0:
+            orb.append(x)
+            fkey[x] = d0
+            t = theta[x]
+            x = (t & ~3) | ((t + 1) & 3)
+        faces.append(tuple(orb))
+
+    # strands: opp . theta traces each one twice, once per direction; the
+    # direction met first holds the strand's smallest dart and is kept,
+    # and its theta-images (the other direction) are marked with it
+    cidx = [-1] * nd
+    comps = []
+    for d0 in range(nd):
+        if cidx[d0] >= 0:
+            continue
+        i = len(comps)
+        orb = []
+        x = d0
+        while True:
+            orb.append(x)
+            t = theta[x]
+            cidx[x] = cidx[t] = i
+            x = t ^ 2
+            if x == d0:
+                break
+        comps.append(tuple(orb))
+
+    # islands: connected sets of crossings
+    ikey = [-1] * (nd >> 2)
+    islands = {}
+    for c0 in range(nd >> 2):
+        if ikey[c0] >= 0:
+            continue
+        key = 4 * c0
+        ikey[c0] = key
+        members = [c0]
+        for c in members:
+            for t in theta[4 * c : 4 * c + 4]:
+                if ikey[t >> 2] < 0:
+                    ikey[t >> 2] = key
+                    members.append(t >> 2)
+        members.sort()
+        islands[key] = tuple(d for c in members for d in range(4 * c, 4 * c + 4))
+
+    return Structure(
+        theta,
+        tuple(faces),
+        dict(enumerate(fkey)),
+        tuple(comps),
+        dict(enumerate(cidx)),
+        islands,
+        tuple(islands),
+        {d: ikey[d >> 2] for d in range(nd)},
+    )
+
+
+def _face_darts(theta, face_of, fkey):
+    "The phi-orbit of face key `fkey`, walked from the key."
+    if face_of.get(fkey) != fkey:
+        raise DiagramError("no face with key %r" % (fkey,))
+    orb = [fkey]
+    t = theta[fkey]
+    x = (t & ~3) | ((t + 1) & 3)
+    while x != fkey:
+        orb.append(x)
+        t = theta[x]
+        x = (t & ~3) | ((t + 1) & 3)
+    return tuple(orb)
 
 
 class Diagram:
@@ -122,7 +191,9 @@ class Diagram:
     Parameters
     ----------
     mode : "plane" or "sphere"
-    theta : pairing involution over darts 0..4n-1 (fixed-point free)
+    theta : pairing involution over darts 0..4n-1 (fixed-point free), or
+        the `Structure` record `structure` made of one; a sequence is
+        checked and derived here, a record is used as it is
     over : per crossing, 0 if the strand through slots {0,2} passes over,
         1 if the strand through slots {1,3} does
     labels : per strand component (ordered by smallest dart), a name or None
@@ -133,7 +204,8 @@ class Diagram:
 
     Attributes
     ----------
-    The derived structure is built once, by the constructor:
+    The structure is built once, by the constructor; the fields of the
+    `Structure` record (theta to island_of) are taken from it unchanged:
 
     faces : face orbits of phi = rot . theta, each starting at its smallest
         dart, in order of that dart
@@ -164,62 +236,31 @@ class Diagram:
         if mode not in (PLANE, SPHERE):
             raise DiagramError("mode must be %r or %r" % (PLANE, SPHERE))
         put(self, "mode", mode)
-        theta = tuple(theta)
-        if len(theta) % 4:
-            raise DiagramError("dart count %d is not a multiple of 4" % len(theta))
-        nd = len(theta)
-        for d in range(nd):
-            t = theta[d]
-            if not 0 <= t < nd or t == d or theta[t] != d:
-                raise DiagramError("theta is not a fixed-point-free involution at dart %d" % d)
-        put(self, "theta", theta)
+        s = theta if isinstance(theta, Structure) else structure(theta)
+        for name, value in zip(Structure._fields, s):
+            put(self, name, value)
         over = tuple(int(o) & 1 for o in over)
-        if len(over) * 4 != nd:
-            raise DiagramError("over has %d entries for %d crossings" % (len(over), nd // 4))
+        if len(over) * 4 != len(s.theta):
+            raise DiagramError(
+                "over has %d entries for %d crossings" % (len(over), len(s.theta) // 4)
+            )
         put(self, "over", over)
         put(self, "_code", None)
+        face_of = s.face_of
 
-        faces = tuple(_orbits(lambda d: rot(theta[d]), range(nd)))
-        face_of = {}
-        for orb in faces:
-            for d in orb:
-                face_of[d] = orb[0]
-        put(self, "faces", faces)
-        put(self, "face_of", face_of)
-
-        comps = _components(theta)
-        comp_of = {}
-        for i, orb in enumerate(comps):
-            for d in orb:
-                comp_of[d] = i
-                comp_of[theta[d]] = i
-        put(self, "components", comps)
-        put(self, "comp_of", comp_of)
-
-        islands = _islands(theta)
-        island_of = {}
-        for key, ds in islands.items():
-            for d in ds:
-                island_of[d] = key
-        islands_keys = tuple(sorted(islands))
-        put(self, "islands", islands)
-        put(self, "islands_keys", islands_keys)
-        put(self, "island_of", island_of)
-
+        ncomp = len(s.components)
         if labels is None:
-            labels = (None,) * len(comps)
+            labels = (None,) * ncomp
         labels = tuple(labels)
-        if len(labels) != len(comps):
-            raise DiagramError(
-                "%d labels for %d strand components" % (len(labels), len(comps))
-            )
+        if len(labels) != ncomp:
+            raise DiagramError("%d labels for %d strand components" % (len(labels), ncomp))
         put(self, "labels", labels)
 
         loops = tuple(Loop(lab, self._norm_region(host)) for lab, host in loops)
         put(self, "loops", loops)
 
         norm_hosts = {}
-        for key in islands_keys:
+        for key in s.islands_keys:
             if hosts and key in hosts:
                 host, up = hosts[key]
                 norm_hosts[key] = (self._norm_region(host), face_of[up])
@@ -234,12 +275,12 @@ class Diagram:
         ups = {up for (_h, up) in norm_hosts.values()}
         region_keys = (
             (ROOT,)
-            + tuple(("f", orb[0]) for orb in faces if orb[0] not in ups)
+            + tuple(("f", orb[0]) for orb in s.faces if orb[0] not in ups)
             + tuple(("l", i) for i in range(len(loops)))
         )
         # a host naming no region still gets an entry; validate() reports it
         children = {key: [] for key in region_keys}
-        for key in islands_keys:
+        for key in s.islands_keys:
             children.setdefault(norm_hosts[key][0], []).append(("I", key))
         for i, lp in enumerate(loops):
             children.setdefault(lp.host, []).append(("L", i))
@@ -262,19 +303,17 @@ class Diagram:
     def darts(self):
         return range(self.ndart)
 
-    # -- faces, components, islands (built in __init__) ---------------
+    # -- faces, components, islands ------------------------------------
 
     def face_darts(self, fkey):
-        for orb in self.faces:
-            if orb[0] == fkey:
-                return orb
-        raise DiagramError("no face with key %r" % (fkey,))
+        return _face_darts(self.theta, self.face_of, fkey)
 
     def label_of_dart(self, d):
         return self.labels[self.comp_of[d]]
 
     def island_faces(self, key):
-        return tuple(orb[0] for orb in self.faces if self.island_of[orb[0]] == key)
+        face_of = self.face_of
+        return tuple(x for x in self.islands.get(key, ()) if face_of[x] == x)
 
     # -- regions -----------------------------------------------------
     #
@@ -325,7 +364,7 @@ class Diagram:
         out = []
         for key, ds in self.islands.items():
             ncr = len(ds) // 4
-            nfaces = sum(1 for orb in self.faces if self.island_of[orb[0]] == key)
+            nfaces = len(self.island_faces(key))
             chi = ncr - 2 * ncr + nfaces
             if chi != 2:
                 out.append(
@@ -430,8 +469,17 @@ class Diagram:
 
     # -- transformations ---------------------------------------------
 
+    def _structure(self):
+        "The record this diagram was built from, for a copy with the same theta."
+        return Structure(
+            self.theta, self.faces, self.face_of, self.components, self.comp_of,
+            self.islands, self.islands_keys, self.island_of,
+        )
+
     def with_mode(self, mode):
-        return Diagram(mode, self.theta, self.over, self.labels, self.loops, self.hosts)
+        return Diagram(
+            mode, self._structure(), self.over, self.labels, self.loops, self.hosts
+        )
 
     def relabeled(self, perm=None, shifts=None):
         """Rename crossings and rotate slot numbering; an isotopy no-op.
@@ -453,7 +501,7 @@ class Diagram:
         for c in range(n):
             over[perm[c]] = (self.over[c] + shifts[c]) & 1
 
-        skel = Diagram(self.mode, theta, over)
+        skel = structure(theta)
         old_label_by_min = {}
         for i, orb in enumerate(self.components):
             full = list(orb) + [self.theta[d] for d in orb]
@@ -473,7 +521,7 @@ class Diagram:
         for _key, (host, up) in self.hosts.items():
             new_up = skel.face_of[dmap[up]]
             hosts[skel.island_of[new_up]] = (map_region(host), new_up)
-        return Diagram(self.mode, theta, over, labels, loops, hosts)
+        return Diagram(self.mode, skel, over, labels, loops, hosts)
 
     def rerooted(self, new_root):
         """Re-choose which region is outermost (a sphere isotopy).
@@ -485,8 +533,8 @@ class Diagram:
             return self
         if not self._region_exists(new_root):
             raise DiagramError("no region %r" % (new_root,))
-        hosts = {k: list(v) for k, v in self.hosts.items()}
-        loops = [[lp.label, lp.host] for lp in self.loops]
+        hosts = dict(self.hosts)
+        loops = list(self.loops)
         # membership decisions come from the original tree: each region along
         # the inverted chain is handled exactly once, mutations never cascade
         orig_children = self.region_children
@@ -496,9 +544,9 @@ class Diagram:
                 if (kind, ref) == skip:
                     continue
                 if kind == "I":
-                    hosts[ref][0] = newkey
+                    hosts[ref] = (newkey, hosts[ref][1])
                 else:
-                    loops[ref][1] = newkey
+                    loops[ref] = (loops[ref][0], newkey)
 
         # occupants of the new root region float to the top ...
         if new_root[0] == "f":
@@ -513,11 +561,11 @@ class Diagram:
             kind, ref = node
             if kind == "I":
                 old_host, old_up = self.hosts[ref]
-                hosts[ref] = [carry_host, carry_up]
+                hosts[ref] = (carry_host, carry_up)
                 freed = ("f", old_up)
             else:
                 old_host = self.loops[ref].host
-                loops[ref][1] = carry_host
+                loops[ref] = (loops[ref][0], carry_host)
                 freed = ("l", ref)
             move_children(old_host, freed, node)
             if old_host == ROOT:
@@ -528,14 +576,7 @@ class Diagram:
             else:
                 node = ("L", old_host[1])
                 carry_host, carry_up = freed, None
-        return Diagram(
-            self.mode,
-            self.theta,
-            self.over,
-            self.labels,
-            [(lab, tuple(h)) for lab, h in loops],
-            {k: (tuple(h), u) for k, (h, u) in hosts.items()},
-        )
+        return Diagram(self.mode, self._structure(), self.over, self.labels, loops, hosts)
 
     # -- canonical form ----------------------------------------------
 

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import re
 
-from .maps import PLANE, ROOT, Diagram, DiagramError
+from .maps import PLANE, ROOT, Diagram, DiagramError, structure
 
 __all__ = ["PDError", "PD", "parse_pd", "emit_pd"]
 
@@ -137,7 +137,7 @@ def parse_pd(text, mode=PLANE):
     for a, b in occ.values():
         theta[a], theta[b] = b, a
     over = [0 if flip else 1 for (_ln, _n, _e, flip) in xrecs]
-    skel = Diagram(mode, theta, over)
+    skel = structure(theta)
 
     loop_names = []
     for _ln, name, _hint in orecs:
@@ -242,7 +242,7 @@ def parse_pd(text, mode=PLANE):
             raise PDError("line %d: component labeled twice" % ln)
         labels[comp] = name
 
-    diagram = Diagram(mode, theta, over, labels, loops, hosts)
+    diagram = Diagram(mode, skel, over, labels, loops, hosts)
     bad = diagram.validate()
     if bad:
         raise PDError("; ".join(bad))

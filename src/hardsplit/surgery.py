@@ -17,7 +17,7 @@ Conventions:
 
 from __future__ import annotations
 
-from .maps import ROOT, Diagram, DiagramError, MoveError, opp, rot, rot_inv
+from .maps import ROOT, Diagram, DiagramError, MoveError, opp, rot, rot_inv, structure
 
 __all__ = [
     "ri_add",
@@ -210,7 +210,7 @@ def _remove_crossings(d: Diagram, removed, merge_pairs, discount=()):
         cycles.append(tuple(cyc))
 
     over = [d.over[c] for c in keep]
-    skel = Diagram(d.mode, theta, over)
+    skel = structure(theta)
 
     # fuse old faces into region classes
     parent = {orb[0]: orb[0] for orb in d.faces}
@@ -315,24 +315,27 @@ def _remove_crossings(d: Diagram, removed, merge_pairs, discount=()):
                         cls_key[rep] = ("l", node[1])
                     queue.append(("C", rep))
 
-    def key_of_cls(rep, depth=0):
-        val = cls_key[rep]
-        if val[0] == "old":
-            return old_region(val[1], depth + 1)
-        return val
-
     def old_region(rkey, depth=0):
-        if depth > len(d.faces) + 2:
-            raise DiagramError("hosting recursion runaway")
-        if rkey == ROOT or rkey[0] == "l":
-            return rkey
-        f = d.face_of[rkey[1]]
-        if f not in affected:
-            return ("f", dmap(f))
-        rep = find(f)
-        if rep not in cls_key:
-            raise DiagramError("region %r vanished with content" % (rkey,))
-        return key_of_cls(rep, depth)
+        # follow ("old", host) class keys outward until a region survives
+        while True:
+            if depth > len(d.faces) + 2:
+                raise DiagramError("hosting recursion runaway")
+            if rkey == ROOT or rkey[0] == "l":
+                return rkey
+            f = d.face_of[rkey[1]]
+            if f not in affected:
+                return ("f", dmap(f))
+            rep = find(f)
+            if rep not in cls_key:
+                raise DiagramError("region %r vanished with content" % (rkey,))
+            val = cls_key[rep]
+            if val[0] != "old":
+                return val
+            rkey, depth = val[1], depth + 1
+
+    def key_of_cls(rep):
+        val = cls_key[rep]
+        return old_region(val[1], 1) if val[0] == "old" else val
 
     hosts = {}
     for isl in d.islands_keys:
@@ -377,7 +380,7 @@ def _remove_crossings(d: Diagram, removed, merge_pairs, discount=()):
         m = min(min(orb), min(theta[x] for x in orb))
         labels.append(by_min[m])
 
-    return Diagram(d.mode, theta, over, labels, loops, hosts)
+    return Diagram(d.mode, skel, over, labels, loops, hosts)
 
 
 def ri_remove(d: Diagram, petal: int) -> Diagram:
@@ -534,7 +537,7 @@ def rii_add(
     if order == 2 and not one_edge:
         raise MoveError("order applies only to one-edge sites")
 
-    skel = Diagram(d.mode, theta, over_list)
+    skel = structure(theta)
 
     bigon = skel.face_of[pl + _N]
     if set(skel.face_darts(bigon)) != {pl + _N, pu + _E}:
@@ -664,7 +667,7 @@ def rii_add(
             if consumed[li] == role:
                 labels.append(d.loops[li].label)
 
-    return Diagram(d.mode, theta, over_list, labels, loops, hosts)
+    return Diagram(d.mode, skel, over_list, labels, loops, hosts)
 
 
 # -- RIII ------------------------------------------------------------
@@ -697,7 +700,7 @@ def riii(d: Diagram, fkey: int) -> Diagram:
         x, y = opp(a[(i + 1) % 3]), bp[i]
         theta[x], theta[y] = y, x
 
-    skel = Diagram(d.mode, theta, d.over)
+    skel = structure(theta)
     new_tri = skel.face_of[bp[0]]
     if set(skel.face_darts(new_tri)) != set(bp):
         raise DiagramError("triangle slide produced no new triangle")
@@ -737,4 +740,4 @@ def riii(d: Diagram, fkey: int) -> Diagram:
         nu = map_face(u)
         hosts[skel.island_of[nu]] = (map_region(h), nu)
     loops = [(lp.label, map_region(lp.host)) for lp in d.loops]
-    return Diagram(d.mode, theta, d.over, d.labels, loops, hosts)
+    return Diagram(d.mode, skel, d.over, d.labels, loops, hosts)

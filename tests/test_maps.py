@@ -1,5 +1,9 @@
+import random
+import sys
+
 import pytest
 
+from hardsplit import maps
 from hardsplit.generators import (
     d_pq,
     goeritz_diagram,
@@ -317,3 +321,85 @@ def test_structure_matches_oracle(make, with_children):
         s = d.with_mode(SPHERE)
         for e in (d, s.rerooted(s.region_keys[-1])):
             assert_structure(e)
+
+
+# -- the shared structure pass -------------------------------------------
+#
+# Surgeries, re-rootings and `relabeled` hand `Diagram` a structure record
+# computed once; a diagram rebuilt from its public fields alone must agree
+# with it slot for slot.
+
+NONALT_TREFOIL = lambda: Diagram(PLANE, TREFOIL, [0, 1, 0])  # noqa: E731
+STARTS = [
+    lambda: torus_knot_diagram(2, 3),
+    _hopf,
+    goeritz_diagram,
+    lambda: split_d_pq(2, 3),
+    NONALT_TREFOIL,  # the RII- and RIII sites
+    lambda: unknot_diagram(1),  # the RI- sites
+]
+START_IDS = ["trefoil", "hopf", "goeritz", "split d_pq(2,3)", "nonalt trefoil", "unknot(1)"]
+
+
+def _rebuilt(c):
+    return Diagram(c.mode, tuple(c.theta), c.over, c.labels, c.loops, c.hosts)
+
+
+@pytest.mark.parametrize("make", STARTS, ids=START_IDS)
+def test_shared_structure_matches_rebuild(make):
+    rng = random.Random(7)
+    d0 = make()
+    kinds = set()
+    for site in enumerate_moves(d0):
+        kinds.add(site.kind)
+        c = apply_move(d0, site)
+        s = c.with_mode(SPHERE)
+        perm = list(range(c.ncross))
+        rng.shuffle(perm)
+        shifts = [rng.randrange(4) for _ in perm]
+        for e in (c, s, s.rerooted(s.region_keys[-1]), c.relabeled(perm, shifts)):
+            r = _rebuilt(e)
+            for slot in Diagram.__slots__:
+                assert getattr(e, slot) == getattr(r, slot), slot
+    assert {"RI+", "RII+"} <= kinds
+
+
+@pytest.fixture
+def structure_calls(monkeypatch):
+    "Count calls of `maps.structure` under every name it is bound to."
+    calls = []
+    orig = maps.structure
+
+    def spy(theta):
+        calls.append(len(theta))
+        return orig(theta)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "hardsplit" or name.startswith("hardsplit."):
+            for key, val in list(vars(mod).items()):
+                if val is orig:
+                    monkeypatch.setattr(mod, key, spy)
+    return calls
+
+
+@pytest.mark.parametrize("make", STARTS, ids=START_IDS)
+def test_one_structure_pass_per_child(make, structure_calls):
+    d0 = make()
+    for site in enumerate_moves(d0):
+        del structure_calls[:]
+        apply_move(d0, site)
+        assert len(structure_calls) == 1, site
+    s = d0.with_mode(SPHERE)
+    del structure_calls[:]
+    for rkey in s.region_keys:
+        s.rerooted(rkey).with_mode(PLANE)
+    assert structure_calls == []
+
+
+def test_malformed_theta_rejected_through_constructor(structure_calls):
+    for theta in ([0, 1, 3, 2], [3, 2, 1], [3, 2, 1, 1], [3, 2, 1, 4]):
+        with pytest.raises(DiagramError):
+            Diagram(PLANE, theta, [0])
+    assert len(structure_calls) == 4
+    d = Diagram(PLANE, KINK, [0])
+    assert len(structure_calls) == 5 and d.faces == ((0,), (1, 3), (2,))

@@ -5,6 +5,8 @@ keeps applying every legal move to every known state until nothing new
 appears, with no frontier bookkeeping shared with the engine.
 """
 
+import gc
+
 import pytest
 
 from hardsplit import search
@@ -252,6 +254,21 @@ def test_pinned_sphere_corpus(start, goal, states, root):
     cert = verify_hard(d, goal(), 2)
     assert cert.verdict == "hard"
     assert tuple(r.states_explored for r in cert.outcome.runs) == states
+
+
+def test_closures_leave_no_cyclic_garbage():
+    # a reference cycle in a surgery keeps every removal's frame, and the
+    # diagrams it holds, alive until the collector runs
+    gc.collect()
+    gc.disable()
+    try:
+        verify_hard(torus_knot_diagram(2, 3), Goal.zero_crossing(), 2)
+        d = hopf().with_mode(SPHERE)
+        verify_hard(d.rerooted(d.region_keys[1]), Goal.split_any(), 2)
+        left = gc.collect()
+    finally:
+        gc.enable()
+    assert left == 0
 
 
 def test_pinned_kinked_unknot_closure():
