@@ -329,13 +329,12 @@ def test_structure_matches_oracle(make, with_children):
 # computed once; a diagram rebuilt from its public fields alone must agree
 # with it slot for slot.
 
-NONALT_TREFOIL = lambda: Diagram(PLANE, TREFOIL, [0, 1, 0])  # noqa: E731
 STARTS = [
     lambda: torus_knot_diagram(2, 3),
     _hopf,
     goeritz_diagram,
     lambda: split_d_pq(2, 3),
-    NONALT_TREFOIL,  # the RII- and RIII sites
+    lambda: Diagram(PLANE, TREFOIL, [0, 1, 0]),  # the RII- and RIII sites
     lambda: unknot_diagram(1),  # the RI- sites
 ]
 START_IDS = ["trefoil", "hopf", "goeritz", "split d_pq(2,3)", "nonalt trefoil", "unknot(1)"]
@@ -349,9 +348,7 @@ def _rebuilt(c):
 def test_shared_structure_matches_rebuild(make):
     rng = random.Random(7)
     d0 = make()
-    kinds = set()
     for site in enumerate_moves(d0):
-        kinds.add(site.kind)
         c = apply_move(d0, site)
         s = c.with_mode(SPHERE)
         perm = list(range(c.ncross))
@@ -361,7 +358,6 @@ def test_shared_structure_matches_rebuild(make):
             r = _rebuilt(e)
             for slot in Diagram.__slots__:
                 assert getattr(e, slot) == getattr(r, slot), slot
-    assert {"RI+", "RII+"} <= kinds
 
 
 @pytest.fixture
@@ -371,7 +367,7 @@ def structure_calls(monkeypatch):
     orig = maps.structure
 
     def spy(theta):
-        calls.append(len(theta))
+        calls.append(theta)
         return orig(theta)
 
     for name, mod in list(sys.modules.items()):
