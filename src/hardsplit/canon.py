@@ -53,28 +53,23 @@ class _Ctx:
         for i, lab in enumerate(self.table):
             sym[lab] = i + 1
         self.sym = sym
-        theta = list(d.theta)
-        self.theta = theta
-        deco = bytearray(len(theta))
-        for dart in d.darts():
-            deco[dart] = (int(d.is_over_dart(dart)) << 4) | sym[d.label_of_dart(dart)]
-        self.deco = bytes(deco)
+        self.theta = d.theta
+        # per dart: 16 if it is on its crossing's over strand, plus its label's symbol
+        over, comp_of, lsym = d.over, d.comp_of, [sym[lab] for lab in d.labels]
+        self.deco = bytes(
+            ((x & 1) == over[x >> 2]) << 4 | lsym[comp_of[x]] for x in range(len(d.theta))
+        )
         self._best = {}
-        self._labmaps = {}
 
     def island_best(self, d, key):
+        "(smallest walk code, numberings of its achievers) of island `key`."
         if key not in self._best:
             self._best[key] = _canon_py.best_walk(self.theta, self.deco, d.islands[key])
         return self._best[key]
 
-    def labmap(self, start):
-        if start not in self._labmaps:
-            self._labmaps[start] = _canon_py.walk_label_order(self.theta, start)[1]
-        return self._labmaps[start]
-
 
 def _island_code(ctx, d, key):
-    best, starts = ctx.island_best(d, key)
+    best, numberings = ctx.island_best(d, key)
     _host, up = d.hosts[key]
     content = []
     for f in d.island_faces(key):
@@ -84,8 +79,7 @@ def _island_code(ctx, d, key):
         if code:
             content.append((f, code))
     cands = []
-    for s in starts:
-        lab = ctx.labmap(s)
+    for lab in numberings:
         marker = min(lab[x] for x in d.face_darts(up))
         parts = tuple(
             sorted((min(lab[x] for x in d.face_darts(f)), code) for f, code in content)

@@ -96,20 +96,17 @@ def test_label_table_limit():
 
 def exhaustive_best_walk(theta, deco, darts):
     "Reference kernel: the smallest walk code over every dart as a start."
-    if len(darts) <= 252:
-        coder, stride = _canon_py.walk_code, 3
-    else:
-        coder, stride = _canon_py._walk_code_wide, 5
+    wide = len(darts) > 252
     best = None
     argmin = []
     for s in darts:
-        code = coder(theta, deco, s)
-        if len(code) != stride * len(darts):
+        code, lab = _canon_py.walk(theta, deco, s, wide)
+        if len(lab) != len(darts):
             raise ValueError("darts must be the dart set of one connected piece")
         if best is None or code < best:
-            best, argmin = code, [s]
+            best, argmin = code, [lab]
         elif code == best:
-            argmin.append(s)
+            argmin.append(lab)
     return best, argmin
 
 
@@ -125,6 +122,8 @@ CORPUS = {
     "d_pq(3,4)": lambda: d_pq(3, 4),
     "T(3,4)": lambda: torus_knot_diagram(3, 4),
     "split d_pq(2,3)": lambda: split_d_pq(2, 3),
+    # 260 darts: past 252 the walk numbers darts with two bytes
+    "T(2,65)": lambda: torus_knot_diagram(2, 65),
 }
 
 
@@ -181,7 +180,7 @@ def relabelings(draw, d):
     return perm, shifts
 
 
-PROPERTY_CORPUS = ["goeritz", "d_pq(2,3)", "trefoil", "split d_pq(2,3)"]
+PROPERTY_CORPUS = ["goeritz", "d_pq(2,3)", "trefoil", "split d_pq(2,3)", "T(2,65)"]
 
 
 @pytest.mark.parametrize("name", PROPERTY_CORPUS)
