@@ -193,10 +193,11 @@ def _remove_crossings(d: Diagram, removed, merge_pairs, discount=()):
         theta[dmap(u)] = dmap(t)
 
     # strands living entirely on removed crossings contract to bare circles
+    zone_darts = [x for c in sorted(removed) for x in range(4 * c, 4 * c + 4)]
     cycles = []
     seen = set()
-    for x0 in sorted(set(d.darts()) - consumed):
-        if (x0 >> 2) not in removed or x0 in seen:
+    for x0 in zone_darts:
+        if x0 in consumed or x0 in seen:
             continue
         cyc = []
         x = x0
@@ -212,8 +213,12 @@ def _remove_crossings(d: Diagram, removed, merge_pairs, discount=()):
     over = [d.over[c] for c in keep]
     skel = structure(theta)
 
-    # fuse old faces into region classes
-    parent = {orb[0]: orb[0] for orb in d.faces}
+    # fuse the faces at the removed crossings into region classes
+    affected = {d.face_of[x] for x in zone_darts}
+    for a, b in merge_pairs:
+        if a not in affected or b not in affected:
+            raise DiagramError("merge pair outside the removal zone")
+    parent = {f: f for f in affected}
 
     def find(f):
         while parent[f] != f:
@@ -225,13 +230,6 @@ def _remove_crossings(d: Diagram, removed, merge_pairs, discount=()):
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
-
-    affected = {
-        orb[0] for orb in d.faces if any((x >> 2) in removed for x in orb)
-    }
-    for a, b in merge_pairs:
-        if a not in affected or b not in affected:
-            raise DiagramError("merge pair outside the removal zone")
 
     def new_face(x):
         return skel.face_of[dmap(x)]
@@ -354,8 +352,9 @@ def _remove_crossings(d: Diagram, removed, merge_pairs, discount=()):
     # every fragment of a zone island must have been reached
     frag_keys = {
         skel.island_of[dmap(x)]
-        for x in d.darts()
-        if (x >> 2) not in removed and d.island_of[d.face_of[x]] in zone_islands
+        for isl in zone_islands
+        for x in d.islands[isl]
+        if (x >> 2) not in removed
     }
     if not frag_keys <= set(hosts):
         raise DiagramError("island fragment unreachable from its outward face")
@@ -689,12 +688,13 @@ def riii(d: Diagram, fkey: int) -> Diagram:
         transfer[opp(a[i])] = g[i]
         transfer[bp[i]] = a[(i + 1) % 3]
     side_darts = set(g) | set(a)
-    theta = [0] * d.ndart
-    for x in d.darts():
+    # the side arcs pair among themselves, so only the edges at the six
+    # transferred ends change; they re-attach to the side darts, and the
+    # ends they leave form the new triangle
+    theta = list(d.theta)
+    for x, nx in transfer.items():
         y = d.theta[x]
-        if x in side_darts or y in side_darts:
-            continue
-        nx, ny = transfer.get(x, x), transfer.get(y, y)
+        ny = transfer.get(y, y)
         theta[nx], theta[ny] = ny, nx
     for i in range(3):
         x, y = opp(a[(i + 1) % 3]), bp[i]
@@ -705,8 +705,7 @@ def riii(d: Diagram, fkey: int) -> Diagram:
     if set(skel.face_darts(new_tri)) != set(bp):
         raise DiagramError("triangle slide produced no new triangle")
 
-    zone_crossings = {x >> 2 for x in g}
-    zone = {d.face_of[x] for x in d.darts() if (x >> 2) in zone_crossings}
+    zone = {d.face_of[y] for x in g for y in range(x & ~3, (x & ~3) + 4)}
 
     old_tri = d.face_of[orb[0]]
 
