@@ -160,12 +160,13 @@ def _expand_one(d, cap):
             yield rkey, site, child, _digest(child)
 
 
-def _witness(d0, steplog, idx):
+def _witness(d0, parent, digest):
     chain = []
-    while idx != 0:
-        parent, rkey, site = steplog[idx]
+    step = parent[digest]
+    while step is not None:
+        digest, rkey, site = step
         chain.append((rkey, site))
-        idx = parent
+        step = parent[digest]
     chain.reverse()
     steps = []
     d = d0
@@ -191,7 +192,7 @@ def bfs_reachable(d0, goal, budget, limits=None, floor=None) -> SearchResult:
     """
     if not isinstance(goal, Goal):
         raise TypeError("goal must be a Goal")
-    return _run(d0, goal, budget, limits, floor, None)
+    return _run(d0, goal, budget, limits, floor)[0]
 
 
 def closure_digests(d0, budget, limits=None):
@@ -200,12 +201,14 @@ def closure_digests(d0, budget, limits=None):
     Diagnostic twin of `bfs_reachable` sharing the same walk; oracle
     tests compare the set against independent enumeration.
     """
-    sink = []
-    res = _run(d0, None, budget, limits, None, sink)
-    return frozenset(sink), res.frontier_exhausted
+    res, parent = _run(d0, None, budget, limits, None)
+    return frozenset(parent), res.frontier_exhausted
 
 
-def _run(d0, goal, budget, limits, floor, sink) -> SearchResult:
+def _run(d0, goal, budget, limits, floor):
+    # returns (SearchResult, parent); parent, the dedup table and witness
+    # trail at once, maps each state's digest to how it was first reached,
+    # (parent digest, root region or None, site), or to None at the start
     if budget < 0:
         raise ValueError("budget must be >= 0")
     lim = limits if limits is not None else Limits()
@@ -220,52 +223,42 @@ def _run(d0, goal, budget, limits, floor, sink) -> SearchResult:
             )
 
     check_floor(d0)
-    seen = {_digest(d0): 0}
-    steplog = [None]
-    if sink is not None:
-        sink.extend(seen)
+    start = _digest(d0)
+    parent = {start: None}
     maxcr = mincr = d0.ncross
-    if goal is not None and goal.met(d0):
-        return SearchResult(True, MoveSequence(d0, ()), 1, maxcr, mincr, False, budget)
-
-    frontier = [(0, d0)]
-    goal_idx = None
+    found = start if goal is not None and goal.met(d0) else None
+    frontier = [(start, d0)]
     truncated = False
-    while frontier and goal_idx is None and not truncated:
+    while frontier and found is None and not truncated:
         nxt = []
-        for idx, d in frontier:
+        for pdigest, d in frontier:
             if monotonic() > deadline:
                 truncated = True
                 break
             for rkey, site, child, digest in _expand_one(d, cap):
-                if digest in seen:
+                if digest in parent:
                     continue
-                if len(seen) >= lim.max_states:
+                if len(parent) >= lim.max_states:
                     truncated = True
                     break
                 check_floor(child)
-                seen[digest] = len(steplog)
-                steplog.append((idx, rkey, site))
-                if sink is not None:
-                    sink.append(digest)
+                parent[digest] = (pdigest, rkey, site)
                 maxcr = max(maxcr, child.ncross)
                 mincr = min(mincr, child.ncross)
                 if goal is not None and goal.met(child):
-                    goal_idx = seen[digest]
+                    found = digest
                     break
-                nxt.append((seen[digest], child))
-            if goal_idx is not None or truncated:
+                nxt.append((digest, child))
+            if found is not None or truncated:
                 break
         frontier = nxt
 
-    if goal_idx is not None:
-        w = _witness(d0, steplog, goal_idx)
-        return SearchResult(
-            True, w, len(seen), maxcr, mincr, False, budget
-        )
-    return SearchResult(
-        False, None, len(seen), maxcr, mincr, not truncated, budget
-    )
+    if found is not None:
+        w = _witness(d0, parent, found)
+        res = SearchResult(True, w, len(parent), maxcr, mincr, False, budget)
+    else:
+        res = SearchResult(False, None, len(parent), maxcr, mincr, not truncated, budget)
+    return res, parent
 
 
 def min_added(d0, goal, k_max, limits=None, floor=None) -> MinAdded:
