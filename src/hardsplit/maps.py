@@ -266,7 +266,10 @@ class Diagram:
         for key in s.islands_keys:
             if hosts and key in hosts:
                 host, up = hosts[key]
-                norm_hosts[key] = (self._norm_region(host), face_of[up])
+                up_face = face_of.get(up)
+                if up_face is None:
+                    raise DiagramError("island %r: no dart %r for its up face" % (key, up))
+                norm_hosts[key] = (self._norm_region(host), up_face)
             else:
                 norm_hosts[key] = (ROOT, face_of[key])
         if hosts:
@@ -327,7 +330,10 @@ class Diagram:
         "Region keys name faces by their smallest dart; fix up any other dart."
         rkey = tuple(rkey)
         if rkey and rkey[0] == "f":
-            return ("f", self.face_of[rkey[1]])
+            f = self.face_of.get(rkey[1]) if len(rkey) == 2 else None
+            if f is None:
+                raise DiagramError("no face for region %r" % (rkey,))
+            return ("f", f)
         return rkey
 
     def region_of_face(self, fkey):
@@ -389,10 +395,13 @@ class Diagram:
     def _region_exists(self, rkey):
         if rkey == ROOT:
             return True
-        if rkey[0] == "f":
-            return rkey[1] in self.face_of and self.region_of_face(rkey[1]) == rkey
-        if rkey[0] == "l":
-            return 0 <= rkey[1] < len(self.loops)
+        if len(rkey) != 2:
+            return False
+        kind, ref = rkey
+        if kind == "f":
+            return ref in self.face_of and self.region_of_face(ref) == rkey
+        if kind == "l":
+            return isinstance(ref, int) and 0 <= ref < len(self.loops)
         return False
 
     def _node_parent(self, node):

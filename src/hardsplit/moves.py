@@ -292,10 +292,15 @@ def format_move(site) -> str:
     raise MoveError("unknown move kind %r" % (kind,))
 
 
+def _digits(s):
+    # str.isdigit also takes "²" and other scripts' digits, which int() refuses
+    return s.isascii() and s.isdigit()
+
+
 def _parse_children(text):
     out = []
     for tok in text.split(","):
-        if len(tok) < 2 or tok[0] not in "IL" or not tok[1:].isdigit():
+        if len(tok) < 2 or tok[0] not in "IL" or not _digits(tok[1:]):
             raise MoveError("bad content reference %r" % tok)
         out.append((tok[0], int(tok[1:])))
     return tuple(out)
@@ -313,7 +318,7 @@ def _kv(parts):
 
 def _take_int(kv, key):
     v = kv.pop(key, None)
-    if v is None or not v.lstrip("-").isdigit():
+    if v is None or not _digits(v[1:] if v.startswith("-") else v):
         raise MoveError("missing or bad %s=" % key)
     return int(v)
 
@@ -389,7 +394,7 @@ def parse_move(d: Diagram, line: str) -> MoveSite:
         ov = kv.pop("over", None)
         if ov not in ("A", "B"):
             raise MoveError("over must be A or B")
-        order = int(kv.pop("order", 1))
+        order = _take_int(kv, "order") if "order" in kv else 1
         cap = _parse_children(kv.pop("captured")) if "captured" in kv else ()
         eng = _parse_children(kv.pop("engulfed")) if "engulfed" in kv else ()
         site = MoveSite("RII+", (region, a, b, ov, cap, eng, order))
@@ -412,7 +417,7 @@ def parse_move(d: Diagram, line: str) -> MoveSite:
         tok = kv.pop("region", None)
         if tok == "root":
             region = ROOT
-        elif tok and tok[0] in "fl" and tok[1:].isdigit():
+        elif tok and tok[0] in "fl" and _digits(tok[1:]):
             region = (tok[0], int(tok[1:]))
         else:
             raise MoveError("missing or bad region=")

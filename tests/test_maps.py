@@ -24,7 +24,7 @@ from hardsplit.maps import (
     rot_inv,
     slot_of,
 )
-from hardsplit.moves import apply_move, enumerate_moves
+from hardsplit.moves import MoveSite, apply_move, enumerate_moves
 
 KINK = [3, 2, 1, 0]
 # trefoil shadow: three crossings, each pair joined by two parallel edges
@@ -323,6 +323,21 @@ def test_structure_matches_oracle(make, with_children):
             assert_structure(e)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Diagram(PLANE, KINK, [0], hosts={0: (ROOT, 99)}),
+        lambda: Diagram(PLANE, KINK, [0], loops=[(None, ("f", 99))]),
+        lambda: Diagram(PLANE, KINK, [0], hosts={0: (("f", 99), 0)}),
+        lambda: Diagram(PLANE, KINK, [0]).rerooted(("f",)),
+    ],
+    ids=["up dart", "loop host face", "island host face", "short region key"],
+)
+def test_bad_keys_are_diagram_errors(build):
+    with pytest.raises(DiagramError):
+        build()
+
+
 # -- the shared structure pass -------------------------------------------
 #
 # Surgeries, re-rootings and `relabeled` hand `Diagram` a structure record
@@ -344,12 +359,24 @@ def _rebuilt(c):
     return Diagram(c.mode, tuple(c.theta), c.over, c.labels, c.loops, c.hosts)
 
 
-@pytest.mark.parametrize("make", STARTS, ids=START_IDS)
-def test_shared_structure_matches_rebuild(make):
+@pytest.mark.parametrize(
+    "make, capped",
+    [(make, False) for make in STARTS]
+    + [(lambda: d_pq(3, 4), True), (lambda: d_pq(4, 5), True)],
+    ids=START_IDS + ["d_pq(3,4)", "d_pq(4,5)"],
+)
+def test_shared_structure_matches_rebuild(make, capped):
     rng = random.Random(7)
     d0 = make()
-    for site in enumerate_moves(d0):
+    # capped at their own size the d_pq starts list only RIII sites
+    for site in enumerate_moves(d0, d0.ncross if capped else None):
         c = apply_move(d0, site)
+        if site.kind == "RIII":
+            # the new triangle sits across the old one's corners, and
+            # sliding back across it undoes the move
+            g = d0.face_darts(d0.face_of[site.spot[0]])
+            back = apply_move(c, MoveSite("RIII", (c.face_of[opp(g[0])],)))
+            assert back.canonically_equal(d0), site
         s = c.with_mode(SPHERE)
         perm = list(range(c.ncross))
         rng.shuffle(perm)

@@ -368,6 +368,25 @@ def test_parse_errors():
             apply_move(d, parse_move(d, line))
 
 
+# str.isdigit accepts "--1".lstrip("-") and "²", and int() accepts "+1";
+# none of them is a number in a move script
+BAD_NUMBERS = [
+    "RI- crossing=--1",
+    "RII- face=²",
+    "RII- face=+1",
+    "RII+ dartA=0 dartB=2 over=A order=x",
+]
+
+
+@pytest.mark.parametrize("line", BAD_NUMBERS)
+def test_bad_numbers_are_move_errors(line):
+    d = trefoil([0, 0, 0])
+    with pytest.raises(MoveError, match="missing or bad"):
+        parse_move(d, line)
+    with pytest.raises(MoveError, match="line 2: missing or bad"):
+        apply_script(d, "# a comment\n" + line + "\n")
+
+
 def test_self_poke_script_names_far_side():
     d = free_loop()
     near = MoveSite("RII+", (ROOT, ("loop", 0), ("loop", 0), "A", (), (), 1))

@@ -76,3 +76,17 @@ def test_event_tags_must_match_the_strands_touched():
     for line in ("M RI+ dart=0 side=R over=0", "C R1+ dart=1 side=R"):
         with pytest.raises(TraceError, match="line 2"):
             parse_trace(HOPF_OVERLAY + "\n" + line + "\n")
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "X RI- crossing=--1",
+        "X RII- face=²",
+        "X RII- face=+1",
+        "X RII+ dartA=0 dartB=6 over=A order=x",
+    ],
+)
+def test_bad_numbers_are_trace_errors(line):
+    with pytest.raises(TraceError, match="line 2: missing or bad"):
+        parse_trace(HOPF_OVERLAY + "\n" + line + "\n")

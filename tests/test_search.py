@@ -18,6 +18,7 @@ from hardsplit.generators import (
     torus_knot_diagram,
     unknot_diagram,
 )
+from hardsplit.invariants import d_pq_crossing_floor
 from hardsplit.maps import PLANE, SPHERE, Diagram, DiagramError
 from hardsplit.moves import (
     CROSSING_DELTA,
@@ -254,6 +255,18 @@ def test_pinned_sphere_corpus(start, goal, states, root):
     cert = verify_hard(d, goal(), 2)
     assert cert.verdict == "hard"
     assert tuple(r.states_explored for r in cert.outcome.runs) == states
+
+
+def test_pinned_dpq34_split_certificate():
+    # zero headroom: every state is an RIII rearrangement of d_pq(3,4)
+    cert = verify_hard(
+        d_pq(3, 4),
+        Goal.split_partition((("U",), ("M1", "M2"))),
+        0,
+        floor=d_pq_crossing_floor(3),
+    )
+    assert cert.verdict == "hard"
+    assert tuple(r.states_explored for r in cert.outcome.runs) == (729,)
 
 
 def test_closures_leave_no_cyclic_garbage():
