@@ -368,8 +368,8 @@ def test_parse_errors():
             apply_move(d, parse_move(d, line))
 
 
-# str.isdigit accepts "--1".lstrip("-") and "²", and int() accepts "+1";
-# none of them is a number in a move script
+# "--1" and "²" pass str.isdigit once a "-" is stripped, and int() takes
+# "+1"; none of them is a number in a move script
 BAD_NUMBERS = [
     "RI- crossing=--1",
     "RII- face=²",
