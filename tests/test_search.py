@@ -23,7 +23,9 @@ from hardsplit.maps import PLANE, SPHERE, Diagram, DiagramError
 from hardsplit.moves import (
     CROSSING_DELTA,
     apply_move,
+    apply_script,
     enumerate_moves,
+    format_move,
     replay,
     top_of_sequence,
 )
@@ -267,6 +269,52 @@ def test_pinned_dpq34_split_certificate():
     )
     assert cert.verdict == "hard"
     assert tuple(r.states_explored for r in cert.outcome.runs) == (729,)
+
+
+def script_lines(seq):
+    return [format_move(s) for s in seq.steps]
+
+
+def test_pinned_kinked_unknot_witness():
+    out = min_added(unknot_diagram(3), Goal.zero_crossing(), 0)
+    assert script_lines(out.witness) == ["RI- crossing=0"] * 3
+
+
+@pytest.mark.parametrize(
+    "mode, budget, script, states",
+    [
+        (
+            PLANE,
+            1,
+            [
+                "RI+ dart=1 side=R over=0",
+                "RIII face=2 variant=0",
+                "RIII face=3 variant=0",
+            ],
+            17,
+        ),
+        (
+            SPHERE,
+            2,
+            [
+                "RI+ dart=0 side=R over=0",
+                "RI+ dart=1 side=R over=0",
+                "RIII face=2 variant=0",
+            ],
+            89,
+        ),
+    ],
+    ids=["plane", "sphere"],
+)
+def test_pinned_target_witness(mode, budget, script, states):
+    # a target three moves out: the witness is the first path found in
+    # discovery order, so it pins that order as well as the path
+    d0 = torus_knot_diagram(2, 3).with_mode(mode)
+    target = apply_script(d0, "\n".join(script))
+    r = bfs_reachable(d0, Goal.target(target), budget)
+    assert r.reached and r.states_explored == states
+    assert script_lines(r.witness) == script
+    assert Goal.target(target).met(replay(r.witness)[-1])
 
 
 def test_closures_leave_no_cyclic_garbage():
