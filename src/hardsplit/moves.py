@@ -19,6 +19,13 @@ covers the remaining sites by expanding every re-rooting of a state
 (`search`).  Scripts record such a re-rooting as an explicit `ROOT`
 step - a sphere isotopy, not a Reidemeister move - so a sequence found
 on a re-rooted representative stays replayable line by line.
+
+`inverse_site` names, without enumerating or building anything, the site
+that undoes an insertion or a triangle slide.  It relies on how
+`surgery.ri_add`, `surgery.rii_add` and `surgery.riii` number the darts
+they create or move; a change to that numbering must change it too
+(`tests/test_search.py` checks it against every discovery of the search
+corpus).
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import surgery
-from .maps import ROOT, SPHERE, Diagram, DiagramError, MoveError
+from .maps import ROOT, SPHERE, Diagram, DiagramError, MoveError, opp
 
 __all__ = [
     "CROSSING_DELTA",
@@ -34,6 +41,7 @@ __all__ = [
     "MoveSequence",
     "enumerate_moves",
     "apply_move",
+    "inverse_site",
     "top_of_sequence",
     "replay",
     "format_move",
@@ -217,6 +225,41 @@ def apply_move(d: Diagram, site) -> Diagram:
         except DiagramError as e:
             raise MoveError(str(e)) from e
     raise MoveError("unknown move kind %r" % (kind,))
+
+
+def inverse_site(d: Diagram, site, child: Diagram):
+    """The site on `child` = apply_move(d, site) that rebuilds `d`, or None.
+
+    Read off the numbering the surgeries give the darts they create, so
+    nothing is enumerated or built:
+
+    * RI+ (any curl): `surgery.ri_add` appends crossing n = d.ncross and
+      pairs 4n with 4n+3, so 4n bounds the new monogon: RI- (4n,).
+    * RII+: `surgery.rii_add` appends crossings n and n+1 and checks that
+      4n+1 (pl+N) bounds the new bigon: RII- on that face.
+    * RIII: `surgery.riii` keeps every dart number, and the new triangle
+      is made of the darts opp(x) for the darts x of the slid one (it
+      checks this), so opp of the named dart lies on it: RIII on that
+      face.
+
+    The swept face must also be empty for the site to be enumerated on
+    `child` (an RII+ that engulfs fills its bigon); when it is not, the
+    answer is None.  The inverse of RI- or RII- is an insertion, which
+    would have to be recovered from the compacted numbering; it is not
+    tracked, and the answer is None.  The sites returned name a face key
+    of theta, which every re-rooting keeps, so on the sphere the answer
+    holds in every rooting of `child` that enumerates it.
+    """
+    kind, spot = site
+    if kind == "RI+":
+        inv = MoveSite("RI-", (4 * d.ncross,))
+    elif kind == "RII+":
+        inv = MoveSite("RII-", (child.face_of[4 * d.ncross + 1],))
+    elif kind == "RIII":
+        inv = MoveSite("RIII", (child.face_of[opp(spot[0])],))
+    else:
+        return None
+    return inv if surgery.swept_face_ok(child, inv.spot[0]) else None
 
 
 def replay(seq: MoveSequence):

@@ -12,7 +12,15 @@ and exhaustion is a proof of unreachability.  On that proof sit
 
 The crossing cap is applied where sites are enumerated
 (`enumerate_moves(d, cap)`): a move that would exceed it is never
-listed, so expansion builds exactly the children it may keep.
+listed.  Each frontier entry also carries the site that undoes the move
+that first reached it (`moves.inverse_site`), and its expansion never
+builds that site: the child would be the entry's BFS parent, which is
+already in the dedup table, so it could only be thrown away.  This is
+the "used operator" bit of frontier search (Korf, Zhang, Thayer and
+Hohwald, J. ACM 52(5), 2005).  On the sphere the site names a face key
+of theta, every re-rooting keeps theta, and the sphere diagram the site
+builds does not depend on which region is outer, so it is skipped in
+every rooting that enumerates it.  Every other site enumerated is built.
 Expansion is serial and in frontier order: each parent's children are
 merged, in enumeration order, before the next parent is expanded, so the
 discovery order - and with it every reported number - is the same on
@@ -29,7 +37,13 @@ from typing import NamedTuple, Optional
 from .canon import canonical_code, state_digest
 from .invariants import is_split_diagram
 from .maps import PLANE, ROOT, Diagram, DiagramError
-from .moves import MoveSequence, MoveSite, apply_move, enumerate_moves
+from .moves import (
+    MoveSequence,
+    MoveSite,
+    apply_move,
+    enumerate_moves,
+    inverse_site,
+)
 
 __all__ = [
     "Goal",
@@ -139,16 +153,20 @@ class HardnessCertificate(NamedTuple):
     report: str
 
 
-def _expand_one(d, cap):
-    """Children of one state, one at a time: (root region or None, site,
-    child, digest).
+def _expand_one(d, cap, skip):
+    """Children of one state, one at a time: (root region or None, the
+    rooted representative the site was enumerated on, site, child,
+    digest).
 
-    The crossing cap is applied at enumeration, so every site enumerated
-    is built and no site over the cap is.  A generator, so a parent's
-    children are built only as they are merged and a cap that fires
-    mid-parent stops the building.  On the sphere a state is expanded
-    from every re-rooting, since some sites only exist when the right
-    region is outermost.
+    The crossing cap is applied at enumeration, so no site over the cap
+    is built.  `skip` is the site that rebuilds the state's BFS parent
+    (None at the start, or when the move that reached the state has no
+    tracked inverse); it is never built, in any rooting.  Every other
+    site enumerated is built.  A generator, so a parent's children are
+    built only as they are merged and a cap that fires mid-parent stops
+    the building.  On the sphere a state is expanded from every
+    re-rooting, since some sites only exist when the right region is
+    outermost.
     """
     if d.mode == PLANE:
         reps = [(None, d)]
@@ -156,8 +174,10 @@ def _expand_one(d, cap):
         reps = ((r, d.rerooted(r)) for r in d.region_keys)
     for rkey, rep in reps:
         for site in enumerate_moves(rep, cap):
+            if site == skip:
+                continue
             child = apply_move(rep, site)
-            yield rkey, site, child, _digest(child)
+            yield rkey, rep, site, child, _digest(child)
 
 
 def _witness(d0, parent, digest):
@@ -227,15 +247,15 @@ def _run(d0, goal, budget, limits, floor):
     parent = {start: None}
     maxcr = mincr = d0.ncross
     found = start if goal is not None and goal.met(d0) else None
-    frontier = [(start, d0)]
+    frontier = [(start, d0, None)]
     truncated = False
     while frontier and found is None and not truncated:
         nxt = []
-        for pdigest, d in frontier:
+        for pdigest, d, skip in frontier:
             if monotonic() > deadline:
                 truncated = True
                 break
-            for rkey, site, child, digest in _expand_one(d, cap):
+            for rkey, rep, site, child, digest in _expand_one(d, cap, skip):
                 if digest in parent:
                     continue
                 if len(parent) >= lim.max_states:
@@ -248,7 +268,7 @@ def _run(d0, goal, budget, limits, floor):
                 if goal is not None and goal.met(child):
                     found = digest
                     break
-                nxt.append((digest, child))
+                nxt.append((digest, child, inverse_site(rep, site, child)))
             if found is not None or truncated:
                 break
         frontier = nxt

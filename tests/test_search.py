@@ -26,6 +26,7 @@ from hardsplit.moves import (
     apply_script,
     enumerate_moves,
     format_move,
+    inverse_site,
     replay,
     top_of_sequence,
 )
@@ -371,9 +372,11 @@ def test_capped_search_stops_building_children(monkeypatch):
     assert len(built) <= 4
 
 
-def test_every_enumerated_site_is_built(monkeypatch):
-    # the cap is applied at enumeration: the search builds every site it
-    # is given, so none is enumerated only to be thrown away
+def test_every_enumerated_site_but_the_parent_is_built(monkeypatch):
+    # the cap is applied at enumeration, and a state never builds the site
+    # that rebuilds its BFS parent: every other site it is given is built.
+    # One site is skipped per non-start state reached by an add move or
+    # RIII (trefoil: 0 + 26 + 607 over budgets 0..2; d_pq(3,4): RIII only)
     counts = {"sites": 0, "built": 0}
 
     def counting_enumerate(d, max_cross=None):
@@ -390,7 +393,63 @@ def test_every_enumerated_site_is_built(monkeypatch):
     cert = verify_hard(torus_knot_diagram(2, 3), Goal.zero_crossing(), 2)
     assert cert.verdict == "hard"
     assert tuple(r.states_explored for r in cert.outcome.runs) == (1, 28, 609)
-    assert counts["sites"] == counts["built"] > 0
+    assert (counts["sites"], counts["built"]) == (2641, 2641 - 633)
+
+    counts.update(sites=0, built=0)
+    cert = verify_hard(
+        d_pq(3, 4),
+        Goal.split_partition((("U",), ("M1", "M2"))),
+        0,
+        floor=d_pq_crossing_floor(3),
+    )
+    assert tuple(r.states_explored for r in cert.outcome.runs) == (729,)
+    assert (counts["sites"], counts["built"]) == (3780, 3780 - 728)
+
+
+def inverse_corpus():
+    out = []
+    for make in (lambda: torus_knot_diagram(2, 3), hopf, lambda: unknot_diagram(1)):
+        for mode in (PLANE, SPHERE):
+            out += [(make().with_mode(mode), b) for b in (0, 1, 2)]
+    return out + [(split_d_pq(2, 3), 0), (d_pq(3, 4), 0)]
+
+
+def test_inverse_site_rebuilds_the_bfs_parent(monkeypatch):
+    # every state's discovery is checked by building the inverse site on
+    # the child, in its own rooting and (on the sphere) in every rooting
+    # that enumerates it, and comparing with the parent's digest
+    def digest(d):
+        return state_digest(canonical_code(d))
+
+    found = []
+
+    def recording_inverse_site(rep, site, child):
+        inv = inverse_site(rep, site, child)
+        found.append((rep, site, child, inv))
+        return inv
+
+    monkeypatch.setattr(search, "inverse_site", recording_inverse_site)
+    kinds = set()
+    for d0, budget in inverse_corpus():
+        found.clear()
+        states, exhausted = closure_digests(d0, budget)
+        assert exhausted and len(found) == len(states) - 1
+        for rep, site, child, inv in found:
+            kinds.add(site.kind)
+            if site.kind in ("RI-", "RII-") or (site.kind == "RII+" and site.spot[5]):
+                # removals are not tracked; an engulfing poke fills its bigon
+                assert inv is None
+                continue
+            assert inv is not None, site
+            back = digest(rep)
+            reps = [child]
+            if child.mode == SPHERE:
+                reps += [child.rerooted(r) for r in child.region_keys]
+            assert inv in enumerate_moves(child, child.ncross)
+            for r in reps:
+                if inv in enumerate_moves(r, r.ncross):
+                    assert digest(apply_move(r, inv)) == back
+    assert kinds == {"RI+", "RI-", "RII+", "RII-", "RIII"}
 
 
 def test_bad_arguments():
