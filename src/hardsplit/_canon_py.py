@@ -11,9 +11,10 @@ callers read face markers off the numbering without walking again.
 `best_walk` does not root a walk at every dart.  Each dart gets an
 isomorphism-invariant signature: the length of its face, the length of
 the face across its edge (faces traced by phi = rot o theta), and its
-decoration byte.  Walks start only from the darts whose signature is
-smallest, as the canonical codes of plantri do (Brinkmann–McKay, "Fast
-generation of planar graphs").  An isomorphism of decorated pieces keeps
+decoration byte; the caller passes the face lengths, read once per
+diagram from its faces.  Walks start only from the darts whose signature
+is smallest, as the canonical codes of plantri do (Brinkmann–McKay,
+"Fast generation of planar graphs").  An isomorphism of decorated pieces keeps
 faces and decorations, so it maps that start set onto the start set of
 the image, and the two sets produce the same codes.  The minimum over
 them is therefore still a complete invariant, and the achievers'
@@ -57,46 +58,37 @@ def walk(theta, deco, start, wide):
     return bytes(out), lab
 
 
-def _start_darts(theta, deco, darts):
+def _start_darts(theta, deco, darts, flen):
     "The darts of smallest signature (face length, face across, decoration)."
-    flen = {}
-    for d in darts:
-        if d in flen:
-            continue
-        face = [d]
-        t = theta[d]
-        x = (t & ~3) | ((t + 1) & 3)
-        while x != d:
-            face.append(x)
-            t = theta[x]
-            x = (t & ~3) | ((t + 1) & 3)
-        for x in face:
-            flen[x] = len(face)
-    if len(flen) != len(darts) or any(theta[d] not in flen for d in darts):
-        # not closed under rotation and edge pairing
-        raise ValueError("darts must be the dart set of one connected piece")
-    sig = [(flen[d], flen[theta[d]], deco[d]) for d in darts]
+    # the face length alone leaves few darts; only those compare the rest
+    m = min([flen[d] for d in darts])
+    cand = [d for d in darts if flen[d] == m]
+    sig = [(flen[theta[d]], deco[d]) for d in cand]
     low = min(sig)
-    return [d for d, s in zip(darts, sig) if s == low]
+    return [d for d, s in zip(cand, sig) if s == low]
 
 
-def best_walk(theta, deco, darts):
+def best_walk(theta, deco, darts, flen):
     """Smallest walk code over the piece's start darts, and the numberings
     of all the starts that achieve it.
 
-    `darts` must be exactly the dart set of one connected piece; walks
-    start only from the darts of smallest invariant signature.  Pieces of
-    more than 252 darts switch to a two-byte encoding; the two widths can
-    never produce codes of equal length, so codes stay unambiguous.
+    `darts` must be exactly the dart set of one connected piece, and
+    `flen[x]` the length of dart x's face; walks start only from the
+    darts of smallest invariant signature.  Pieces of more than 252 darts
+    switch to a two-byte encoding; the two widths can never produce codes
+    of equal length, so codes stay unambiguous.
     """
     wide = len(darts) > 252
-    best = None
-    argmin = []
-    for s in _start_darts(theta, deco, darts):
+    starts = _start_darts(theta, deco, darts, flen)
+    best, lab = walk(theta, deco, starts[0], wide)
+    # the first walk reaches the whole piece of its start; every other
+    # start lies in it, so one check covers all of them
+    if len(lab) != len(darts) or lab.keys() != set(darts):
+        raise ValueError("darts must be the dart set of one connected piece")
+    argmin = [lab]
+    for s in starts[1:]:
         code, lab = walk(theta, deco, s, wide)
-        if len(lab) != len(darts):
-            raise ValueError("darts must be the dart set of one connected piece")
-        if best is None or code < best:
+        if code < best:
             best, argmin = code, [lab]
         elif code == best:
             argmin.append(lab)

@@ -59,12 +59,22 @@ class _Ctx:
         self.deco = bytes(
             ((x & 1) == over[x >> 2]) << 4 | lsym[comp_of[x]] for x in range(len(d.theta))
         )
+        # per dart: the length of its face; re-rootings keep theta, so
+        # every island and every rooting reads the same list
+        flen = [0] * len(d.theta)
+        for orb in d.faces:
+            n = len(orb)
+            for x in orb:
+                flen[x] = n
+        self.flen = flen
         self._best = {}
 
     def island_best(self, d, key):
         "(smallest walk code, numberings of its achievers) of island `key`."
         if key not in self._best:
-            self._best[key] = _canon_py.best_walk(self.theta, self.deco, d.islands[key])
+            self._best[key] = _canon_py.best_walk(
+                self.theta, self.deco, d.islands[key], self.flen
+            )
         return self._best[key]
 
 

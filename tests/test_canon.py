@@ -94,7 +94,7 @@ def test_label_table_limit():
         d.canonical_code()
 
 
-def exhaustive_best_walk(theta, deco, darts):
+def exhaustive_best_walk(theta, deco, darts, flen):
     "Reference kernel: the smallest walk code over every dart as a start."
     wide = len(darts) > 252
     best = None
@@ -167,9 +167,13 @@ def test_disconnected_darts_rejected():
     d = Diagram(PLANE, KINK + [x + 4 for x in KINK], [0, 1])
     ctx = canon._Ctx(d)
     with pytest.raises(ValueError):
-        _canon_py.best_walk(ctx.theta, ctx.deco, list(range(8)))
+        _canon_py.best_walk(ctx.theta, ctx.deco, list(range(8)), ctx.flen)
     with pytest.raises(ValueError):
-        _canon_py.best_walk(ctx.theta, ctx.deco, [0, 1, 2])
+        _canon_py.best_walk(ctx.theta, ctx.deco, [0, 1, 2], ctx.flen)
+    # as many darts as one piece holds, but not that piece's darts
+    for darts in ([0, 1, 2, 4], [0, 1, 2, 2], [4, 0, 1, 2]):
+        with pytest.raises(ValueError):
+            _canon_py.best_walk(ctx.theta, ctx.deco, darts, ctx.flen)
 
 
 @st.composite
