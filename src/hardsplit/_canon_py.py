@@ -14,12 +14,12 @@ the face across its edge (faces traced by phi = rot o theta), and its
 decoration byte; the caller passes the face lengths, read once per
 diagram from its faces.  Walks start only from the darts whose signature
 is smallest, as the canonical codes of plantri do (Brinkmann–McKay,
-"Fast generation of planar graphs").  An isomorphism of decorated pieces keeps
-faces and decorations, so it maps that start set onto the start set of
-the image, and the two sets produce the same codes.  The minimum over
-them is therefore still a complete invariant, and the achievers'
-numberings still correspond under every isomorphism, which keeps the
-face markers built from them canonical.
+"Fast generation of planar graphs").  An isomorphism of decorated
+pieces keeps faces and decorations, so it maps that start set onto the
+start set of the image, and the two sets produce the same codes.  The
+minimum over them is therefore still a complete invariant, and the
+achievers' numberings still correspond under every isomorphism, which
+keeps the face markers built from them canonical.
 """
 
 from __future__ import annotations
