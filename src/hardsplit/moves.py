@@ -12,13 +12,26 @@ one, in the same order, so a capped search loses nothing it could keep.
 
 Enumeration works on one rooted representative and is identical in
 plane and sphere mode.  Some sites depend on which region is outermost:
-a wrap curl around an island's outer face, and the sets an RII+ poke can
-capture or engulf.  Plane search needs only the given root.  Sphere
-equality quotients out the choice of outer region, so the sphere search
-covers the remaining sites by expanding every re-rooting of a state
-(`search`).  Scripts record such a re-rooting as an explicit `ROOT`
-step - a sphere isotopy, not a Reidemeister move - so a sequence found
-on a re-rooted representative stays replayable line by line.
+a wrap curl around an island's outer face, a curl of a bare circle
+(whose "out" side is the side of its host region), and the sets an RII+
+poke can capture or engulf.  Plane search needs only the given root.
+Sphere equality quotients out the choice of outer region, so the sphere
+search also enumerates every re-rooting of a state (`search`).  The
+other sites - RI-, RII-, RIII and the plain dart curl - are
+`rooting_free`: they name darts or face keys of theta, which every
+re-rooting keeps, and `surgery.swept_face_ok` judges the same disk of
+the sphere whichever region is outer, so every rooting lists them in the
+same order and each builds the same sphere diagram in every rooting.
+The sphere search therefore builds them in the state's own rooting only.
+Scripts record a re-rooting as an explicit `ROOT` step - a sphere
+isotopy, not a Reidemeister move - so a sequence found on a re-rooted
+representative stays replayable line by line.
+
+In plane mode the enumeration is not complete: some RII- removals have
+no listed RII+ that undoes them, so the plane move graph has one-way
+edges once a search may add two crossings (ROADMAP item 1;
+`tests/test_search.py` pins the smallest known case as an expected
+failure).
 
 `inverse_site` names, without enumerating or building anything, the site
 that undoes an insertion or a triangle slide.  It relies on how
@@ -41,6 +54,7 @@ __all__ = [
     "MoveSequence",
     "enumerate_moves",
     "apply_move",
+    "rooting_free",
     "inverse_site",
     "top_of_sequence",
     "replay",
@@ -90,12 +104,15 @@ def enumerate_moves(d: Diagram, max_cross=None):
     """All applicable move sites whose result has at most `max_cross`
     crossings (no cap when None), deterministically ordered.
 
-    Complete within the cap: every diagram with at most `max_cross`
-    crossings that is one Reidemeister move away is apply_move of some
-    returned site, and the sites returned are those of the uncapped
-    enumeration that fit, in the same order.  Distinct sites may still
-    produce equal diagrams (e.g. a poke described from either strand's
-    point of view).
+    The sites returned are those of the uncapped enumeration that fit,
+    in the same order.  Meant to be complete within the cap - every
+    diagram with at most `max_cross` crossings that is one Reidemeister
+    move away is apply_move of some returned site, on the sphere taken
+    over every re-rooting - but in plane mode that fails for some RII+
+    insertions: a diagram that returns to `d` by RII- need not be
+    rebuilt by any RII+ site of `d` (ROADMAP item 1).  Distinct sites
+    may still produce equal diagrams (e.g. a poke described from either
+    strand's point of view).
     """
 
     def fits(kind):
@@ -173,6 +190,22 @@ def _rii_add_sites(d):
                                     )
                                 )
     return sites
+
+
+def rooting_free(site) -> bool:
+    """Whether the site means the same move in every rooting of a sphere
+    diagram: RI-, RII-, RIII and the plain dart curl.
+
+    Such a site names darts or face keys of theta, and a re-rooting keeps
+    theta; its legality checks read decorations and
+    `surgery.swept_face_ok`, which judges the same disk of the sphere
+    whichever region is outer.  So every rooting of a state enumerates
+    the same rooting-free sites in the same order, and each builds the
+    same sphere diagram in every rooting.  Wrap and loop curls and RII+
+    pokes name sides, regions and contents that a re-rooting moves.
+    """
+    kind, spot = site
+    return kind in ("RI-", "RII-", "RIII") or (kind == "RI+" and spot[0] == "d")
 
 
 def apply_move(d: Diagram, site) -> Diagram:

@@ -17,10 +17,17 @@ that first reached it (`moves.inverse_site`), and its expansion never
 builds that site: the child would be the entry's BFS parent, which is
 already in the dedup table, so it could only be thrown away.  This is
 the "used operator" bit of frontier search (Korf, Zhang, Thayer and
-Hohwald, J. ACM 52(5), 2005).  On the sphere the site names a face key
-of theta, every re-rooting keeps theta, and the sphere diagram the site
-builds does not depend on which region is outer, so it is skipped in
-every rooting that enumerates it.  Every other site enumerated is built.
+Hohwald, J. ACM 52(5), 2005).
+
+On the sphere a state is enumerated in every re-rooting, because wrap
+and loop curls and RII+ pokes depend on which region is outer.  Every
+other site is `moves.rooting_free`: all rootings list it, in the same
+order, and it builds the same sphere diagram in each, so it is built in
+the state's own rooting only (`region_keys[0]` is `ROOT`, which
+re-roots to the state itself).  In a later rooting its child is already
+in the dedup table, so skipping it changes no discovery.  The skipped
+parent site is a face key of theta as well, and is skipped in every
+rooting.  Every other site enumerated is built.
 Expansion is serial and in frontier order: each parent's children are
 merged, in enumeration order, before the next parent is expanded, so the
 discovery order - and with it every reported number - is the same on
@@ -43,6 +50,7 @@ from .moves import (
     apply_move,
     enumerate_moves,
     inverse_site,
+    rooting_free,
 )
 
 __all__ = [
@@ -161,20 +169,23 @@ def _expand_one(d, cap, skip):
     The crossing cap is applied at enumeration, so no site over the cap
     is built.  `skip` is the site that rebuilds the state's BFS parent
     (None at the start, or when the move that reached the state has no
-    tracked inverse); it is never built, in any rooting.  Every other
-    site enumerated is built.  A generator, so a parent's children are
-    built only as they are merged and a cap that fires mid-parent stops
-    the building.  On the sphere a state is expanded from every
-    re-rooting, since some sites only exist when the right region is
-    outermost.
+    tracked inverse); it is never built, in any rooting.  On the sphere
+    the state is enumerated in every re-rooting, since some sites only
+    exist when the right region is outermost; a rooting-free site is
+    built in the first rooting, the state itself, and skipped in the
+    later ones, whose copy of it would rebuild the same child.  Every
+    other site enumerated is built.  A generator, so a parent's children
+    are built only as they are merged and a cap that fires mid-parent
+    stops the building.
     """
     if d.mode == PLANE:
         reps = [(None, d)]
     else:
         reps = ((r, d.rerooted(r)) for r in d.region_keys)
     for rkey, rep in reps:
+        later = rep is not d
         for site in enumerate_moves(rep, cap):
-            if site == skip:
+            if site == skip or (later and rooting_free(site)):
                 continue
             child = apply_move(rep, site)
             yield rkey, rep, site, child, _digest(child)

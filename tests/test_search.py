@@ -19,7 +19,7 @@ from hardsplit.generators import (
     unknot_diagram,
 )
 from hardsplit.invariants import d_pq_crossing_floor
-from hardsplit.maps import PLANE, SPHERE, Diagram, DiagramError
+from hardsplit.maps import PLANE, ROOT, SPHERE, Diagram, DiagramError
 from hardsplit.moves import (
     CROSSING_DELTA,
     apply_move,
@@ -28,8 +28,10 @@ from hardsplit.moves import (
     format_move,
     inverse_site,
     replay,
+    rooting_free,
     top_of_sequence,
 )
+from hardsplit.pdio import parse_pd
 from hardsplit.search import (
     Goal,
     Limits,
@@ -59,12 +61,17 @@ def poked_unknot():
     return apply_move(u, site)
 
 
+def unlink():
+    "Two bare circles side by side on the sphere."
+    return Diagram(PLANE, (), (), (), ((None, ROOT),) * 2, {}).with_mode(SPHERE)
+
+
+def digest(d):
+    return state_digest(canonical_code(d))
+
+
 def brute_closure(d0, budget):
     cap = d0.ncross + budget
-
-    def digest(d):
-        return state_digest(canonical_code(d))
-
     seen = {digest(d0): d0}
     grew = True
     while grew:
@@ -192,6 +199,9 @@ def test_closure_matches_brute_force():
         (hopf(), 1),
         (torus_knot_diagram(2, 3), 1),
         (poked_unknot().with_mode(SPHERE), 1),
+        (torus_knot_diagram(2, 3).with_mode(SPHERE), 2),
+        (hopf().with_mode(SPHERE), 2),
+        (unlink(), 2),
     ]
     for d0, budget in cases:
         want = brute_closure(d0, budget)
@@ -405,6 +415,18 @@ def test_every_enumerated_site_but_the_parent_is_built(monkeypatch):
     assert tuple(r.states_explored for r in cert.outcome.runs) == (729,)
     assert (counts["sites"], counts["built"]) == (3780, 3780 - 728)
 
+    # on the sphere the rooting-free sites are built in a state's own
+    # rooting only, so most re-rooted copies of them are never built
+    for start, goal, states, built in (
+        (torus_knot_diagram(2, 3), Goal.zero_crossing, (1, 6, 95), (3343, 956)),
+        (hopf(), Goal.split_any, (1, 5, 69), (1852, 532)),
+    ):
+        counts.update(sites=0, built=0)
+        cert = verify_hard(start.with_mode(SPHERE), goal(), 2)
+        assert cert.verdict == "hard"
+        assert tuple(r.states_explored for r in cert.outcome.runs) == states
+        assert (counts["sites"], counts["built"]) == built
+
 
 def inverse_corpus():
     out = []
@@ -418,9 +440,6 @@ def test_inverse_site_rebuilds_the_bfs_parent(monkeypatch):
     # every state's discovery is checked by building the inverse site on
     # the child, in its own rooting and (on the sphere) in every rooting
     # that enumerates it, and comparing with the parent's digest
-    def digest(d):
-        return state_digest(canonical_code(d))
-
     found = []
 
     def recording_inverse_site(rep, site, child):
@@ -459,3 +478,92 @@ def test_bad_arguments():
         bfs_reachable(hopf(), Goal.zero_crossing(), -1)
     with pytest.raises(ValueError):
         min_added(hopf(), Goal.zero_crossing(), -1)
+
+
+def test_rooting_free_sites_agree_in_every_rooting():
+    # the sphere search builds a rooting-free site in a state's own
+    # rooting only; that is sound when every rooting lists the same such
+    # sites, in the same order, and each builds the same sphere state.
+    # Every state of each closure is reached by building every site in
+    # every rooting, so nothing here shares the search's skip.
+    cases = [
+        (make().with_mode(SPHERE), b)
+        for make in (
+            lambda: torus_knot_diagram(2, 3),
+            hopf,
+            lambda: unknot_diagram(1),
+            poked_unknot,
+        )
+        for b in (0, 1, 2)
+    ] + [(unlink(), 2)]
+    free_kinds = set()
+    for d0, budget in cases:
+        cap = d0.ncross + budget
+        seen = {digest(d0)}
+        todo = [d0]
+        while todo:
+            d = todo.pop()
+            free = []
+            for r in d.region_keys:
+                rep = d.rerooted(r)
+                free.append([])
+                for site in enumerate_moves(rep, cap):
+                    child = apply_move(rep, site)
+                    cdg = digest(child)
+                    if rooting_free(site):
+                        free[-1].append((site, cdg))
+                    if cdg not in seen:
+                        seen.add(cdg)
+                        todo.append(child)
+            for other in free[1:]:
+                assert [s for s, _ in other] == [s for s, _ in free[0]]
+                assert other == free[0]
+            free_kinds.update(s.kind for s, _ in free[0])
+    assert free_kinds == {"RI+", "RI-", "RII-", "RIII"}
+
+
+def test_sphere_move_graph_is_symmetric():
+    # every child lists its parent among its own children, when expanded
+    # by the search (rooting-free sites in its own rooting only)
+    for make in (lambda: torus_knot_diagram(2, 3), hopf, lambda: unknot_diagram(1)):
+        d0 = make().with_mode(SPHERE)
+        for budget in (0, 1, 2):
+            cap = d0.ncross + budget
+            seen = {digest(d0)}
+            todo = [d0]
+            while todo:
+                d = todo.pop()
+                back = digest(d)
+                kids = {}
+                for _r, _rep, _site, child, cdg in search._expand_one(d, cap, None):
+                    kids.setdefault(cdg, child)
+                for cdg, child in kids.items():
+                    grand = {g for *_, g in search._expand_one(child, cap, None)}
+                    assert back in grand
+                    if cdg not in seen:
+                        seen.add(cdg)
+                        todo.append(child)
+            assert seen == closure_digests(d0, budget)[0]
+
+
+def plane_one_way_pair():
+    "The smallest known one-way plane edge: (3-crossing diagram, kink)."
+    big = parse_pd(
+        "X c0 E1 E2 E3 E4\nX c1 E5 E4 E1 E5\nX c2 E6 E6 E3 E2\nF E6:L\n"
+    ).diagram.check()
+    kink = parse_pd("X c0 E1 E2 E2 E1\nF E2:R\n").diagram.check()
+    return big, kink
+
+
+def test_plane_rii_minus_reaches_the_kink():
+    big, kink = plane_one_way_pair()
+    assert digest(apply_script(big, "RII- face=2")) == digest(kink)
+
+
+@pytest.mark.xfail(
+    strict=True, reason="plane RII+ misses some insertions (ROADMAP item 1)"
+)
+def test_plane_rii_minus_has_an_rii_plus_inverse():
+    # no site of the kink rebuilds the diagram its RII- came from
+    big, kink = plane_one_way_pair()
+    assert digest(big) in {digest(apply_move(kink, s)) for s in enumerate_moves(kink)}
