@@ -18,11 +18,9 @@ poke can capture or engulf.  Plane search needs only the given root.
 Sphere equality quotients out the choice of outer region, so the sphere
 search also enumerates every re-rooting of a state (`search`).  The
 other sites - RI-, RII-, RIII and the plain dart curl - are
-`rooting_free`: they name darts or face keys of theta, which every
-re-rooting keeps, and `surgery.swept_face_ok` judges the same disk of
-the sphere whichever region is outer, so every rooting lists them in the
-same order and each builds the same sphere diagram in every rooting.
-The sphere search therefore builds them in the state's own rooting only.
+`rooting_free`: every rooting lists them in the same order and each
+builds the same sphere diagram in every rooting, so the sphere search
+builds them in the state's own rooting only.
 Scripts record a re-rooting as an explicit `ROOT` step - a sphere
 isotopy, not a Reidemeister move - so a sequence found on a re-rooted
 representative stays replayable line by line.
