@@ -90,3 +90,73 @@ def test_event_tags_must_match_the_strands_touched():
 def test_bad_numbers_are_trace_errors(line):
     with pytest.raises(TraceError, match="line 2: missing or bad"):
         parse_trace(HOPF_OVERLAY + "\n" + line + "\n")
+
+
+# curve-only traces through the RII+, RII- and RIII branches of the graph
+# builder: a self-poke pulled back, and a curl poked and then slid
+SELF_POKE = "C R2+ dartA=0 dartB=0\nC R2- face=9\n"
+CURL_POKE_SLIDE = "C R1+ dart=0 side=R\nC R2+ dartA=0 dartB=11\nC R3 face=8\n"
+
+SELF_POKE_REPORT = """\
+trace: 2 events over 3 layers
+m = 2  (peak overlay crossing count along the trace)
+step 0: layer 0  smoothing []  overlay 2+0 <= 2
+  move: M2a (up)
+step 1: layer 1  smoothing [(2, 3), (3, 1)]  overlay 2+0 <= 2
+  move: M2a (up)
+step 2: layer 2  smoothing []  overlay 2+0 <= 2
+final: the ending curve is simple and the path ends on it exactly
+verified: 2 steps, overlay bound m = 2 holds throughout
+"""
+
+CURL_POKE_SLIDE_REPORT = """\
+trace: 3 events over 4 layers
+m = 2  (peak overlay crossing count along the trace)
+step 0: layer 0  smoothing []  overlay 2+0 <= 2
+  move: M1 (up)
+step 1: layer 1  smoothing [(2, 1)]  overlay 2+0 <= 2
+  move: M2a (up)
+step 2: layer 2  smoothing [(2, 1), (3, 3), (4, 1)]  overlay 2+0 <= 2
+  move: M3b (up)
+step 3: layer 3  smoothing [(2, 1), (3, 1), (4, 3)]  overlay 2+0 <= 2
+final: resolution of the ending curve (3 self-crossings smoothed)
+verified: 3 steps, overlay bound m = 2 holds throughout
+"""
+
+
+@pytest.mark.parametrize(
+    "events, edges, degrees, steps, report",
+    [
+        (
+            SELF_POKE,
+            [("M2a", (0, 0), (1, 0)), ("M2a", (1, 0), (2, 0))],
+            ((1,), (2,), (1,)),
+            2,
+            SELF_POKE_REPORT,
+        ),
+        (
+            CURL_POKE_SLIDE,
+            [
+                ("M1", (0, 0), (1, 0)),
+                ("M2a", (1, 0), (2, 0)),
+                ("M2b", (2, 1), (2, 2)),
+                ("M3b", (2, 0), (3, 0)),
+                ("M3b", (2, 1), (3, 0)),
+                ("M3b", (2, 2), (3, 0)),
+            ],
+            ((1,), (2,), (2, 2, 2), (3,)),
+            3,
+            CURL_POKE_SLIDE_REPORT,
+        ),
+    ],
+    ids=["self-poke", "curl-poke-slide"],
+)
+def test_pinned_curve_traces(events, edges, degrees, steps, report):
+    trace = parse_trace(HOPF_OVERLAY + "\n" + events)
+    graph = build_resolution_graph(trace)
+    assert [tuple(e) for e in graph.edges] == edges
+    assert graph.degree_sequences() == degrees
+    res = verify_isotopy(trace, graph=graph)
+    assert res.m == peak_overlay_crossings(trace) == 2
+    assert res.steps == steps
+    assert res.report == report
