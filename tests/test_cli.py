@@ -10,7 +10,7 @@ from hardsplit.maps import SPHERE
 from hardsplit.moves import apply_script
 from hardsplit.pdio import emit_pd, parse_pd
 from hardsplit.search import Goal, bfs_reachable
-from test_search import GOERITZ_REPORT, script_lines
+from test_search import GOERITZ_REPORT, ROOT_HOP_SCRIPT, circles, script_lines
 
 GOERITZ_PD = str(resources.files("hardsplit").joinpath("data/goeritz.pd"))
 
@@ -85,3 +85,16 @@ def test_replay_rejects_bad_input(tmp_path, capsys):
         assert e.value.code == 2
         cap = capsys.readouterr()
         assert cap.out == "" and why in cap.err
+
+
+def test_replay_crosses_a_root_hop(tmp_path, capsys):
+    # the pinned sphere witness whose script re-roots between moves
+    d0 = circles(3).with_mode(SPHERE)
+    target = apply_script(d0, "\n".join(ROOT_HOP_SCRIPT))
+    pd = tmp_path / "circles.pd"
+    pd.write_text(emit_pd(d0))
+    script = tmp_path / "witness.txt"
+    script.write_text("".join(line + "\n" for line in ROOT_HOP_SCRIPT))
+    assert main(["replay", str(pd), str(script), "--sphere"]) == 0
+    got = parse_pd(capsys.readouterr().out, mode=SPHERE).diagram.check()
+    assert Goal.target(target).met(got)

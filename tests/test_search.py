@@ -567,3 +567,60 @@ def test_plane_rii_minus_has_an_rii_plus_inverse():
     # no site of the kink rebuilds the diagram its RII- came from
     big, kink = plane_one_way_pair()
     assert digest(big) in {digest(apply_move(kink, s)) for s in enumerate_moves(kink)}
+
+
+def circles(n):
+    "n bare circles side by side in the plane."
+    return Diagram(PLANE, (), (), (), ((None, ROOT),) * n, {})
+
+
+# from three circles: one pokes itself from its far side, wrapping a
+# second circle into the new bigon, and uncurls; the target's last curl
+# wraps an island that is outer only after a re-rooting
+ROOT_HOP_SCRIPT = [
+    "RII+ loopA=0 loopB=0 over=A from=far engulfed=L1",
+    "RI- crossing=0",
+    "ROOT region=f0",
+    "RI+ dart=0 side=R over=0 wrap=1",
+]
+
+
+def test_pinned_witness_with_a_root_hop():
+    d0 = circles(3).with_mode(SPHERE)
+    target = apply_script(d0, "\n".join(ROOT_HOP_SCRIPT))
+    r = bfs_reachable(d0, Goal.target(target), 2)
+    assert r.reached and r.states_explored == 68
+    assert script_lines(r.witness) == ROOT_HOP_SCRIPT
+    assert Goal.target(target).met(replay(r.witness)[-1])
+
+
+def test_no_region_lists_both_flanks_of_an_edge():
+    # a 4-valent shadow is Eulerian, hence bridgeless: the two sides of
+    # an edge are never one region, so RII+ enumeration never meets a
+    # dart and its theta-partner on one boundary.  The budget-2 closure
+    # holds those of budgets 0 and 1, so it alone covers all three.
+    starts = [
+        lambda: torus_knot_diagram(2, 3),
+        hopf,
+        lambda: unknot_diagram(1),
+        poked_unknot,
+        lambda: circles(2),
+        lambda: circles(3),
+    ]
+    for make in starts:
+        for mode in (PLANE, SPHERE):
+            d0 = make().with_mode(mode)
+            cap = d0.ncross + 2
+            seen = {digest(d0)}
+            todo = [d0]
+            while todo:
+                d = todo.pop()
+                reps = [d] if mode == PLANE else [d.rerooted(r) for r in d.region_keys]
+                for rep in reps:
+                    for r in rep.region_keys:
+                        darts = {x for k, x in rep.region_boundary(r) if k == "d"}
+                        assert not any(rep.theta[x] in darts for x in darts)
+                for *_, child, cdg in search._expand_one(d, cap, None):
+                    if cdg not in seen:
+                        seen.add(cdg)
+                        todo.append(child)
