@@ -1,8 +1,12 @@
 """Reidemeister moves over the raw surgeries.
 
-`surgery` rewires darts; this module decides which rewirings count as
-moves (decoration side conditions, emptiness of the swept disk),
-enumerates every site available on a diagram, and reads/writes the
+`surgery` rewires darts and owns the geometry of a site: the shape of
+the face a removal or slide acts on, the emptiness of the swept disk,
+and what an RII+ poke may capture or engulf (`surgery.rii_scope`, which
+enumeration here and `surgery.rii_add`'s validation share).  This module
+owns the decoration policy - which sites count as moves (an RII- bigon
+must be over/under, an RIII triangle `triangle_coherent`) - enumerates
+every site available on a diagram, and reads/writes the
 one-move-per-line script format.
 
 Enumeration takes an optional crossing cap and then lists only the sites
@@ -53,6 +57,7 @@ __all__ = [
     "enumerate_moves",
     "apply_move",
     "rooting_free",
+    "triangle_coherent",
     "inverse_site",
     "top_of_sequence",
     "replay",
@@ -89,6 +94,13 @@ class MoveSequence(NamedTuple):
 def _rii_decorations_ok(d, fkey):
     f1, q1 = d.face_darts(fkey)
     return d.is_over_dart(f1) != d.is_over_dart(q1)
+
+
+def triangle_coherent(d, fkey):
+    "Strand heights at the three corners admit a total order (no cyclic pattern)."
+    orb = d.face_darts(d.face_of[fkey])
+    bits = [d.is_over_dart(x) for x in orb]
+    return not (bits[0] == bits[1] == bits[2])
 
 
 def _subsets(items):
@@ -132,21 +144,21 @@ def enumerate_moves(d: Diagram, max_cross=None):
                     sites.append(MoveSite("RI+", ("loop", i, side, ov)))
 
     if fits("RI-"):
-        for p in surgery.petal_darts(d):
-            if surgery.swept_face_ok(d, d.face_of[p]):
+        for p in surgery.site_faces(d, 1):
+            if surgery.swept_face_ok(d, p):
                 sites.append(MoveSite("RI-", (p,)))
 
     if fits("RII+"):
         sites += _rii_add_sites(d)
 
     if fits("RII-"):
-        for f in surgery.bigon_faces(d):
+        for f in surgery.site_faces(d, 2):
             if _rii_decorations_ok(d, f) and surgery.swept_face_ok(d, f):
                 sites.append(MoveSite("RII-", (f,)))
 
     if fits("RIII"):
-        for f in surgery.triangle_faces(d):
-            if surgery.triangle_coherent(d, f) and surgery.swept_face_ok(d, f):
+        for f in surgery.site_faces(d, 3):
+            if triangle_coherent(d, f) and surgery.swept_face_ok(d, f):
                 sites.append(MoveSite("RIII", (f,)))
     return sites
 
@@ -156,27 +168,9 @@ def _rii_add_sites(d):
     sites = []
     for region in d.region_keys:
         elems = d.region_boundary(region)
-        kids = set(d.region_children.get(region, ()))
         for a in elems:
             for b in elems:
-                if a[0] == "d" and b[0] == "d" and b[1] == d.theta[a[1]]:
-                    continue  # two flanks of one edge: not a site
-                parts = set()
-                for e in (a, b):
-                    parts.add(
-                        ("I", d.island_of[e[1]]) if e[0] == "d" else ("L", e[1])
-                    )
-                split = (a == b) or (
-                    a[0] == "d" == b[0] and d.face_of[a[1]] == d.face_of[b[1]]
-                )
-                if b[0] == "d":
-                    far = d.region_of_face(d.face_of[d.theta[b[1]]])
-                elif region == ("l", b[1]):
-                    far = d.loops[b[1]].host
-                else:
-                    far = ("l", b[1])
-                cap_pool = sorted(kids - parts) if split else []
-                eng_pool = sorted(set(d.region_children.get(far, ())) - parts)
+                _split, cap_pool, eng_pool = surgery.rii_scope(d, region, a, b)
                 orders = (1, 2) if (a == b and a[0] == "d") else (1,)
                 for ov in ("A", "B"):
                     for order in orders:
@@ -216,8 +210,6 @@ def apply_move(d: Diagram, site) -> Diagram:
         _k, i, side, ov = spot
         return surgery.ri_add(d, ("loop", i, side), ov)
     if kind == "RI-":
-        if not 0 <= spot[0] < d.ndart:
-            raise MoveError("no dart %r" % (spot[0],))
         return surgery.ri_remove(d, spot[0])
     if kind == "RII+":
         region, a, b, ov, cap, eng, order = spot
@@ -226,26 +218,12 @@ def apply_move(d: Diagram, site) -> Diagram:
         )
     if kind == "RII-":
         (f,) = spot
-        if not 0 <= f < d.ndart:
-            raise MoveError("no face %r" % (f,))
-        orb = d.face_darts(d.face_of[f])
-        if (
-            len(orb) == 2
-            and len({x >> 2 for x in orb}) == 2
-            and not _rii_decorations_ok(d, d.face_of[f])
-        ):
+        if not _rii_decorations_ok(d, surgery.site_face(d, f, 2)[0]):
             raise MoveError("2-gon %r is a clasp, not an over/under bigon" % (f,))
         return surgery.rii_remove(d, f)
     if kind == "RIII":
         (f,) = spot
-        if not 0 <= f < d.ndart:
-            raise MoveError("no face %r" % (f,))
-        orb = d.face_darts(d.face_of[f])
-        if (
-            len(orb) == 3
-            and len({x >> 2 for x in orb}) == 3
-            and not surgery.triangle_coherent(d, d.face_of[f])
-        ):
+        if not triangle_coherent(d, surgery.site_face(d, f, 3)[0]):
             raise MoveError("triangle heights are cyclic; no slide exists")
         return surgery.riii(d, f)
     if kind == "ROOT":
@@ -440,8 +418,8 @@ def parse_move(d: Diagram, line: str) -> MoveSite:
         # retractions give the same diagram; the smaller dart stands in
         pets = [
             p
-            for p in surgery.petal_darts(d)
-            if p >> 2 == c and surgery.swept_face_ok(d, d.face_of[p])
+            for p in surgery.site_faces(d, 1)
+            if p >> 2 == c and surgery.swept_face_ok(d, p)
         ]
         if not pets:
             raise MoveError("crossing %d has no retractable petal" % c)

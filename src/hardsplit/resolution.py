@@ -220,13 +220,7 @@ def _site_strand_labels(d, site):
             out.append(d.loops[e[1]].label if e[0] == "loop" else d.label_of_dart(e[1]))
         return tuple(out)
     if kind in ("RII-", "RIII"):
-        want = 2 if kind == "RII-" else 3
-        orb = d.face_darts(d.face_of[spot[0]])
-        if len(orb) != want or len({x >> 2 for x in orb}) != want:
-            raise MoveError(
-                "face %r is not a %s"
-                % (spot[0], "two-crossing bigon" if want == 2 else "three-crossing triangle")
-            )
+        orb = surgery.site_face(d, spot[0], 2 if kind == "RII-" else 3)
         return tuple(d.label_of_dart(x) for x in orb)
     return ()  # ROOT touches no strands
 
@@ -266,8 +260,7 @@ def _removed_crossings(d, site):
     if kind == "RI-":
         return (site.spot[0] >> 2,)
     if kind == "RII-":
-        orb = d.face_darts(d.face_of[site.spot[0]])
-        return tuple(sorted({x >> 2 for x in orb}))
+        return tuple(sorted({x >> 2 for x in surgery.site_face(d, site.spot[0], 2)}))
     return ()
 
 
@@ -577,7 +570,7 @@ def _transition_edges(trace, j, layers):
     kind = ev.kind
     if kind == "RI+":
         n = pre.ncross
-        orb = [x for x in surgery.petal_darts(post) if x >> 2 == n]
+        orb = [x for x in surgery.site_faces(post, 1) if x >> 2 == n]
         site_pre, site_post = (), (n,)
         walk_d, walk_site = post, (n,)
         internal = _face_internal_darts(post, orb)
@@ -593,7 +586,8 @@ def _transition_edges(trace, j, layers):
         move = "M1"
     elif kind == "RII+":
         n = pre.ncross
-        orb = _fresh_bigon(post, n)
+        # surgery.rii_add checks that dart 4n+1 bounds the new bigon
+        orb = post.face_darts(post.face_of[4 * n + 1])
         site_pre, site_post = (), (n, n + 1)
         walk_d, walk_site = post, (n, n + 1)
         internal = _face_internal_darts(post, orb)
@@ -714,15 +708,6 @@ def _transition_edges(trace, j, layers):
                     x, y = sorted((ai, bi))
                     out.append(GraphEdge("M2b", (side, x), (side, y)))
     return out
-
-
-def _fresh_bigon(d, n):
-    "The 2-gon between the two crossings a poke just added."
-    for x in range(4 * n, 4 * n + 4):
-        orb = d.face_darts(d.face_of[x])
-        if len(orb) == 2 and {y >> 2 for y in orb} == {n, n + 1}:
-            return orb
-    raise ResolutionError("no bigon between freshly added crossings")
 
 
 def _audit_r12(kind, pm, qm, othru):

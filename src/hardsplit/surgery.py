@@ -1,10 +1,13 @@
-"""Raw move surgeries on diagrams.
+"""Raw move surgeries on diagrams, and the geometry of their sites.
 
-Each function rebuilds theta/decorations/hosting for one Reidemeister
-surgery and returns the new diagram.  Preconditions here are purely
-structural (the site must exist and swept areas must hold no content);
-which sites count as *admissible moves* — crossing decorations, strand
-classes — is the caller's policy (see `moves` and `resolution`).
+Each surgery rebuilds theta/decorations/hosting for one Reidemeister
+move and returns the new diagram.  This module owns the geometry of a
+move site: which faces are petals, bigons and triangles (`site_faces`,
+checked by `site_face`), whether a swept disk is empty
+(`swept_face_ok`), and what an RII+ poke may capture or engulf
+(`rii_scope`); no other module decides these.  Which sites count as *admissible moves* -
+crossing decorations, strand classes - is the caller's policy (see
+`moves` and `resolution`).
 
 Conventions:
 
@@ -17,7 +20,7 @@ Conventions:
 
 from __future__ import annotations
 
-from .maps import ROOT, Diagram, DiagramError, MoveError, opp, rot, rot_inv, structure
+from .maps import ROOT, Diagram, DiagramError, MoveError, opp, rot, structure
 
 __all__ = [
     "ri_add",
@@ -25,45 +28,34 @@ __all__ = [
     "rii_add",
     "rii_remove",
     "riii",
-    "petal_darts",
-    "bigon_faces",
-    "triangle_faces",
-    "triangle_coherent",
+    "site_faces",
+    "site_face",
     "swept_face_ok",
+    "rii_scope",
 ]
 
 
-# -- site helpers ----------------------------------------------------
+# -- site geometry ---------------------------------------------------
+
+_SHAPES = {1: "monogon", 2: "two-crossing bigon", 3: "three-crossing triangle"}
 
 
-def petal_darts(d):
-    "Darts x whose face is a monogon (theta pairs x with its rotation predecessor)."
-    return [x for x in d.darts() if d.theta[x] == rot_inv(x)]
+def site_faces(d, k):
+    """Keys of the faces with k darts at k distinct crossings, in face
+    order: petals (k = 1, keyed by the petal dart), bigons (2) and
+    triangles (3) - the faces RI-, RII- and RIII act on."""
+    return [orb[0] for orb in d.faces if len(orb) == k and len({x >> 2 for x in orb}) == k]
 
 
-def bigon_faces(d):
-    "Min darts of 2-faces whose two corners are distinct crossings."
-    return [
-        orb[0]
-        for orb in d.faces
-        if len(orb) == 2 and (orb[0] >> 2) != (orb[1] >> 2)
-    ]
-
-
-def triangle_faces(d):
-    "Min darts of 3-faces with three distinct corners."
-    return [
-        orb[0]
-        for orb in d.faces
-        if len(orb) == 3 and len({x >> 2 for x in orb}) == 3
-    ]
-
-
-def triangle_coherent(d, fkey):
-    "Strand heights at the three corners admit a total order (no cyclic pattern)."
-    orb = d.face_darts(d.face_of[fkey])
-    bits = [d.is_over_dart(x) for x in orb]
-    return not (bits[0] == bits[1] == bits[2])
+def site_face(d, f, k):
+    """The darts of face `f` (any of its darts may name it), checked to be
+    a site face of `site_faces(d, k)`; MoveError otherwise."""
+    if not 0 <= f < d.ndart:
+        raise MoveError("no face %r" % (f,))
+    orb = d.face_darts(d.face_of[f])
+    if len(orb) != k or len({x >> 2 for x in orb}) != k:
+        raise MoveError("face %r is not a %s" % (f, _SHAPES[k]))
+    return orb
 
 
 def swept_face_ok(d, fkey):
@@ -79,6 +71,31 @@ def swept_face_ok(d, fkey):
     if fkey != up:
         return not d.region_children.get(("f", fkey), ())
     return host == ROOT and d.region_children.get(ROOT, ()) == [("I", k)]
+
+
+def rii_scope(d, region, a, b):
+    """What an RII+ poke of strand `a` across `b` through `region` may
+    carry along: (split, capturable, engulfable).
+
+    a, b are valid site elements bounding the region, ("d", dart) or
+    ("loop", i).  split: the finger separates the region, which happens
+    when a and b lie on one boundary circle (one face, or one circle
+    poked through itself).  capturable: the region's children that may
+    ride into the finger pocket, empty unless split.  engulfable: the
+    children of the region beyond B that the tip may wrap into the new
+    bigon.  Neither set holds the islands or circles of the site itself.
+    """
+    parts = {("I", d.island_of[e[1]]) if e[0] == "d" else ("L", e[1]) for e in (a, b)}
+    split = a == b or (a[0] == "d" == b[0] and d.face_of[a[1]] == d.face_of[b[1]])
+    if b[0] == "d":
+        far = d.region_of_face(d.face_of[d.theta[b[1]]])
+    elif region == ("l", b[1]):
+        far = d.loops[b[1]].host
+    else:
+        far = ("l", b[1])
+    capturable = set(d.region_children.get(region, ())) - parts if split else set()
+    engulfable = set(d.region_children.get(far, ())) - parts
+    return split, capturable, engulfable
 
 
 # -- RI: kink insertion ----------------------------------------------
@@ -384,9 +401,8 @@ def _remove_crossings(d: Diagram, removed, merge_pairs, discount=()):
 
 def ri_remove(d: Diagram, petal: int) -> Diagram:
     "Contract the kink whose monogon face starts at dart `petal`."
-    if not (0 <= petal < d.ndart and d.theta[petal] == rot_inv(petal)):
-        raise MoveError("dart %r does not bound a monogon" % (petal,))
-    if not swept_face_ok(d, d.face_of[petal]):
+    site_face(d, petal, 1)
+    if not swept_face_ok(d, petal):
         raise MoveError("kink petal is not empty")
     merge = [(d.face_of[petal], d.face_of[rot(petal)])]
     return _remove_crossings(d, [petal >> 2], merge, discount=[petal])
@@ -394,16 +410,12 @@ def ri_remove(d: Diagram, petal: int) -> Diagram:
 
 def rii_remove(d: Diagram, fkey: int) -> Diagram:
     "Pull apart the two strands bounding the bigon face `fkey`."
-    orb = d.face_darts(d.face_of[fkey])
-    if len(orb) != 2 or (orb[0] >> 2) == (orb[1] >> 2):
-        raise MoveError("face %r is not a two-crossing bigon" % (fkey,))
-    if not swept_face_ok(d, orb[0]):
+    f1, q1 = site_face(d, fkey, 2)
+    if not swept_face_ok(d, f1):
         raise MoveError("bigon is not empty")
-    f1, q1 = orb
-    bigon = d.face_of[f1]
     merge = [
-        (bigon, d.face_of[opp(f1)]),
-        (bigon, d.face_of[opp(q1)]),
+        (f1, d.face_of[opp(f1)]),
+        (f1, d.face_of[opp(q1)]),
     ]
     return _remove_crossings(d, [f1 >> 2, q1 >> 2], merge, discount=[f1, q1])
 
@@ -437,6 +449,7 @@ def rii_add(
         circle, which is when the finger separates the region).
     engulfed : children of the region beyond B wrapped into the new bigon
         by the finger tip.
+    Both must lie in the pools `rii_scope` names.
     """
     if over not in ("A", "B"):
         raise MoveError("over must be 'A' or 'B'")
@@ -464,6 +477,7 @@ def rii_add(
 
     check_elem(elem_a)
     check_elem(elem_b)
+    split, capturable, engulfable = rii_scope(d, region, elem_a, elem_b)
 
     theta = list(d.theta) + [0] * 8
     over_list = list(d.over) + ([0, 0] if over == "A" else [1, 1])
@@ -475,14 +489,12 @@ def rii_add(
     pair(pu + _S, pl + _N)  # crossed middle of B
 
     consumed = {}  # loop index -> role "A" | "B" | "AB"
-    split = False  # does the finger separate the region?
     keep_probe = None  # a dart of the face that keeps the region's role
     one_edge = False
 
     if elem_a[0] == "d" and elem_b[0] == "d":
         da, db = elem_a[1], elem_b[1]
         ea, eb = d.theta[da], d.theta[db]
-        split = d.face_of[da] == d.face_of[db]
         keep_probe = da
         if da == db:  # strand across itself, one edge, one flank
             one_edge = True
@@ -522,7 +534,6 @@ def rii_add(
         pair(pu + _W, pu + _N)
         pair(pl + _S, pl + _W)
         consumed[elem_a[1]] = "AB"
-        split = True
         # the poked-from side ends in two teardrop faces; the one cut off
         # by the long remnant arc keeps the region's role
         keep_probe = pu + _W
@@ -551,16 +562,7 @@ def rii_add(
     far_face = skel.face_of[pl + _E]  # beyond B, outside the tip
     behind_face = skel.face_of[pu + _S]  # dragged along behind the finger
 
-    # the region beyond B, source of engulfable content
-    if elem_b[0] == "d":
-        far_region_old = d.region_of_face(d.face_of[d.theta[elem_b[1]]])
-    else:
-        li = elem_b[1]
-        far_region_old = ("l", li) if region != ("l", li) else d.loops[li].host
-
     site_islands = {d.island_of[e[1]] for e in (elem_a, elem_b) if e[0] == "d"}
-    participants = {("I", k) for k in site_islands}
-    participants |= {("L", li) for li in consumed}
 
     captured = set(captured)
     engulfed = set(engulfed)
@@ -569,13 +571,10 @@ def rii_add(
     if captured:
         if not split:
             raise MoveError("capture needs both site elements on one circle")
-        allowed = set(d.region_children.get(region, ())) - participants
-        if not captured <= allowed:
+        if not captured <= capturable:
             raise MoveError("captured content is not in the region")
-    if engulfed:
-        allowed = set(d.region_children.get(far_region_old, ())) - participants
-        if not engulfed <= allowed:
-            raise MoveError("engulfed content is not beyond the crossed strand")
+    if not engulfed <= engulfable:
+        raise MoveError("engulfed content is not beyond the crossed strand")
 
     dropped = sorted(consumed)
 
@@ -674,9 +673,7 @@ def rii_add(
 
 def riii(d: Diagram, fkey: int) -> Diagram:
     "Slide the strand opposite each corner across the triangle `fkey`."
-    orb = d.face_darts(d.face_of[fkey])
-    if len(orb) != 3 or len({x >> 2 for x in orb}) != 3:
-        raise MoveError("face %r is not a three-crossing triangle" % (fkey,))
+    orb = site_face(d, fkey, 3)
     if not swept_face_ok(d, orb[0]):
         raise MoveError("triangle is not empty")
 

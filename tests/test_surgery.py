@@ -7,7 +7,7 @@ insertion is the exact inverse of the matching removal.
 
 import pytest
 
-from hardsplit import surgery
+from hardsplit import moves, surgery
 from hardsplit.maps import PLANE, ROOT, SPHERE, Diagram, Loop, MoveError
 
 KINK = [3, 2, 1, 0]
@@ -31,22 +31,36 @@ def assert_same(a, b):
 
 
 def test_petal_darts():
-    assert surgery.petal_darts(kink()) == [0, 2]
-    assert surgery.petal_darts(Diagram(PLANE, TREFOIL, [0, 0, 0])) == []
+    assert surgery.site_faces(kink(), 1) == [0, 2]
+    assert surgery.site_faces(Diagram(PLANE, TREFOIL, [0, 0, 0]), 1) == []
 
 
 def test_bigon_faces():
     t = Diagram(PLANE, TREFOIL, [0, 0, 0])
-    assert surgery.bigon_faces(t) == [1, 3, 7]
-    assert surgery.bigon_faces(kink()) == []  # (1,3) closes at one crossing
+    assert surgery.site_faces(t, 2) == [1, 3, 7]
+    assert surgery.site_faces(kink(), 2) == []  # (1,3) closes at one crossing
 
 
 def test_triangle_coherence():
     t = Diagram(PLANE, TREFOIL, [0, 0, 1])
-    assert surgery.triangle_coherent(t, 0)
+    assert moves.triangle_coherent(t, 0)
     alt = Diagram(PLANE, TREFOIL, [0, 0, 0])
-    assert not surgery.triangle_coherent(alt, 0)
-    assert not surgery.triangle_coherent(alt, 2)
+    assert not moves.triangle_coherent(alt, 0)
+    assert not moves.triangle_coherent(alt, 2)
+
+
+@pytest.mark.parametrize(
+    "remove, not_a_site",
+    [(surgery.ri_remove, 1), (surgery.rii_remove, 0), (surgery.riii, 1)],
+    ids=["ri_remove", "rii_remove", "riii"],
+)
+def test_removals_reject_bad_faces(remove, not_a_site):
+    # the trefoil's faces 0 and 2 are triangles, 1, 3 and 7 bigons, and
+    # it has no petal: out-of-range numbers and wrong shapes are typed
+    t = Diagram(PLANE, TREFOIL, [0, 0, 1])
+    for f in (-1, t.ndart, not_a_site):
+        with pytest.raises(MoveError):
+            remove(t, f)
 
 
 # -- RI --------------------------------------------------------------
@@ -57,7 +71,7 @@ def test_ri_dart_round_trips():
     for d in range(4):
         for ov in (0, 1):
             cur = surgery.ri_add(base, ("d", d), over=ov).check()
-            petals = [p for p in surgery.petal_darts(cur) if p >> 2 == 1]
+            petals = [p for p in surgery.site_faces(cur, 1) if p >> 2 == 1]
             assert len(petals) == 1
             assert_same(surgery.ri_remove(cur, petals[0]).check(), base)
 
@@ -68,7 +82,7 @@ def test_ri_loop_curl_variants():
         for ov in (0, 1):
             cur = surgery.ri_add(free, ("loop", 0, side), over=ov).check()
             assert cur.labels == ("K",) and cur.loops == ()
-            petals = surgery.petal_darts(cur)
+            petals = surgery.site_faces(cur, 1)
             assert len(petals) == 2  # a lone curl has two petals
             for p in petals:
                 back = surgery.ri_remove(cur, p).check()
@@ -191,7 +205,7 @@ def test_rii_far_side_self_poke():
     free = Diagram(PLANE, [], [], labels=[], loops=[Loop("F", ROOT)])
     d = surgery.rii_add(free, ("l", 0), ("loop", 0), ("loop", 0), "A").check()
     assert d.hosts == {0: (ROOT, 0)}  # poked inward: the big face opens out
-    back = surgery.rii_remove(d, surgery.bigon_faces(d)[0]).check()
+    back = surgery.rii_remove(d, surgery.site_faces(d, 2)[0]).check()
     assert back.loops == (Loop("F", ROOT),)
 
 
