@@ -202,6 +202,8 @@ def test_closure_matches_brute_force():
         (torus_knot_diagram(2, 3).with_mode(SPHERE), 2),
         (hopf().with_mode(SPHERE), 2),
         (unlink(), 2),
+        # 123 states; those with one island and a loop need every rooting
+        (circles(3).with_mode(SPHERE), 2),
     ]
     for d0, budget in cases:
         want = brute_closure(d0, budget)
@@ -484,8 +486,11 @@ def test_rooting_free_sites_agree_in_every_rooting():
     # the sphere search builds a rooting-free site in a state's own
     # rooting only; that is sound when every rooting lists the same such
     # sites, in the same order, and each builds the same sphere state.
-    # Every state of each closure is reached by building every site in
-    # every rooting, so nothing here shares the search's skip.
+    # It expands a state with one island and no loops in its own rooting
+    # alone; that is sound when every child of a later rooting is also a
+    # child of the own rooting.  Every state of each closure is reached by
+    # building every site in every rooting, so nothing here shares the
+    # search's skip.
     cases = [
         (make().with_mode(SPHERE), b)
         for make in (
@@ -497,6 +502,7 @@ def test_rooting_free_sites_agree_in_every_rooting():
         for b in (0, 1, 2)
     ] + [(unlink(), 2)]
     free_kinds = set()
+    single = 0
     for d0, budget in cases:
         cap = d0.ncross + budget
         seen = {digest(d0)}
@@ -504,12 +510,15 @@ def test_rooting_free_sites_agree_in_every_rooting():
         while todo:
             d = todo.pop()
             free = []
+            kids = []
             for r in d.region_keys:
                 rep = d.rerooted(r)
                 free.append([])
+                kids.append(set())
                 for site in enumerate_moves(rep, cap):
                     child = apply_move(rep, site)
                     cdg = digest(child)
+                    kids[-1].add(cdg)
                     if rooting_free(site):
                         free[-1].append((site, cdg))
                     if cdg not in seen:
@@ -519,7 +528,12 @@ def test_rooting_free_sites_agree_in_every_rooting():
                 assert [s for s, _ in other] == [s for s, _ in free[0]]
                 assert other == free[0]
             free_kinds.update(s.kind for s, _ in free[0])
+            if len(d.islands_keys) == 1 and not d.loops:
+                single += 1
+                for other in kids[1:]:
+                    assert other <= kids[0]
     assert free_kinds == {"RI+", "RI-", "RII-", "RIII"}
+    assert single
 
 
 def test_sphere_move_graph_is_symmetric():
