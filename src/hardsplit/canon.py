@@ -115,7 +115,8 @@ def canonical_code(d):
     if d.mode == SPHERE:
         keys = d.islands_keys
         if len(keys) == 1 and not d.loops:
-            # any face can be made outer, so the up marker bottoms out at 0
+            # any face can be made outer, so the up marker bottoms out at 0;
+            # search._expand_one enumerates such a state in one rooting only
             best, _ = ctx.island_best(d, keys[0])
             return ("S", ctx.table, (("I", (best, 0, ())),))
         body = min(

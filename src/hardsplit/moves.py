@@ -20,11 +20,13 @@ a wrap curl around an island's outer face, a curl of a bare circle
 (whose "out" side is the side of its host region), and the sets an RII+
 poke can capture or engulf.  Plane search needs only the given root.
 Sphere equality quotients out the choice of outer region, so the sphere
-search also enumerates every re-rooting of a state (`search`).  The
-other sites - RI-, RII-, RIII and the plain dart curl - are
-`rooting_free`: every rooting lists them in the same order and each
-builds the same sphere diagram in every rooting, so the sphere search
-builds them in the state's own rooting only.
+search also enumerates every re-rooting of a state that has more than
+one island or a loop (`search._expand_one`; a state with one island and
+no loops gains no child from another rooting).  The other sites - RI-,
+RII-, RIII and the plain dart curl - are `rooting_free`: every rooting
+lists them in the same order and each builds the same sphere diagram in
+every rooting, so the sphere search builds them in the state's own
+rooting only.
 Scripts record a re-rooting as an explicit `ROOT` step - a sphere
 isotopy, not a Reidemeister move - so a sequence found on a re-rooted
 representative stays replayable line by line.

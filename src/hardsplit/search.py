@@ -19,15 +19,19 @@ already in the dedup table, so it could only be thrown away.  This is
 the "used operator" bit of frontier search (Korf, Zhang, Thayer and
 Hohwald, J. ACM 52(5), 2005).
 
-On the sphere a state is enumerated in every re-rooting, because wrap
-and loop curls and RII+ pokes depend on which region is outer.  Every
-other site is `moves.rooting_free`: all rootings list it, in the same
-order, and it builds the same sphere diagram in each, so it is built in
-the state's own rooting only (`region_keys[0]` is `ROOT`, which
-re-roots to the state itself).  In a later rooting its child is already
-in the dedup table, so skipping it changes no discovery.  The skipped
-parent site is a face key of theta as well, and is skipped in every
-rooting.  Every other site enumerated is built.
+On the sphere a state with one island and no loops is enumerated in its
+own rooting only: there every wrap curl and RII+ poke of a later
+rooting builds the same state as a site of the own rooting (the
+argument is in `_expand_one`).  Any other sphere state is enumerated in
+every re-rooting, because wrap and loop curls and RII+ pokes depend on
+which region is outer.  Every other site is `moves.rooting_free`: all
+rootings list it, in the same order, and it builds the same sphere
+diagram in each, so it is built in the state's own rooting only
+(`region_keys[0]` is `ROOT`, which re-roots to the state itself).  In a
+later rooting its child is already in the dedup table, so skipping it
+changes no discovery.  The skipped parent site is a face key of theta as
+well, and is skipped in every rooting.  Every other site enumerated is
+built.
 Expansion is serial and in frontier order: each parent's children are
 merged, in enumeration order, before the next parent is expanded, so the
 discovery order - and with it every reported number - is the same on
@@ -170,18 +174,41 @@ def _expand_one(d, cap, skip):
     is built.  `skip` is the site that rebuilds the state's BFS parent
     (None at the start, or when the move that reached the state has no
     tracked inverse); it is never built, in any rooting.  On the sphere
-    the state is enumerated in every re-rooting, since some sites only
-    exist when the right region is outermost; a rooting-free site is
-    built in the first rooting, the state itself, and skipped in the
-    later ones, whose copy of it would rebuild the same child.  Every
-    other site enumerated is built.  A generator, so a parent's children
-    are built only as they are merged and a cap that fires mid-parent
-    stops the building.
+    a state with more than one island or a loop is enumerated in every
+    re-rooting, since some sites only exist when the right region is
+    outermost; a rooting-free site is built in the first rooting, the
+    state itself, and skipped in the later ones, whose copy of it would
+    rebuild the same child.  Every other site enumerated is built.  A
+    generator, so a parent's children are built only as they are merged
+    and a cap that fires mid-parent stops the building.
+
+    A sphere state with one island and no loops - the condition under
+    which `canon.canonical_code` codes it without its hosts - is
+    enumerated in its own rooting only (`ROOT`, which re-roots to the
+    state itself, so each parent-table entry still names `ROOT`).  Its
+    later rootings add no child:
+
+    - The curls and pokes below add a crossing to the one island, so
+      their children again have one island and no loops, and two such
+      children with equal theta, `over` and labels get equal digests:
+      their code ignores hosts (up marker 0).
+    - A wrap curl builds the same theta, `over` and labels as the plain
+      dart curl on the same dart; `surgery.ri_add` differs only in
+      hosts.  The own rooting lists the plain curl on every dart.
+    - Every RII+ element is a dart and the capture and engulf pools are
+      empty.  `rii_add`'s theta for two darts depends only on (a, b,
+      over, order), never on the region key, and the own rooting lists
+      the same poke with empty sets.
+    - There are no loop curls, and the other sites are rooting-free.
+
+    So each later-rooting child is already in the dedup table when it is
+    reached, or it is the skipped BFS parent, and no discovery changes.
     """
     if d.mode == PLANE:
         reps = [(None, d)]
     else:
-        reps = ((r, d.rerooted(r)) for r in d.region_keys)
+        roots = (ROOT,) if len(d.islands_keys) == 1 and not d.loops else d.region_keys
+        reps = ((r, d.rerooted(r)) for r in roots)
     for rkey, rep in reps:
         later = rep is not d
         for site in enumerate_moves(rep, cap):

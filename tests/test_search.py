@@ -417,11 +417,12 @@ def test_every_enumerated_site_but_the_parent_is_built(monkeypatch):
     assert tuple(r.states_explored for r in cert.outcome.runs) == (729,)
     assert (counts["sites"], counts["built"]) == (3780, 3780 - 728)
 
-    # on the sphere the rooting-free sites are built in a state's own
-    # rooting only, so most re-rooted copies of them are never built
+    # on the sphere every state of these closures has one island and no
+    # loops, so it is enumerated in its own rooting only, and as in the
+    # plane one site is skipped per non-start state (5 + 94; 4 + 68)
     for start, goal, states, built in (
-        (torus_knot_diagram(2, 3), Goal.zero_crossing, (1, 6, 95), (3343, 956)),
-        (hopf(), Goal.split_any, (1, 5, 69), (1852, 532)),
+        (torus_knot_diagram(2, 3), Goal.zero_crossing, (1, 6, 95), (549, 549 - 99)),
+        (hopf(), Goal.split_any, (1, 5, 69), (364, 364 - 72)),
     ):
         counts.update(sites=0, built=0)
         cert = verify_hard(start.with_mode(SPHERE), goal(), 2)
