@@ -9,6 +9,7 @@ import pytest
 
 from hardsplit import moves, surgery
 from hardsplit.maps import PLANE, ROOT, SPHERE, Diagram, Loop, MoveError
+from hardsplit.pdio import parse_pd
 
 KINK = [3, 2, 1, 0]
 TREFOIL = [11, 10, 5, 4, 3, 2, 9, 8, 7, 6, 1, 0]
@@ -104,6 +105,17 @@ def test_ri_remove_total_death():
     dead = surgery.ri_remove(kink(), 0).check()
     assert dead.ncross == 0
     assert dead.loops == (Loop("K", ROOT),)
+
+
+def test_ri_remove_far_side_content_stays_beyond_the_circle():
+    # a lone curl opening out through its 2-face, with a circle in one
+    # petal: retracting the other petal sweeps the outward face, and the
+    # contracted circle's far side is the occupied petal, so the circle
+    # ends up inside the contracted one, not beside it in the swept region
+    d = parse_pd("X c0 E1 E2 E2 E1\nO - E1:R\nF E2:R\n").diagram.check()
+    out = moves.apply_move(d, moves.parse_move(d, "RI- crossing=0")).check()
+    assert out.loops == (Loop(None, ("l", 1)), Loop(None, ROOT))
+    assert out.hosts == {}
 
 
 def test_ri_remove_rejects_non_petal():
@@ -235,6 +247,20 @@ def test_rii_circle_across_dart():
     assert list(d.theta) == [3, 9, 7, 0, 8, 11, 10, 2, 4, 1, 6, 5]
     assert d.labels == ("K", "C") and d.loops == ()
     assert_same(surgery.rii_remove(d, 5).check(), base)
+
+
+def test_rii_remove_hosts_a_fragment_in_the_swept_region():
+    # pulling the bigon apart contracts a circle that keeps the island's
+    # outward face on its outer side; the swept region is the circle's far
+    # side, and the surviving two-crossing fragment sits in it
+    d = parse_pd(
+        "X c0 E1 E2 E3 E4\nX c1 E2 E5 E4 E3\nX c2 E5 E6 E7 E8\n"
+        "X c3 E7 E6 E1 E8\nF E8:R\n"
+    ).diagram.check()
+    out = moves.apply_move(d, moves.parse_move(d, "RII- face=10")).check()
+    assert out.ncross == 2
+    assert out.hosts == {0: (("l", 0), 0)}
+    assert out.loops == (Loop(None, ROOT),)
 
 
 # -- RII refusals ----------------------------------------------------
