@@ -174,6 +174,25 @@ def structure(theta) -> Structure:
     )
 
 
+def carried_labels(d, skel, dmap):
+    """Labels for the strand components of `skel`, carried over from `d`.
+
+    `skel` was made from d's theta by renumbering darts with the mapping
+    `dmap` (old dart -> new dart; a dart that did not survive is absent)
+    and joining strands straight through any dropped crossing.  A
+    surviving component keeps its label; it is matched by its smallest
+    surviving dart, which is the smallest dart of its new component.
+    """
+    by_min = {}
+    theta = d.theta
+    for orb, lab in zip(d.components, d.labels):
+        surv = [dmap[x] for y in orb for x in (y, theta[y]) if x in dmap]
+        if surv:
+            by_min[min(surv)] = lab
+    # a component's forward cycle starts at its smallest dart
+    return [by_min[orb[0]] for orb in skel.components]
+
+
 def _face_darts(theta, face_of, fkey):
     "The phi-orbit of face key `fkey`, walked from the key."
     if face_of.get(fkey) != fkey:
@@ -231,7 +250,6 @@ class Diagram:
         "mode", "theta", "over", "labels", "loops", "hosts",
         "faces", "face_of", "components", "comp_of",
         "islands", "islands_keys", "island_of", "region_keys", "region_children",
-        "_code",
     )
 
     def __init__(self, mode, theta, over, labels=None, loops=(), hosts=None):
@@ -248,7 +266,6 @@ class Diagram:
                 "over has %d entries for %d crossings" % (len(over), len(s.theta) // 4)
             )
         put(self, "over", over)
-        put(self, "_code", None)
         face_of = s.face_of
 
         ncomp = len(s.components)
@@ -514,14 +531,7 @@ class Diagram:
             over[perm[c]] = (self.over[c] + shifts[c]) & 1
 
         skel = structure(theta)
-        old_label_by_min = {}
-        for i, orb in enumerate(self.components):
-            full = list(orb) + [self.theta[d] for d in orb]
-            old_label_by_min[min(dmap[d] for d in full)] = self.labels[i]
-        labels = []
-        for orb in skel.components:
-            full_min = min(min(orb), min(theta[d] for d in orb))
-            labels.append(old_label_by_min[full_min])
+        labels = carried_labels(self, skel, dmap)
 
         def map_region(rkey):
             if rkey == ROOT or rkey[0] == "l":
@@ -594,11 +604,9 @@ class Diagram:
 
     def canonical_code(self):
         "Canonical code; equal codes mean equal up to relabeling and isotopy."
-        if self._code is None:
-            from . import canon
+        from . import canon
 
-            object.__setattr__(self, "_code", canon.canonical_code(self))
-        return self._code
+        return canon.canonical_code(self)
 
     def canonically_equal(self, other) -> bool:
         return self.canonical_code() == other.canonical_code()

@@ -292,7 +292,7 @@ def top_of_sequence(seq: MoveSequence) -> int:
 # -- script format ---------------------------------------------------
 #
 #   RI+ dart=5 side=R over=1        RI+ loop=0 side=out over=0
-#   RI- crossing=2
+#   RI- crossing=2                  (petal=2 or 3 names a petal at that slot)
 #   RII+ dartA=1 dartB=3 over=A     (loopA=/loopB=; order=2, from=far,
 #                                    captured=I0,L1 engulfed=... as needed)
 #   RII- face=5
@@ -317,7 +317,10 @@ def format_move(site) -> str:
             return "RI+ dart=%d side=R over=%d wrap=1" % (spot[1], spot[2])
         return "RI+ loop=%d side=%s over=%d" % (spot[1], spot[2], spot[3])
     if kind == "RI-":
-        return "RI- crossing=%d" % (spot[0] >> 2)
+        p = spot[0]
+        if p & 3 < 2:
+            return "RI- crossing=%d" % (p >> 2)
+        return "RI- crossing=%d petal=%d" % (p >> 2, p & 3)
     if kind == "RII+":
         region, a, b, ov, cap, eng, order = spot
         toks = []
@@ -416,13 +419,18 @@ def parse_move(d: Diagram, line: str) -> MoveSite:
         c = _take_int(kv, "crossing")
         if not 0 <= c < d.ncross:
             raise MoveError("no crossing %d" % c)
-        # a crossing with two retractable petals is a lone curl, whose two
-        # retractions give the same diagram; the smaller dart stands in
+        # a crossing has at most two petals, p and p^2 (a lone curl), and
+        # in the plane their retractions differ when the curl's 2-face
+        # holds content; petal= names the one at slot 2 or 3, and a line
+        # without it means the smaller retractable one
         pets = [
             p
             for p in surgery.site_faces(d, 1)
             if p >> 2 == c and surgery.swept_face_ok(d, p)
         ]
+        if "petal" in kv:
+            slot = _take_int(kv, "petal")
+            pets = [p for p in pets if p & 3 == slot]
         if not pets:
             raise MoveError("crossing %d has no retractable petal" % c)
         site = MoveSite("RI-", (pets[0],))

@@ -9,6 +9,13 @@ checked by `site_face`), whether a swept disk is empty
 crossing decorations, strand classes - is the caller's policy (see
 `moves` and `resolution`).
 
+A removal (RI-, RII-) deletes crossings of one island and sweeps one
+region open: the petal and the face across it, or the bigon and the two
+faces at its opposite corners.  Placing that region places everything
+else: the piece holding the island's outward face keeps the island's
+host, and every other piece the removal leaves is hosted in the swept
+region (`_remove_crossings` gives the argument).
+
 Conventions:
 
 * new crossings are appended, so surviving darts keep their (crossing,
@@ -20,7 +27,9 @@ Conventions:
 
 from __future__ import annotations
 
-from .maps import ROOT, Diagram, DiagramError, MoveError, opp, rot, structure
+from .maps import (
+    ROOT, Diagram, DiagramError, MoveError, carried_labels, opp, rot, structure,
+)
 
 __all__ = [
     "ri_add",
@@ -176,38 +185,42 @@ def ri_add(d: Diagram, elem, over: int) -> Diagram:
     return Diagram(d.mode, theta, over_list, labels, loops, hosts)
 
 
-# -- generic crossing removal ----------------------------------------
+# -- crossing removal ------------------------------------------------
 
 
-def _remove_crossings(d: Diagram, removed, merge_pairs, discount=()):
-    """Delete crossings, joining their strands straight through.
+def _remove_crossings(d: Diagram, removed, swept, discount) -> Diagram:
+    """Delete crossings of one island, joining their strands straight
+    through, as a move that sweeps the faces `swept` open into one region.
 
-    merge_pairs are pairs of old face keys that the move geometry fuses
-    into one region.  discount marks the arcs (by either end dart) that
-    the move retracts — their old flank faces are unreliable for deciding
-    which regions a fully contracted strand ends up bounding.  Handles
-    islands splitting, islands dying into bare circles, and all hosting
-    updates.
+    discount marks the arcs (by either end dart) that the move retracts:
+    their old flank faces do not say which regions a fully contracted
+    strand ends up bounding.
+
+    The swept region places everything.  The faces at the removed
+    crossings fall into two groups, the swept faces and the rest.  Each
+    other face stays one face of the one piece its surviving darts lie
+    on, and a face with no surviving dart is the far side of exactly one
+    contracted circle.  Every piece the removal leaves - island fragment
+    or contracted circle - borders the swept region.  So the swept region
+    is the island's host when the outward face was swept; else the far
+    side of the contracted circle whose other side is the outward face
+    (that circle takes the host); else the outward fragment's face on
+    it.  Every other piece is hosted in the swept region, by its face
+    there.  The host itself is the root, a circle's far side or a face of
+    another island, so it keeps its key and nothing is placed twice.
     """
-    discount = set(discount)
     removed = set(removed)
     keep = [c for c in range(d.ncross) if c not in removed]
-    cmap = {c: i for i, c in enumerate(keep)}
-
-    def dmap(x):
-        return 4 * cmap[x >> 2] + (x & 3)
-
-    theta = [0] * (4 * len(keep))
+    dmap = {4 * c + s: 4 * i + s for i, c in enumerate(keep) for s in range(4)}
+    theta = [0] * len(dmap)
     consumed = set()
-    for u in d.darts():
-        if (u >> 2) in removed:
-            continue
+    for u, nu in dmap.items():
         t = d.theta[u]
-        while (t >> 2) in removed:
+        while t not in dmap:
             consumed.add(t)
             consumed.add(opp(t))
             t = d.theta[opp(t)]
-        theta[dmap(u)] = dmap(t)
+        theta[nu] = dmap[t]
 
     # strands living entirely on removed crossings contract to bare circles
     zone_darts = [x for c in sorted(removed) for x in range(4 * c, 4 * c + 4)]
@@ -223,180 +236,94 @@ def _remove_crossings(d: Diagram, removed, merge_pairs, discount=()):
             seen.add(opp(x))
             cyc.append(x)
             x = d.theta[opp(x)]
-            if (x >> 2) not in removed or x in consumed:
+            if x in dmap or x in consumed:
                 raise DiagramError("contracted strand escapes the removed set")
         cycles.append(tuple(cyc))
 
-    over = [d.over[c] for c in keep]
     skel = structure(theta)
-
-    # fuse the faces at the removed crossings into region classes
     affected = {d.face_of[x] for x in zone_darts}
-    for a, b in merge_pairs:
-        if a not in affected or b not in affected:
-            raise DiagramError("merge pair outside the removal zone")
-    parent = {f: f for f in affected}
-
-    def find(f):
-        while parent[f] != f:
-            parent[f] = parent[parent[f]]
-            f = parent[f]
-        return f
-
-    for a, b in merge_pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    def new_face(x):
-        return skel.face_of[dmap(x)]
-
-    # incidence between region classes and the pieces bounding them; each
-    # piece meets a class through at most one of its faces
-    cls_pieces = {}
-    piece_cls = {}
-
-    def link(rep, piece, face):
-        cls_pieces.setdefault(rep, set()).add(piece)
-        fmap = piece_cls.setdefault(piece, {})
-        if rep in fmap and fmap[rep] != face:
-            raise DiagramError("region class split across one piece")
-        fmap[rep] = face
-
+    if not swept <= affected:
+        raise DiagramError("swept face outside the removal zone")
+    border = {}  # piece -> its face on the swept region
+    kept = {}  # other face at the zone -> its region key after removal
     for f in affected:
-        rep = find(f)
-        cls_pieces.setdefault(rep, set())
-        for x in d.face_darts(f):
-            if (x >> 2) not in removed:
-                link(rep, ("I", skel.island_of[dmap(x)]), new_face(x))
+        news = {
+            (skel.island_of[dmap[x]], skel.face_of[dmap[x]])
+            for x in d.face_darts(f)
+            if x in dmap
+        }
+        if f in swept:
+            for piece, nf in news:
+                if border.setdefault(piece, nf) != nf:
+                    raise DiagramError("swept region split across one piece")
+        elif len(news) > 1:
+            raise DiagramError("face %r split by the removal" % (f,))
+        elif news:
+            kept[f] = ("f", news.pop()[1])
 
     nloops_old = len(d.loops)
     for idx, cyc in enumerate(cycles):
-        # the contracted circle separates the two classes flanking its
-        # arcs, not counting arcs the move retracted across other strands
+        # the contracted circle separates the swept region from one other
+        # face, not counting arcs the move retracted across other strands
         sides = set()
         for x in cyc:
             y = opp(x)
             z = d.theta[y]
-            if y in discount or z in discount:
-                continue
-            sides.add(find(d.face_of[y]))
-            sides.add(find(d.face_of[z]))
-        if len(sides) != 2:
+            if y not in discount and z not in discount:
+                sides.update((d.face_of[y], d.face_of[z]))
+        far = sides - swept
+        if len(far) != 1 or far == sides or not far.isdisjoint(kept):
             raise DiagramError("contracted circle does not bound two regions")
-        for rep in sides:
-            link(rep, ("L", nloops_old + idx), None)
+        kept[far.pop()] = ("l", nloops_old + idx)
 
-    # around each old island in the zone, classes and pieces form a forest
-    # rooted at the class (or fragment) holding the island's outward face
-    zone_islands = {d.island_of[f] for f in affected}
-    cls_key = {}
-    piece_host = {}
-
-    for isl in sorted(zone_islands):
-        old_host, old_up = d.hosts[isl]
-        queue = []
-        visited = set()
-        if d.face_of[old_up] in affected:
-            rep = find(d.face_of[old_up])
-            cls_key[rep] = ("old", old_host)
-            queue.append(("C", rep))
-            visited.add(("C", rep))
-        else:
-            piece = ("I", skel.island_of[dmap(old_up)])
-            piece_host[piece] = (("old", old_host), dmap(old_up))
-            queue.append(("P", piece))
-            visited.add(("P", piece))
-        while queue:
-            tag, node = queue.pop(0)
-            if tag == "C":
-                for piece in sorted(cls_pieces.get(node, ())):
-                    if ("P", piece) in visited:
-                        continue
-                    visited.add(("P", piece))
-                    if piece[0] == "I":
-                        piece_host[piece] = (("cls", node), piece_cls[piece][node])
-                    else:
-                        piece_host[piece] = (("cls", node),)
-                    queue.append(("P", piece))
-            else:
-                for rep in sorted(piece_cls.get(node, {})):
-                    if ("C", rep) in visited or rep in cls_key:
-                        continue
-                    visited.add(("C", rep))
-                    if node[0] == "I":
-                        cls_key[rep] = ("f", piece_cls[node][rep])
-                    else:
-                        cls_key[rep] = ("l", node[1])
-                    queue.append(("C", rep))
-
-    def old_region(rkey, depth=0):
-        # follow ("old", host) class keys outward until a region survives
-        while True:
-            if depth > len(d.faces) + 2:
-                raise DiagramError("hosting recursion runaway")
-            if rkey == ROOT or rkey[0] == "l":
-                return rkey
-            f = d.face_of[rkey[1]]
-            if f not in affected:
-                return ("f", dmap(f))
-            rep = find(f)
-            if rep not in cls_key:
-                raise DiagramError("region %r vanished with content" % (rkey,))
-            val = cls_key[rep]
-            if val[0] != "old":
-                return val
-            rkey, depth = val[1], depth + 1
-
-    def key_of_cls(rep):
-        val = cls_key[rep]
-        return old_region(val[1], 1) if val[0] == "old" else val
-
+    # the piece holding the outward face takes the island's host
+    isl = d.island_of[zone_darts[0]]
+    host, up = d.hosts[isl]
+    if host[0] == "f":
+        host = ("f", dmap[host[1]])
     hosts = {}
-    for isl in d.islands_keys:
-        if isl in zone_islands:
-            continue
-        h, u = d.hosts[isl]
-        hosts[skel.island_of[dmap(u)]] = (old_region(h), dmap(u))
-    for piece, val in piece_host.items():
-        if piece[0] != "I":
-            continue
-        h, u = val
-        hosts[piece[1]] = (
-            old_region(h[1]) if h[0] == "old" else key_of_cls(h[1]),
-            u,
-        )
-    # every fragment of a zone island must have been reached
-    frag_keys = {
-        skel.island_of[dmap(x)]
-        for isl in zone_islands
-        for x in d.islands[isl]
-        if (x >> 2) not in removed
-    }
-    if not frag_keys <= set(hosts):
-        raise DiagramError("island fragment unreachable from its outward face")
+    lead = None
+    if up in swept:
+        sweep = host
+    else:
+        outward = kept.get(up) if up in affected else ("f", skel.face_of[dmap[up]])
+        if outward is None:
+            raise DiagramError("island fragment unreachable from its outward face")
+        if outward[0] == "l":
+            sweep = outward
+        else:
+            lead = skel.island_of[outward[1]]
+            if lead not in border:
+                raise DiagramError("island fragment unreachable from its outward face")
+            hosts[lead] = (host, outward[1])
+            sweep = ("f", border[lead])
+    frags = {skel.island_of[dmap[x]] for x in d.islands[isl] if x in dmap}
+    for piece in frags - {lead}:
+        if piece not in border:
+            raise DiagramError("island fragment unreachable from its outward face")
+        hosts[piece] = (sweep, border[piece])
 
-    loops = [(lp.label, old_region(lp.host)) for lp in d.loops]
+    def region(rkey):
+        if rkey[0] != "f":
+            return rkey
+        if rkey[1] in swept:
+            return sweep
+        if rkey[1] not in affected:
+            return ("f", dmap[rkey[1]])
+        if rkey[1] not in kept:
+            raise DiagramError("region %r vanished with content" % (rkey,))
+        return kept[rkey[1]]
+
+    for k, (h, u) in d.hosts.items():
+        if k != isl:
+            hosts[skel.island_of[dmap[u]]] = (region(h), dmap[u])
+    loops = [(lp.label, region(lp.host)) for lp in d.loops]
     for idx, cyc in enumerate(cycles):
-        val = piece_host[("L", nloops_old + idx)]
-        loops.append((d.labels[d.comp_of[cyc[0]]], key_of_cls(val[0][1])))
-
-    # a surviving component keeps its name under the new numbering
-    by_min = {}
-    for i, orb in enumerate(d.components):
-        surv = [
-            dmap(x)
-            for x in list(orb) + [d.theta[y] for y in orb]
-            if (x >> 2) not in removed
-        ]
-        if surv:
-            by_min[min(surv)] = d.labels[i]
-    labels = []
-    for orb in skel.components:
-        m = min(min(orb), min(theta[x] for x in orb))
-        labels.append(by_min[m])
-
-    return Diagram(d.mode, skel, over, labels, loops, hosts)
+        # the circle whose far side is the swept region takes the host
+        far = ("l", nloops_old + idx)
+        loops.append((d.labels[d.comp_of[cyc[0]]], host if far == sweep else sweep))
+    over = [d.over[c] for c in keep]
+    return Diagram(d.mode, skel, over, carried_labels(d, skel, dmap), loops, hosts)
 
 
 def ri_remove(d: Diagram, petal: int) -> Diagram:
@@ -404,8 +331,8 @@ def ri_remove(d: Diagram, petal: int) -> Diagram:
     site_face(d, petal, 1)
     if not swept_face_ok(d, petal):
         raise MoveError("kink petal is not empty")
-    merge = [(d.face_of[petal], d.face_of[rot(petal)])]
-    return _remove_crossings(d, [petal >> 2], merge, discount=[petal])
+    swept = {petal, d.face_of[rot(petal)]}
+    return _remove_crossings(d, [petal >> 2], swept, {petal})
 
 
 def rii_remove(d: Diagram, fkey: int) -> Diagram:
@@ -413,11 +340,8 @@ def rii_remove(d: Diagram, fkey: int) -> Diagram:
     f1, q1 = site_face(d, fkey, 2)
     if not swept_face_ok(d, f1):
         raise MoveError("bigon is not empty")
-    merge = [
-        (f1, d.face_of[opp(f1)]),
-        (f1, d.face_of[opp(q1)]),
-    ]
-    return _remove_crossings(d, [f1 >> 2, q1 >> 2], merge, discount=[f1, q1])
+    swept = {f1, d.face_of[opp(f1)], d.face_of[opp(q1)]}
+    return _remove_crossings(d, [f1 >> 2, q1 >> 2], swept, {f1, q1})
 
 
 # -- RII insertion ---------------------------------------------------

@@ -27,6 +27,7 @@ from hardsplit.moves import (
     enumerate_moves,
     format_move,
     inverse_site,
+    parse_move,
     replay,
     rooting_free,
     top_of_sequence,
@@ -290,7 +291,11 @@ def script_lines(seq):
 
 def test_pinned_kinked_unknot_witness():
     out = min_added(unknot_diagram(3), Goal.zero_crossing(), 0)
-    assert script_lines(out.witness) == ["RI- crossing=0"] * 3
+    assert script_lines(out.witness) == [
+        "RI- crossing=0 petal=2",
+        "RI- crossing=0",
+        "RI- crossing=0",
+    ]
 
 
 @pytest.mark.parametrize(
@@ -594,7 +599,7 @@ def circles(n):
 # wraps an island that is outer only after a re-rooting
 ROOT_HOP_SCRIPT = [
     "RII+ loopA=0 loopB=0 over=A from=far engulfed=L1",
-    "RI- crossing=0",
+    "RI- crossing=0 petal=3",
     "ROOT region=f0",
     "RI+ dart=0 side=R over=0 wrap=1",
 ]
@@ -636,6 +641,36 @@ def test_no_region_lists_both_flanks_of_an_edge():
                         darts = {x for k, x in rep.region_boundary(r) if k == "d"}
                         assert not any(rep.theta[x] in darts for x in darts)
                 for *_, child, cdg in search._expand_one(d, cap, None):
+                    if cdg not in seen:
+                        seen.add(cdg)
+                        todo.append(child)
+
+
+def test_every_closure_site_replays_from_its_script_line():
+    # a script line must rebuild the child of the site it was written
+    # from; a plane RI- on a lone curl whose 2-face holds content is the
+    # case where the two petals differ, which petal= tells apart
+    def nested():
+        return Diagram(PLANE, (), (), (), ((None, ROOT), (None, ("l", 0))), {})
+
+    starts = [
+        lambda: torus_knot_diagram(2, 3),
+        hopf,
+        lambda: unknot_diagram(1),
+        nested,
+        lambda: circles(2),
+    ]
+    for make in starts:
+        for mode in (PLANE, SPHERE):
+            d0 = make().with_mode(mode)
+            cap = d0.ncross + 2
+            seen = {digest(d0)}
+            todo = [d0]
+            while todo:
+                d = todo.pop()
+                for _r, rep, site, child, cdg in search._expand_one(d, cap, None):
+                    line = format_move(site)
+                    assert digest(apply_move(rep, parse_move(rep, line))) == cdg, line
                     if cdg not in seen:
                         seen.add(cdg)
                         todo.append(child)
