@@ -12,9 +12,9 @@ crossing decorations, strand classes - is the caller's policy (see
 A removal (RI-, RII-) deletes crossings of one island and sweeps one
 region open: the petal and the face across it, or the bigon and the two
 faces at its opposite corners.  Placing that region places everything
-else: the piece holding the island's outward face keeps the island's
-host, and every other piece the removal leaves is hosted in the swept
-region (`_remove_crossings` gives the argument).
+else: it is the island's host, or it borders the one piece that takes
+the host, and every other piece the removal leaves is hosted in it
+(`_remove_crossings` gives the argument).
 
 Conventions:
 
