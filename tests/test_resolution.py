@@ -160,3 +160,21 @@ def test_pinned_curve_traces(events, edges, degrees, steps, report):
     assert res.m == peak_overlay_crossings(trace) == 2
     assert res.steps == steps
     assert res.report == report
+
+
+@pytest.mark.parametrize(
+    "events",
+    [CURL, POKED_CURL, SELF_POKE, CURL_POKE_SLIDE],
+    ids=["curl", "poked-curl", "self-poke", "curl-poke-slide"],
+)
+def test_verify_builds_its_own_graph_and_path(events):
+    # with neither argument verify_isotopy builds the graph and finds the
+    # path itself; the report must match the one from the built pieces
+    trace = parse_trace(HOPF_OVERLAY + "\n" + events)
+    graph = build_resolution_graph(trace)
+    path = find_isotopy_path(graph)
+    assert verify_isotopy(trace) == verify_isotopy(trace, path, graph=graph)
+    for st in trace.states:
+        assert st.length == st.mixed
+        assert st.counts == (len(st.u_self_ids), st.mixed, st.m_self)
+        assert sum(st.counts) == st.diagram.ncross
