@@ -25,6 +25,15 @@ smallest isomorphism-invariant signature (face lengths on both sides and
 decoration) are tried as starts; because the start set is invariant, the
 minimum over it, and the set of starts achieving it, are canonical (see
 `_canon_py`).
+
+A diagram with one island and no loops has no content, so its code is
+the island's alone, read without the region recursion.  `canonical_code`
+records on such a diagram (`Diagram.numbering`) the darts in the order
+of one walk numbering that achieves the code: on the sphere any achiever,
+in the plane one that also gives the smallest up-face marker.  For two
+diagrams with equal codes the two recorded numberings compose to an
+isomorphism that keeps theta, decorations, labels and, in the plane, the
+up face; `search` uses it to carry a move site from one to the other.
 """
 
 from __future__ import annotations
@@ -59,14 +68,9 @@ class _Ctx:
         self.deco = bytes(
             ((x & 1) == over[x >> 2]) << 4 | lsym[comp_of[x]] for x in range(len(d.theta))
         )
-        # per dart: the length of its face; re-rootings keep theta, so
-        # every island and every rooting reads the same list
-        flen = [0] * len(d.theta)
-        for orb in d.faces:
-            n = len(orb)
-            for x in orb:
-                flen[x] = n
-        self.flen = flen
+        # per dart: the length of its face, read off `maps.structure`;
+        # re-rootings keep theta, so every island and rooting shares it
+        self.flen = d.face_len
         self._best = {}
 
     def island_best(self, d, key):
@@ -112,13 +116,24 @@ def _region_code(ctx, d, rkey):
 
 def canonical_code(d):
     ctx = _Ctx(d)
-    if d.mode == SPHERE:
-        keys = d.islands_keys
-        if len(keys) == 1 and not d.loops:
+    keys = d.islands_keys
+    if len(keys) == 1 and not d.loops:
+        # no content: the code is the island's, and the diagram records the
+        # numbering that achieves it (`search` maps sites between states)
+        best, numberings = ctx.island_best(d, keys[0])
+        if d.mode == SPHERE:
             # any face can be made outer, so the up marker bottoms out at 0;
             # search._expand_one enumerates such a state in one rooting only
-            best, _ = ctx.island_best(d, keys[0])
-            return ("S", ctx.table, (("I", (best, 0, ())),))
+            marker, lab = 0, numberings[0]
+        else:
+            up = d.face_darts(d.hosts[keys[0]][1])
+            marks = [min([lab[x] for x in up]) for lab in numberings]
+            marker = min(marks)
+            lab = numberings[marks.index(marker)]
+        object.__setattr__(d, "numbering", tuple(lab))
+        tag = "S" if d.mode == SPHERE else "P"
+        return (tag, ctx.table, (("I", (best, marker, ())),))
+    if d.mode == SPHERE:
         body = min(
             (_region_code(ctx, d.rerooted(r), ROOT)) for r in d.region_keys
         )

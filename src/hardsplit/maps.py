@@ -78,6 +78,7 @@ class Structure(NamedTuple):
     theta: tuple
     faces: tuple
     face_of: dict
+    face_len: list
     components: tuple
     comp_of: dict
     islands: dict
@@ -107,6 +108,7 @@ def structure(theta) -> Structure:
 
     # faces: orbits of phi = rot . theta (inlined), met from their smallest dart
     fkey = [-1] * nd
+    flen = [0] * nd
     faces = []
     for d0 in range(nd):
         if fkey[d0] >= 0:
@@ -120,6 +122,7 @@ def structure(theta) -> Structure:
             fkey[x] = d0
             t = theta[x]
             x = (t & ~3) | ((t + 1) & 3)
+        flen[d0] = len(orb)
         faces.append(tuple(orb))
 
     # strands: opp . theta traces each one twice, once per direction; the
@@ -166,6 +169,7 @@ def structure(theta) -> Structure:
         theta,
         tuple(faces),
         dict(enumerate(fkey)),
+        [flen[k] for k in fkey],
         tuple(comps),
         dict(enumerate(cidx)),
         islands,
@@ -232,6 +236,7 @@ class Diagram:
     faces : face orbits of phi = rot . theta, each starting at its smallest
         dart, in order of that dart
     face_of : map dart -> face key (the smallest dart on its face)
+    face_len : per dart, the length of its face
     components : strand components as forward dart cycles (one dart per
         edge).  The forward direction is the orbit containing the
         component's smallest dart, which makes derived orientations
@@ -244,12 +249,16 @@ class Diagram:
         up face, then ("l", loop_index) for each loop's far side
     region_children : map region key -> list of ("I", island_key) and
         ("L", loop_index) hosted there; every region key is present
+    numbering : None until `canon.canonical_code` codes a diagram with
+        one island and no loops; then the darts in the order of a walk
+        numbering that achieves the code (set once, like the fields above)
     """
 
     __slots__ = (
         "mode", "theta", "over", "labels", "loops", "hosts",
-        "faces", "face_of", "components", "comp_of",
+        "faces", "face_of", "face_len", "components", "comp_of",
         "islands", "islands_keys", "island_of", "region_keys", "region_children",
+        "numbering",
     )
 
     def __init__(self, mode, theta, over, labels=None, loops=(), hosts=None):
@@ -309,6 +318,7 @@ class Diagram:
             children.setdefault(lp.host, []).append(("L", i))
         put(self, "region_keys", region_keys)
         put(self, "region_children", children)
+        put(self, "numbering", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Diagram is immutable")
@@ -501,8 +511,8 @@ class Diagram:
     def _structure(self):
         "The record this diagram was built from, for a copy with the same theta."
         return Structure(
-            self.theta, self.faces, self.face_of, self.components, self.comp_of,
-            self.islands, self.islands_keys, self.island_of,
+            self.theta, self.faces, self.face_of, self.face_len, self.components,
+            self.comp_of, self.islands, self.islands_keys, self.island_of,
         )
 
     def with_mode(self, mode):

@@ -260,6 +260,12 @@ def inverse_site(d: Diagram, site, child: Diagram):
     tracked, and the answer is None.  The sites returned name a face key
     of theta, which every re-rooting keeps, so on the sphere the answer
     holds in every rooting of `child` that enumerates it.
+
+    The search calls it for each discovery, to skip the site that
+    rebuilds the BFS parent, and also for each duplicate of a state
+    still waiting to be expanded, when both have one island and no
+    loops: the answer is then carried into the waiting state's numbering
+    and skipped there (`search._carried`).
     """
     kind, spot = site
     if kind == "RI+":

@@ -12,12 +12,18 @@ and exhaustion is a proof of unreachability.  On that proof sit
 
 The crossing cap is applied where sites are enumerated
 (`enumerate_moves(d, cap)`): a move that would exceed it is never
-listed.  Each frontier entry also carries the site that undoes the move
-that first reached it (`moves.inverse_site`), and its expansion never
-builds that site: the child would be the entry's BFS parent, which is
-already in the dedup table, so it could only be thrown away.  This is
-the "used operator" bit of frontier search (Korf, Zhang, Thayer and
-Hohwald, J. ACM 52(5), 2005).
+listed.  Each state waiting to be expanded also carries a set of sites
+that its expansion never builds, because their children are already in
+the dedup table and could only be thrown away.  The set starts with the
+site that undoes the move that first reached the state
+(`moves.inverse_site`), whose child is the BFS parent.  When a state
+with one island and no loops is met again, as a duplicate, before it is
+expanded, the site that undoes that move as well is carried into the
+waiting state's numbering and added to its set (`_carried`; the argument
+is in `_expand_one`).  So each edge of the move graph between such
+states whose move has a tracked inverse is built from one end only.
+These are the "used operator" bits of frontier search (Korf, Zhang,
+Thayer and Hohwald, J. ACM 52(5), 2005).
 
 On the sphere a state with one island and no loops is enumerated in its
 own rooting only: there every wrap curl and RII+ poke of a later
@@ -29,9 +35,8 @@ rootings list it, in the same order, and it builds the same sphere
 diagram in each, so it is built in the state's own rooting only
 (`region_keys[0]` is `ROOT`, which re-roots to the state itself).  In a
 later rooting its child is already in the dedup table, so skipping it
-changes no discovery.  The skipped parent site is a face key of theta as
-well, and is skipped in every rooting.  Every other site enumerated is
-built.
+changes no discovery.  A skipped site names a face key of theta as well,
+and is skipped in every rooting.  Every other site enumerated is built.
 Expansion is serial and in frontier order: each parent's children are
 merged, in enumeration order, before the next parent is expanded, so the
 discovery order - and with it every reported number - is the same on
@@ -165,15 +170,14 @@ class HardnessCertificate(NamedTuple):
     report: str
 
 
-def _expand_one(d, cap, skip):
+def _expand_one(d, cap, skips):
     """Children of one state, one at a time: (root region or None, the
     rooted representative the site was enumerated on, site, child,
     digest).
 
     The crossing cap is applied at enumeration, so no site over the cap
-    is built.  `skip` is the site that rebuilds the state's BFS parent
-    (None at the start, or when the move that reached the state has no
-    tracked inverse); it is never built, in any rooting.  On the sphere
+    is built.  `skips` holds sites whose children are already in the
+    dedup table; they are never built, in any rooting.  On the sphere
     a state with more than one island or a loop is enumerated in every
     re-rooting, since some sites only exist when the right region is
     outermost; a rooting-free site is built in the first rooting, the
@@ -202,7 +206,32 @@ def _expand_one(d, cap, skip):
     - There are no loop curls, and the other sites are rooting-free.
 
     So each later-rooting child is already in the dedup table when it is
-    reached, or it is the skipped BFS parent, and no discovery changes.
+    reached, or it is a skipped one, and no discovery changes.
+
+    Why a skipped site's child is in the table:
+
+    - The first skip is `moves.inverse_site` of the move that reached the
+      state; it rebuilds the BFS parent.
+    - The others are carried from duplicates.  A site s of a state u (on
+      its representative `rep`) builds a child v' whose digest is that of
+      a state v still waiting.  When v has one island and no loops, so
+      does v', and `canon.canonical_code` has recorded on each a walk
+      numbering that achieves their common code.  Composed, the two
+      numberings give an isomorphism v' -> v.  It keeps theta, since
+      equal walk codes describe the same rooted map.  It keeps the
+      decorations and labels, which the walk code spells out.  In the
+      plane it keeps the up face, since both numberings give the
+      smallest up marker, so the dart with that number lies on the up
+      face of each.
+    - `inverse_site(rep, s, v')` names a site of v' that rebuilds u.  Its
+      image under the isomorphism (`_carried`) is a site of v with the
+      same legality, and it builds a diagram isomorphic to that child,
+      one with u's digest.  On the sphere the site is rooting-free, so
+      the rooting v is expanded in does not matter.  u is in the table,
+      so no discovery changes and the ordered parent table is the one a
+      search that builds every site would make.
+    - A state with more than one island or with a loop records no
+      numbering, and keeps the parent's site alone.
     """
     if d.mode == PLANE:
         reps = [(None, d)]
@@ -212,10 +241,22 @@ def _expand_one(d, cap, skip):
     for rkey, rep in reps:
         later = rep is not d
         for site in enumerate_moves(rep, cap):
-            if site == skip or (later and rooting_free(site)):
+            if site in skips or (later and rooting_free(site)):
                 continue
             child = apply_move(rep, site)
             yield rkey, rep, site, child, _digest(child)
+
+
+def _carried(site, child, d):
+    """The site of `d` that `site` of `child` is carried to by the
+    isomorphism between their recorded walk numberings (see `_expand_one`).
+
+    `site` names a face key; the dart with the same walk number in `d`
+    lies on the image face.
+    """
+    kind, (x,) = site
+    y = d.numbering[child.numbering.index(x)]
+    return MoveSite(kind, (d.face_of[y],))
 
 
 def _witness(d0, parent, digest):
@@ -285,16 +326,24 @@ def _run(d0, goal, budget, limits, floor):
     parent = {start: None}
     maxcr = mincr = d0.ncross
     found = start if goal is not None and goal.met(d0) else None
-    frontier = [(start, d0, None)]
+    # the states not yet expanded, by digest: (diagram, sites to skip)
+    waiting = {start: (d0, set())}
+    frontier = [start]
     truncated = False
     while frontier and found is None and not truncated:
         nxt = []
-        for pdigest, d, skip in frontier:
+        for pdigest in frontier:
             if monotonic() > deadline:
                 truncated = True
                 break
-            for rkey, rep, site, child, digest in _expand_one(d, cap, skip):
+            d, skips = waiting.pop(pdigest)
+            for rkey, rep, site, child, digest in _expand_one(d, cap, skips):
                 if digest in parent:
+                    entry = waiting.get(digest)
+                    if entry is not None and child.numbering is not None:
+                        inv = inverse_site(rep, site, child)
+                        if inv is not None:
+                            entry[1].add(_carried(inv, child, entry[0]))
                     continue
                 if len(parent) >= lim.max_states:
                     truncated = True
@@ -306,7 +355,9 @@ def _run(d0, goal, budget, limits, floor):
                 if goal is not None and goal.met(child):
                     found = digest
                     break
-                nxt.append((digest, child, inverse_site(rep, site, child)))
+                inv = inverse_site(rep, site, child)
+                waiting[digest] = (child, set() if inv is None else {inv})
+                nxt.append(digest)
             if found is not None or truncated:
                 break
         frontier = nxt

@@ -163,6 +163,28 @@ def test_pruned_kernel_keeps_the_partition(monkeypatch):
     assert len(set(reference)) == classes == len(set(zip(shipped, reference)))
 
 
+def test_one_island_code_records_an_achieving_numbering():
+    # a diagram with one island and no loops is coded without the region
+    # recursion and records a walk numbering that achieves its code; in
+    # the plane the numbering also gives the smallest up-face marker
+    single = 0
+    for d in partition_corpus():
+        code = canon.canonical_code(d)
+        if len(d.islands_keys) != 1 or d.loops:
+            assert d.numbering is None
+            continue
+        single += 1
+        ctx = canon._Ctx(d)
+        _best, numberings = ctx.island_best(d, d.islands_keys[0])
+        assert d.numbering in [tuple(lab) for lab in numberings]
+        if d.mode == PLANE:
+            assert code == ("P", ctx.table, canon._region_code(ctx, d, ROOT))
+            up = d.face_darts(d.hosts[d.islands_keys[0]][1])
+            marker = code[2][0][1][1]
+            assert min(d.numbering.index(x) for x in up) == marker
+    assert single
+
+
 def test_disconnected_darts_rejected():
     d = Diagram(PLANE, KINK + [x + 4 for x in KINK], [0, 1])
     ctx = canon._Ctx(d)

@@ -264,6 +264,7 @@ def assert_structure(d):
         faces.add(tuple(orb[i:] + orb[:i]))
     assert list(d.faces) == sorted(faces)
     assert d.face_of == {x: f[0] for f in faces for x in f}
+    assert dict(enumerate(d.face_len)) == {x: len(f) for f in faces for x in f}
 
     islands = _classes(n, [(x, _next_ccw(x)) for x in range(n)] + list(enumerate(th)))
     assert d.islands == islands
