@@ -17,6 +17,11 @@ from hardsplit.resolution import (
 
 HOPF_OVERLAY = "OVERLAY X c0 E1 E2 E3 E4; X c1 E2 E1 E4 E3; C U E1 E3; C T E2 E4; F E1:R"
 
+# the Hopf link as the tangle, with the sweep curve a bare circle beside it
+BARE_LOOP_OVERLAY = (
+    "OVERLAY X c0 E1 E2 E3 E4; X c1 E2 E1 E4 E3; C T E1 E3; C V E2 E4; O U outer"
+)
+
 CURL = "C R1+ dart=0 side=R\nC R1- crossing=2\n"
 
 # the curve first pokes over the tangle (two more mixed crossings), then
@@ -92,10 +97,31 @@ def test_bad_numbers_are_trace_errors(line):
         parse_trace(HOPF_OVERLAY + "\n" + line + "\n")
 
 
-# curve-only traces through the RII+, RII- and RIII branches of the graph
-# builder: a self-poke pulled back, and a curl poked and then slid
+# curve-only traces with RII+, RII- and RIII events: a self-poke pulled
+# back, and a curl poked and then slid
 SELF_POKE = "C R2+ dartA=0 dartB=0\nC R2- face=9\n"
 CURL_POKE_SLIDE = "C R1+ dart=0 side=R\nC R2+ dartA=0 dartB=11\nC R3 face=8\n"
+
+# tangle events inside the layer gaps, so crossing ids are packed down
+# between a curve event and its layer: a tangle curl made before a curve
+# curl and undone between the curl and the uncurl (curve crossing 3 packs
+# down to 2), and one made after a curve curl and undone between the
+# poke and the slide (4 -> 3, 5 -> 4)
+TANGLE_CURL_AROUND_CURL = (
+    "M RI+ dart=1 side=R over=0\n"
+    "C R1+ dart=0 side=R\n"
+    "M RI- crossing=2\n"
+    "C R1- crossing=2\n"
+)
+TANGLE_CURL_IN_SLIDE = (
+    "C R1+ dart=0 side=R\n"
+    "M RI+ dart=1 side=R over=0\n"
+    "C R2+ dartA=0 dartB=11\n"
+    "M RI- crossing=3\n"
+    "C R3 face=8\n"
+)
+# a curl of the bare curve: its lone crossing has two petals
+LOOP_CURL = "C R1+ loop=0 side=out\nC R1- crossing=2\n"
 
 SELF_POKE_REPORT = """\
 trace: 2 events over 3 layers
@@ -123,41 +149,131 @@ final: resolution of the ending curve (3 self-crossings smoothed)
 verified: 3 steps, overlay bound m = 2 holds throughout
 """
 
+TANGLE_CURL_AROUND_CURL_REPORT = """\
+trace: 4 events over 3 layers
+m = 3  (peak overlay crossing count along the trace)
+step 0: layer 0  smoothing []  overlay 2+0 <= 3
+  replay: M RI+ dart=1 side=R over=0
+  move: M1 (up)
+step 1: layer 1  smoothing [(3, 1)]  overlay 2+1 <= 3
+  replay: M RI- crossing=2
+  move: M1 (up)
+step 2: layer 2  smoothing []  overlay 2+0 <= 3
+final: the ending curve is simple and the path ends on it exactly
+verified: 2 steps, overlay bound m = 3 holds throughout
+"""
+
+TANGLE_CURL_IN_SLIDE_REPORT = """\
+trace: 5 events over 4 layers
+m = 3  (peak overlay crossing count along the trace)
+step 0: layer 0  smoothing []  overlay 2+0 <= 3
+  move: M1 (up)
+step 1: layer 1  smoothing [(2, 1)]  overlay 2+0 <= 3
+  replay: M RI+ dart=1 side=R over=0
+  move: M2a (up)
+step 2: layer 2  smoothing [(2, 1), (4, 3), (5, 1)]  overlay 2+1 <= 3
+  replay: M RI- crossing=3
+  move: M3b (up)
+step 3: layer 3  smoothing [(2, 1), (3, 1), (4, 3)]  overlay 2+0 <= 3
+final: resolution of the ending curve (3 self-crossings smoothed)
+verified: 3 steps, overlay bound m = 3 holds throughout
+"""
+
+LOOP_CURL_REPORT = """\
+trace: 2 events over 3 layers
+m = 2  (peak overlay crossing count along the trace)
+step 0: layer 0  smoothing []  overlay 0+2 <= 2
+  move: M1 (up)
+step 1: layer 1  smoothing [(2, 1)]  overlay 0+2 <= 2
+  move: M1 (up)
+step 2: layer 2  smoothing []  overlay 0+2 <= 2
+final: the ending curve is simple and the path ends on it exactly
+verified: 2 steps, overlay bound m = 2 holds throughout
+"""
+
+
+CURL_EDGES = [("M1", (0, 0), (1, 0)), ("M1", (1, 0), (2, 0))]
+SLIDE_EDGES = [
+    ("M1", (0, 0), (1, 0)),
+    ("M2a", (1, 0), (2, 0)),
+    ("M2b", (2, 1), (2, 2)),
+    ("M3b", (2, 0), (3, 0)),
+    ("M3b", (2, 1), (3, 0)),
+    ("M3b", (2, 2), (3, 0)),
+]
+SLIDE_DEGREES = ((1,), (2,), (2, 2, 2), (3,))
+
 
 @pytest.mark.parametrize(
-    "events, edges, degrees, steps, report",
+    "overlay, events, sigmas, edges, degrees, m, steps, report",
     [
         (
+            HOPF_OVERLAY,
             SELF_POKE,
+            (None, (0, 1, None, None)),
             [("M2a", (0, 0), (1, 0)), ("M2a", (1, 0), (2, 0))],
             ((1,), (2,), (1,)),
+            2,
             2,
             SELF_POKE_REPORT,
         ),
         (
+            HOPF_OVERLAY,
             CURL_POKE_SLIDE,
-            [
-                ("M1", (0, 0), (1, 0)),
-                ("M2a", (1, 0), (2, 0)),
-                ("M2b", (2, 1), (2, 2)),
-                ("M3b", (2, 0), (3, 0)),
-                ("M3b", (2, 1), (3, 0)),
-                ("M3b", (2, 2), (3, 0)),
-            ],
-            ((1,), (2,), (2, 2, 2), (3,)),
+            (None, None, None),
+            SLIDE_EDGES,
+            SLIDE_DEGREES,
+            2,
             3,
             CURL_POKE_SLIDE_REPORT,
         ),
+        (
+            HOPF_OVERLAY,
+            TANGLE_CURL_AROUND_CURL,
+            (None, None, (0, 1, None, 2), (0, 1, None)),
+            CURL_EDGES,
+            ((1,), (2,), (1,)),
+            3,
+            2,
+            TANGLE_CURL_AROUND_CURL_REPORT,
+        ),
+        (
+            HOPF_OVERLAY,
+            TANGLE_CURL_IN_SLIDE,
+            (None, None, None, (0, 1, 2, None, 3, 4), None),
+            SLIDE_EDGES,
+            SLIDE_DEGREES,
+            3,
+            3,
+            TANGLE_CURL_IN_SLIDE_REPORT,
+        ),
+        (
+            BARE_LOOP_OVERLAY,
+            LOOP_CURL,
+            (None, (0, 1, None)),
+            CURL_EDGES,
+            ((1,), (2,), (1,)),
+            2,
+            2,
+            LOOP_CURL_REPORT,
+        ),
     ],
-    ids=["self-poke", "curl-poke-slide"],
+    ids=[
+        "self-poke",
+        "curl-poke-slide",
+        "tangle-curl-around-curl",
+        "tangle-curl-in-slide",
+        "loop-curl",
+    ],
 )
-def test_pinned_curve_traces(events, edges, degrees, steps, report):
-    trace = parse_trace(HOPF_OVERLAY + "\n" + events)
+def test_pinned_curve_traces(overlay, events, sigmas, edges, degrees, m, steps, report):
+    trace = parse_trace(overlay + "\n" + events)
+    assert trace.sigmas == sigmas
     graph = build_resolution_graph(trace)
     assert [tuple(e) for e in graph.edges] == edges
     assert graph.degree_sequences() == degrees
     res = verify_isotopy(trace, graph=graph)
-    assert res.m == peak_overlay_crossings(trace) == 2
+    assert res.m == peak_overlay_crossings(trace) == m
     assert res.steps == steps
     assert res.report == report
 
