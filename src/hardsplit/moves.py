@@ -37,12 +37,16 @@ edges once a search may add two crossings (ROADMAP item 1;
 `tests/test_search.py` pins the smallest known case as an expected
 failure).
 
-`inverse_site` names, without enumerating or building anything, the site
-that undoes an insertion or a triangle slide.  It relies on how
-`surgery.ri_add`, `surgery.rii_add` and `surgery.riii` number the darts
-they create or move; a change to that numbering must change it too
-(`tests/test_search.py` checks it against every discovery of the search
-corpus).
+`inverse_face` names, without enumerating or building anything, the face
+an insertion or a triangle slide leaves: the new petal, the new bigon or
+the slid triangle.  It is the one reader of how `surgery.ri_add`,
+`surgery.rii_add` and `surgery.riii` number the darts they create or
+move; a change to that numbering must change it too.  Two readers build
+on it: `inverse_site` here, the site that undoes the move (the search
+skips it), and `resolution._event_site`, which reads the site of every
+event of a swept-curve trace.  `tests/test_search.py` checks it against
+every discovery of the search corpus, and `tests/test_resolution.py`
+against pinned traces of every curve event kind.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ __all__ = [
     "apply_move",
     "rooting_free",
     "triangle_coherent",
+    "inverse_face",
     "inverse_site",
     "top_of_sequence",
     "replay",
@@ -238,28 +243,49 @@ def apply_move(d: Diagram, site) -> Diagram:
     raise MoveError("unknown move kind %r" % (kind,))
 
 
-def inverse_site(d: Diagram, site, child: Diagram):
-    """The site on `child` = apply_move(d, site) that rebuilds `d`, or None.
+def inverse_face(d: Diagram, site, child: Diagram):
+    """The face key of the petal, bigon or triangle that an RI+, RII+ or
+    RIII `site` of `d` leaves on `child` = apply_move(d, site); None for
+    the other kinds.
 
     Read off the numbering the surgeries give the darts they create, so
     nothing is enumerated or built:
 
     * RI+ (any curl): `surgery.ri_add` appends crossing n = d.ncross and
-      pairs 4n with 4n+3, so 4n bounds the new monogon: RI- (4n,).
+      pairs 4n with 4n+3, so 4n bounds the new monogon.
     * RII+: `surgery.rii_add` appends crossings n and n+1 and checks that
-      4n+1 (pl+N) bounds the new bigon: RII- on that face.
+      4n+1 (pl+N) bounds the new bigon.
     * RIII: `surgery.riii` keeps every dart number, and the new triangle
       is made of the darts opp(x) for the darts x of the slid one (it
-      checks this), so opp of the named dart lies on it: RIII on that
-      face.
+      checks this), so opp of the named dart lies on it.
 
-    The swept face must also be empty for the site to be enumerated on
-    `child` (an RII+ that engulfs fills its bigon); when it is not, the
-    answer is None.  The inverse of RI- or RII- is an insertion, which
-    would have to be recovered from the compacted numbering; it is not
-    tracked, and the answer is None.  The sites returned name a face key
-    of theta, which every re-rooting keeps, so on the sphere the answer
-    holds in every rooting of `child` that enumerates it.
+    The face is named whether or not it is empty: an RII+ that engulfs
+    fills its bigon.
+    """
+    kind, spot = site
+    if kind == "RI+":
+        return 4 * d.ncross
+    if kind == "RII+":
+        return child.face_of[4 * d.ncross + 1]
+    if kind == "RIII":
+        return child.face_of[opp(spot[0])]
+    return None
+
+
+_INVERSE_KIND = {"RI+": "RI-", "RII+": "RII-", "RIII": "RIII"}
+
+
+def inverse_site(d: Diagram, site, child: Diagram):
+    """The site on `child` = apply_move(d, site) that rebuilds `d`, or None.
+
+    It acts on `inverse_face`: RI- of the new petal, RII- of the new
+    bigon, RIII of the slid triangle.  The swept face must also be empty
+    for the site to be enumerated on `child`; when it is not, the answer
+    is None.  The inverse of RI- or RII- is an insertion, which would
+    have to be recovered from the compacted numbering; it is not tracked,
+    and the answer is None.  The sites returned name a face key of theta,
+    which every re-rooting keeps, so on the sphere the answer holds in
+    every rooting of `child` that enumerates it.
 
     The search calls it for each discovery, to skip the site that
     rebuilds the BFS parent, and also for each duplicate of a state
@@ -267,16 +293,10 @@ def inverse_site(d: Diagram, site, child: Diagram):
     loops: the answer is then carried into the waiting state's numbering
     and skipped there (`search._carried`).
     """
-    kind, spot = site
-    if kind == "RI+":
-        inv = MoveSite("RI-", (4 * d.ncross,))
-    elif kind == "RII+":
-        inv = MoveSite("RII-", (child.face_of[4 * d.ncross + 1],))
-    elif kind == "RIII":
-        inv = MoveSite("RIII", (child.face_of[opp(spot[0])],))
-    else:
+    f = inverse_face(d, site, child)
+    if f is None or not surgery.swept_face_ok(child, f):
         return None
-    return inv if surgery.swept_face_ok(child, inv.spot[0]) else None
+    return MoveSite(_INVERSE_KIND[site.kind], (f,))
 
 
 def replay(seq: MoveSequence):
@@ -288,6 +308,7 @@ def replay(seq: MoveSequence):
         except MoveError as e:
             raise MoveError("step %d: %s" % (i, e)) from e
     return out
+
 
 def top_of_sequence(seq: MoveSequence) -> int:
     "Largest crossing excess over the start, taken over all prefixes."

@@ -13,6 +13,12 @@ inside a layer next to an R2 event.  A walk through that graph trades
 the self-touching sweep for a motion of simple curves whose crossing
 count against the background never exceeds the trace's own peak.
 
+Every event's site is read once, by `_event_site`: the face the event
+acts on and the face it leaves, the latter named by `moves.inverse_face`
+from the surgeries' dart numbering, which only `moves` knows.  The tag
+check reads the strands of those faces, the pack-down maps the crossings
+they lose, and the graph the crossings they hold.
+
 Edge existence is decided by tracing the smoothed strands through the
 event site and comparing the induced boundary matchings; no case tables
 are consulted.  The classical corner-parity rule is still evaluated, but
@@ -205,24 +211,29 @@ class Trace:
         return self.states[self.layer_pos[j]]
 
 
-def _site_strand_labels(d, site):
-    "Labels of the strands a parsed site touches, duplicates kept."
-    kind, spot = site
-    if kind == "RI+":
-        if spot[0] == "loop":
-            return (d.loops[spot[1]].label,)
-        return (d.label_of_dart(spot[1]),)
-    if kind == "RI-":
-        return (d.label_of_dart(spot[0]),)
-    if kind == "RII+":
-        out = []
-        for e in (spot[1], spot[2]):
-            out.append(d.loops[e[1]].label if e[0] == "loop" else d.label_of_dart(e[1]))
-        return tuple(out)
-    if kind in ("RII-", "RIII"):
-        orb = surgery.site_face(d, spot[0], 2 if kind == "RII-" else 3)
-        return tuple(d.label_of_dart(x) for x in orb)
-    return ()  # ROOT touches no strands
+def _event_site(pre, site, post):
+    """The darts of the face an event acts on at its time, and of the
+    face it leaves after it; () on the crossing-free side of an
+    insertion or removal, and on both sides of a re-rooting.
+
+    A removal or slide names its face on `pre`; the face an insertion
+    or slide leaves on `post` is named by `moves.inverse_face`, which
+    owns the surgeries' dart numbering.  A curl is read by one petal on
+    either side: the one an RI- names, or the one an RI+ makes.  The
+    site crossings are those of the two faces, so the crossings an event
+    removes are the first face's less the second's.
+    """
+    before = after = ()
+    if site.kind in ("RI-", "RII-", "RIII"):
+        before = pre.face_darts(pre.face_of[site.spot[0]])
+    f = moves.inverse_face(pre, site, post)
+    if f is not None:
+        after = post.face_darts(post.face_of[f])
+    return before, after
+
+
+def _crossings(face):
+    return tuple(sorted({x >> 2 for x in face}))
 
 
 def _check_tag(tag, labels):
@@ -253,15 +264,6 @@ def _apply_event(d, tag, site):
         # likewise the height-order veto: the curve slides freely
         return surgery.riii(d, site.spot[0])
     return moves.apply_move(d, site)
-
-
-def _removed_crossings(d, site):
-    kind = site.kind
-    if kind == "RI-":
-        return (site.spot[0] >> 2,)
-    if kind == "RII-":
-        return tuple(sorted({x >> 2 for x in surgery.site_face(d, site.spot[0], 2)}))
-    return ()
 
 
 def _packdown(ncross, removed):
@@ -308,15 +310,17 @@ def parse_trace(text, mode=PLANE) -> Trace:
         d = states[-1].diagram
         try:
             site = _parse_event_site(d, head, rest)
-            _check_tag(head, _site_strand_labels(d, site))
             new = _apply_event(d, head, site)
-            removed = _removed_crossings(d, site)
+            before, after = _event_site(d, site, new)
+            holder, face = (d, before) if before else (new, after)
+            _check_tag(head, tuple(map(holder.label_of_dart, face)))
             state = ShadowOverlay(new)
         except (MoveError, DiagramError, TraceError) as e:
             raise TraceError("line %d: %s" % (ln, e)) from e
         events.append(TraceEvent(head, site.kind, site, line))
         states.append(state)
-        sigmas.append(_packdown(d.ncross, set(removed)) if removed else None)
+        removed = set(_crossings(before)) - set(_crossings(after))
+        sigmas.append(_packdown(d.ncross, removed) if removed else None)
     if overlay is None:
         raise TraceError("empty trace: an OVERLAY line is required")
     return Trace(events, states, sigmas)
@@ -567,69 +571,27 @@ def _transition_edges(trace, j, layers):
             raise ResolutionError("a curve self-crossing vanished outside a C event")
         return x
 
-    kind = ev.kind
-    if kind == "RI+":
-        n = pre.ncross
-        orb = [x for x in surgery.site_faces(post, 1) if x >> 2 == n]
-        site_pre, site_post = (), (n,)
-        walk_d, walk_site = post, (n,)
-        internal = _face_internal_darts(post, orb)
-        corners = _corner_masks(orb)
-        move = "M1"
-    elif kind == "RI-":
-        c = ev.site.spot[0] >> 2
-        orb = [ev.site.spot[0]]
-        site_pre, site_post = (c,), ()
-        walk_d, walk_site = pre, (c,)
-        internal = _face_internal_darts(pre, orb)
-        corners = _corner_masks(orb)
-        move = "M1"
-    elif kind == "RII+":
-        n = pre.ncross
-        # surgery.rii_add checks that dart 4n+1 bounds the new bigon
-        orb = post.face_darts(post.face_of[4 * n + 1])
-        site_pre, site_post = (), (n, n + 1)
-        walk_d, walk_site = post, (n, n + 1)
-        internal = _face_internal_darts(post, orb)
-        corners = _corner_masks(orb)
-        move = "M2a"
-    elif kind == "RII-":
-        orb = pre.face_darts(pre.face_of[ev.site.spot[0]])
-        cs = tuple(sorted({x >> 2 for x in orb}))
-        site_pre, site_post = cs, ()
-        walk_d, walk_site = pre, cs
-        internal = _face_internal_darts(pre, orb)
-        corners = _corner_masks(orb)
-        move = "M2a"
-    elif kind == "RIII":
-        orb = pre.face_darts(pre.face_of[ev.site.spot[0]])
-        cs = tuple(sorted({x >> 2 for x in orb}))
-        site_pre = site_post = cs
-        corners = _corner_masks(orb)
-        move = None
-    else:
-        raise ResolutionError("curve event of kind %r" % (kind,))
+    before, after = _event_site(pre, ev.site, post)
+    if not (before or after):
+        raise ResolutionError("curve event of kind %r acts on no face" % (ev.kind,))
+    site_pre, site_post = _crossings(before), _crossings(after)
+    corners = _corner_masks(before or after)
 
     # matchings per site assignment; () keys the crossing-free side,
     # whose matching is the plain through-passage on the other side's
     # state (adding or removing the site crossings does not move the
     # legs)
-    if kind == "RIII":
-        bp = [opp(orb[(i + 1) % 3]) for i in range(3)]
-        post_orb = post.face_darts(post.face_of[bp[0]])
-        if sorted(post_orb) != sorted(bp):
-            raise ResolutionError("slid triangle did not land on its own face")
-        pre_internal = _face_internal_darts(pre, orb)
-        post_internal = _face_internal_darts(post, bp)
+    move = None  # a slide's edges are named per corner pattern
+    if before and after:
+        pre_internal = _face_internal_darts(pre, before)
+        post_internal = _face_internal_darts(post, after)
         # the slide swaps each corner's triangle-side and outward ports:
         # the germ at old leg opp(y) re-enters at the new leg theta[y],
         # for y running over the pre triangle-edge darts.  Carry the post
         # legs back through that before comparing matchings.
         back = {y: opp(pre.theta[y]) for y in pre_internal}
         ports = {x for c in site_pre for x in range(4 * c, 4 * c + 4)}
-        if post_internal != {opp(y) for y in pre_internal} or set(back) != (
-            ports - post_internal
-        ):
+        if post_internal != ports - set(back):
             raise ResolutionError("slid triangle legs do not line up")
         pre_match, post_match = {}, {}
         for picks in product((1, 3), repeat=3):
@@ -641,19 +603,16 @@ def _transition_edges(trace, j, layers):
                 pc,
             )
     else:
-        ksite = len(walk_site)
-        full = {}
-        for picks in product((1, 3), repeat=ksite):
-            full[picks] = _leg_matching(
-                walk_d, walk_site, dict(zip(walk_site, picks)), internal
-            )
-        phantom = _leg_matching(
-            walk_d, walk_site, {c: 2 for c in walk_site}, internal
-        )
-        if site_pre:
-            pre_match, post_match = full, {(): phantom}
-        else:
-            pre_match, post_match = {(): phantom}, full
+        d, face = (pre, before) if before else (post, after)
+        cs = site_pre or site_post
+        internal = _face_internal_darts(d, face)
+        full = {
+            picks: _leg_matching(d, cs, dict(zip(cs, picks)), internal)
+            for picks in product((1, 3), repeat=len(cs))
+        }
+        bare = {(): _leg_matching(d, cs, dict.fromkeys(cs, 2), internal)}
+        pre_match, post_match = (full, bare) if before else (bare, full)
+        move = "M1" if len(cs) == 1 else "M2a"
 
     # vertex buckets keyed by the off-site assignment, transported into
     # layer j+1 crossing ids
@@ -683,17 +642,17 @@ def _transition_edges(trace, j, layers):
             for qi, qm in posts:
                 if post_match[qm] != mp:
                     continue
-                if kind == "RIII":
+                if move is None:
                     name = _triangle_edge_name(pm, qm, othru)
                 else:
                     name = move
-                    _audit_r12(kind, pm, qm, othru)
+                    _audit_r12(ev.kind, pm, qm, othru)
                 out.append(GraphEdge(name, (j, pi), (j + 1, qi)))
 
-    if kind in ("RII+", "RII-"):
-        side = j + 1 if kind == "RII+" else j
-        buckets = post_buckets if kind == "RII+" else pre_buckets
-        match = post_match if kind == "RII+" else pre_match
+    if move == "M2a":
+        side = j + 1 if after else j
+        buckets = post_buckets if after else pre_buckets
+        match = post_match if after else pre_match
         turn = {
             (othru[0], othru[1] ^ 2),
             (othru[0] ^ 2, othru[1]),

@@ -26,6 +26,7 @@ from hardsplit.moves import (
     apply_script,
     enumerate_moves,
     format_move,
+    inverse_face,
     inverse_site,
     parse_move,
     replay,
@@ -492,6 +493,27 @@ def test_inverse_site_rebuilds_the_bfs_parent(monkeypatch):
                 if inv in enumerate_moves(r, r.ncross):
                     assert digest(apply_move(r, inv)) == back
     assert kinds == {"RI+", "RI-", "RII+", "RII-", "RIII"}
+
+
+def test_inverse_face_names_the_bigon_an_engulfing_poke_fills():
+    # the corpus above has no content to engulf.  An engulfing RII+ has
+    # no inverse site, but the face named off the surgeries' numbering is
+    # still its new bigon: a 2-face at the two added crossings, holding
+    # what was engulfed
+    hopf_and_circle = parse_pd("X c0 E1 E2 E3 E4\nX c1 E2 E1 E4 E3\nO C outer").diagram
+    seen = 0
+    for d in (circles(2), hopf_and_circle, hopf_and_circle.with_mode(SPHERE)):
+        n = d.ncross
+        for site in enumerate_moves(d):
+            if site.kind != "RII+" or not site.spot[5]:
+                continue
+            child = apply_move(d, site)
+            assert inverse_site(d, site, child) is None
+            f = inverse_face(d, site, child)
+            assert sorted(x >> 2 for x in child.face_darts(f)) == [n, n + 1]
+            assert child.region_children.get(child.region_of_face(f))
+            seen += 1
+    assert seen == 4 + 14 + 14
 
 
 def reference_parents(d0, budget):
