@@ -480,32 +480,6 @@ class Diagram:
         "Labels of the two transversal strands at crossing c (slots 0/2 first)."
         return (self.label_of_dart(4 * c), self.label_of_dart(4 * c + 1))
 
-    def crossing_partition(self, u=("U",), m=("M1", "M2")):
-        """Count crossings by class: (u-self, mixed, m-self).
-
-        Every strand component must carry a label from u or m.
-        """
-        useen = set(u)
-        mseen = set(m)
-        for lab in self.labels:
-            if lab not in useen and lab not in mseen:
-                raise DiagramError("component label %r outside the u/m partition" % (lab,))
-        for lp in self.loops:
-            if lp.label not in useen and lp.label not in mseen:
-                raise DiagramError("loop label %r outside the u/m partition" % (lp.label,))
-        uu = um = mm = 0
-        for c in range(self.ncross):
-            a, b = self.strandpair_labels(c)
-            au = a in useen
-            bu = b in useen
-            if au and bu:
-                uu += 1
-            elif au or bu:
-                um += 1
-            else:
-                mm += 1
-        return (uu, um, mm)
-
     # -- transformations ---------------------------------------------
 
     def _structure(self):

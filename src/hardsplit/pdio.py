@@ -61,22 +61,9 @@ class PD:
     def __init__(self, diagram, crossing_names, edge_ends, loop_names):
         self.diagram = diagram
         self.crossing_names = tuple(crossing_names)
-        self.crossing_index = {n: i for i, n in enumerate(self.crossing_names)}
         #: edge label -> (first dart, second dart) in record order
         self.edge_ends = dict(edge_ends)
         self.loop_names = tuple(loop_names)
-        self.loop_index = {}
-        for i, n in enumerate(self.loop_names):
-            if n is not None:
-                self.loop_index[n] = None if n in self.loop_index else i
-
-    def loop_named(self, name):
-        i = self.loop_index.get(name, None)
-        if name not in self.loop_index:
-            raise PDError("unknown loop %r" % name)
-        if i is None:
-            raise PDError("loop name %r is ambiguous" % name)
-        return i
 
 
 def _split_records(text):

@@ -196,18 +196,6 @@ def test_rerooted_pulls_chain_inside_out():
     assert back.hosts == d.hosts and back.loops == d.loops
 
 
-def test_crossing_partition():
-    d = Diagram(PLANE, KINK, [0], labels=["U"])
-    assert d.crossing_partition() == (1, 0, 0)
-    t = Diagram(PLANE, TREFOIL, [0, 0, 0], labels=["M1"])
-    assert t.crossing_partition() == (0, 0, 3)
-    clasp = Diagram(PLANE, [4, 7, 6, 5, 0, 3, 2, 1], [1, 1], labels=["U", "M2"])
-    assert clasp.crossing_partition() == (0, 2, 0)
-    bad = Diagram(PLANE, KINK, [0], labels=["X"])
-    with pytest.raises(DiagramError):
-        bad.crossing_partition()
-
-
 def test_with_mode():
     d = Diagram(PLANE, KINK, [0], labels=["K"])
     s = d.with_mode(SPHERE)
