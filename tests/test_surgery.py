@@ -101,6 +101,43 @@ def test_ri_curl_sides_differ():
     assert out.with_mode(SPHERE).canonically_equal(inn.with_mode(SPHERE))
 
 
+def test_ri_loop_curl_layouts():
+    # the kinked circle's far side becomes the 2-face (out) or the free
+    # monogon (in), its content follows, and later circles shift down
+    nest = Diagram(
+        PLANE, [], [], labels=[],
+        loops=[Loop("K", ROOT), Loop("I", ("l", 0)), Loop("O", ROOT), Loop("P", ("l", 2))],
+    )
+    out = surgery.ri_add(nest, ("loop", 0, "out"), over=1).check()
+    inn = surgery.ri_add(nest, ("loop", 0, "in"), over=1).check()
+    for d in (out, inn):
+        assert list(d.theta) == KINK
+        assert d.over == (1,) and d.labels == ("K",)
+    assert out.hosts == {0: (ROOT, 1)}
+    assert out.loops == (Loop("I", ("f", 2)), Loop("O", ROOT), Loop("P", ("l", 1)))
+    assert inn.hosts == {0: (ROOT, 2)}
+    assert inn.loops == (Loop("I", ("f", 1)), Loop("O", ROOT), Loop("P", ("l", 1)))
+
+
+def test_ri_wrap_layout():
+    # the same arc curled plainly and wrapped: one theta, and the wrapped
+    # petal becomes the island's outward face
+    t = Diagram(
+        PLANE, TREFOIL, [0, 0, 1], labels=["T"],
+        loops=[Loop("C", ROOT), Loop("D", ("f", 2))],
+    ).check()
+    theta = [11, 10, 5, 13, 14, 2, 9, 8, 7, 6, 1, 0, 15, 3, 4, 12]
+    wrap = surgery.ri_add(t, ("wrap", 4), over=0).check()
+    plain = surgery.ri_add(t, ("d", 4), over=0).check()
+    assert list(wrap.theta) == list(plain.theta) == theta
+    assert wrap.over == plain.over == (0, 0, 1, 0)
+    assert wrap.hosts == {0: (ROOT, 12)}
+    assert plain.hosts == {0: (ROOT, 0)}
+    assert wrap.loops == plain.loops == t.loops
+    with pytest.raises(MoveError):
+        surgery.ri_add(t, ("wrap", 1), over=0)  # arc not on the outward face
+
+
 def test_ri_remove_total_death():
     dead = surgery.ri_remove(kink(), 0).check()
     assert dead.ncross == 0
@@ -233,6 +270,42 @@ def test_rii_two_circles_round_trip():
     assert set(back.loops) == {Loop("LA", ROOT), Loop("LB", ROOT)}
 
 
+def test_rii_circle_self_poke_layouts():
+    # circle S holds X and sits beside Y; poked through itself from either
+    # side, the side away from the poke becomes a named face, the poked
+    # side keeps its content and Y shifts down
+    lp = Diagram(
+        PLANE, [], [], labels=[],
+        loops=[Loop("X", ("l", 1)), Loop("S", ROOT), Loop("Y", ROOT)],
+    )
+    theta = [4, 7, 3, 2, 0, 6, 5, 1]
+    near = surgery.rii_add(lp, ROOT, ("loop", 1), ("loop", 1), "A").check()
+    assert list(near.theta) == theta and near.over == (0, 0)
+    assert near.hosts == {0: (ROOT, 6)}
+    assert near.labels == ("S",)
+    assert near.loops == (Loop("X", ("f", 0)), Loop("Y", ROOT))
+    far = surgery.rii_add(lp, ("l", 1), ("loop", 1), ("loop", 1), "B").check()
+    assert list(far.theta) == theta and far.over == (1, 1)
+    assert far.hosts == {0: (ROOT, 0)}
+    assert far.labels == ("S",)
+    assert far.loops == (Loop("X", ("f", 6)), Loop("Y", ROOT))
+
+
+def test_rii_two_circles_layout():
+    # each circle's far side becomes a face: behind the finger for A,
+    # beyond the tip for B
+    two = Diagram(
+        PLANE, [], [], labels=[],
+        loops=[Loop("LA", ROOT), Loop("Z", ("l", 0)), Loop("LB", ROOT), Loop("W", ("l", 2))],
+    )
+    d = surgery.rii_add(two, ROOT, ("loop", 0), ("loop", 2), "B").check()
+    assert list(d.theta) == [4, 7, 6, 5, 0, 3, 2, 1]
+    assert d.over == (1, 1)
+    assert d.hosts == {0: (ROOT, 3)}
+    assert d.labels == ("LA", "LB")
+    assert d.loops == (Loop("Z", ("f", 2)), Loop("W", ("f", 0)))
+
+
 def test_rii_dart_across_circle():
     base = kink(loops=[Loop("C", ("f", 1))])
     d = surgery.rii_add(base, ("f", 1), ("d", 1), ("loop", 0), "A").check()
@@ -285,6 +358,22 @@ def test_rii_rejects_edge_flank_pair():
 def test_rii_site_must_bound_region():
     with pytest.raises(MoveError):
         surgery.rii_add(kink(), ROOT, ("d", 1), ("d", 3), "A")
+
+
+@pytest.mark.parametrize(
+    "region, a, b",
+    [
+        (("l", 0), ("d", 1), ("d", 3)),  # no circle 0
+        (("f", 0), ("d", 0), ("d", 0)),  # face 0 is the outward face
+        (("f", 1), ("d", 1), ("loop", 0)),  # no circle to cross
+        (("f", 1), ("d", 1), ("d", 0)),  # dart 0 bounds the root region
+        (("f", 1), ("d", 4), ("d", 1)),  # no dart 4
+        (("f", 1), ("d", 1), ("x", 1)),  # no such element kind
+    ],
+)
+def test_rii_add_needs_an_existing_region_and_its_boundary(region, a, b):
+    with pytest.raises(MoveError):
+        surgery.rii_add(kink(), region, a, b, "A")
 
 
 # -- RIII ------------------------------------------------------------
