@@ -16,6 +16,15 @@ else: it is the island's host, or it borders the one piece that takes
 the host, and every other piece the removal leaves is hosted in it
 (`_remove_crossings` gives the argument).
 
+An insertion (RI+, RII+) appends its crossings and threads new strand
+runs through its site elements (`_splice`): a dart's edge is cut and
+routed through them, a bare circle is closed through them.  A circle so
+consumed becomes a strand; its side away from the poke becomes a named
+face, and the circles after it shift down (`_remap_circles`).  An RII+
+site is a region and two elements of its `Diagram.region_boundary`, the
+list `moves` pairs when it enumerates pokes, so the surgery accepts
+exactly what enumeration offers.
+
 Conventions:
 
 * new crossings are appended, so surviving darts keep their (crossing,
@@ -107,11 +116,36 @@ def rii_scope(d, region, a, b):
     return split, capturable, engulfable
 
 
-# -- RI: kink insertion ----------------------------------------------
+# -- insertion rules, RI ---------------------------------------------
+
+
+def _splice(theta, d, elem, runs):
+    """Thread new strand runs (enter, leave), in order, through one site
+    element: a dart's edge is cut and routed through them, a bare circle
+    ("loop", i) is closed through them."""
+    x = runs[-1][1] if elem[0] == "loop" else elem[1]
+    for enter, leave in runs:
+        theta[x], theta[enter] = enter, x
+        x = leave
+    if elem[0] != "loop":
+        y = d.theta[elem[1]]
+        theta[x], theta[y] = y, x
+
+
+def _remap_circles(rkey, faces):
+    """A region key once the circles `faces` names (index -> face key)
+    have become strands: each one's far side is its named face, and the
+    circles after it shift down."""
+    if rkey[0] != "l":
+        return rkey
+    if rkey[1] in faces:
+        return ("f", faces[rkey[1]])
+    return ("l", rkey[1] - sum(1 for j in faces if j < rkey[1]))
 
 
 def ri_add(d: Diagram, elem, over: int) -> Diagram:
-    """Add a kink.
+    """Add a kink: the strand runs n2 -> n1 through the new crossing n,
+    whose darts 4n and 4n+3 bound the new petal.
 
     elem : ("d", dart) — curl the dart's edge into the face on its right;
            ("wrap", dart) — same arc and side, but the lobe is thrown
@@ -127,61 +161,45 @@ def ri_add(d: Diagram, elem, over: int) -> Diagram:
     n = d.ncross
     n0, n1, n2, n3 = 4 * n, 4 * n + 1, 4 * n + 2, 4 * n + 3
     over_list = list(d.over) + [int(over) & 1]
-
     if elem[0] in ("d", "wrap"):
-        da = elem[1]
-        if not 0 <= da < d.ndart:
-            raise MoveError("no dart %r" % (da,))
-        ea = d.theta[da]
-        theta = list(d.theta) + [0] * 4
-        theta[n0], theta[n3] = n3, n0  # the petal
-        theta[n2], theta[da] = da, n2
-        theta[n1], theta[ea] = ea, n1
+        if not 0 <= elem[1] < d.ndart:
+            raise MoveError("no dart %r" % (elem[1],))
+    else:
+        _kind, li, side = elem
+        if not 0 <= li < len(d.loops):
+            raise MoveError("no loop %r" % (li,))
+        if side not in ("in", "out"):
+            raise MoveError("side must be 'in' or 'out'")
+        elem = ("loop", li)
+    theta = list(d.theta) + [0] * 4
+    theta[n0], theta[n3] = n3, n0  # the petal
+    _splice(theta, d, elem, ((n2, n1),))
+
+    if elem[0] == "d":
         # every old face and island keeps its key: new darts sort last
-        hosts = d.hosts
-        if elem[0] == "wrap":
-            isl = d.island_of[da]
-            if d.hosts[isl][1] != d.face_of[da]:
-                raise MoveError(
-                    "wrap curl needs the arc on its island's outer face"
-                )
-            hosts = dict(d.hosts)
-            hosts[isl] = (hosts[isl][0], n0)
+        return Diagram(d.mode, theta, over_list, d.labels, d.loops, d.hosts)
+    if elem[0] == "wrap":
+        isl = d.island_of[elem[1]]
+        if d.hosts[isl][1] != d.face_of[elem[1]]:
+            raise MoveError("wrap curl needs the arc on its island's outer face")
+        hosts = dict(d.hosts)
+        hosts[isl] = (hosts[isl][0], n0)
         return Diagram(d.mode, theta, over_list, d.labels, d.loops, hosts)
 
-    _kind, li, side = elem
-    if not 0 <= li < len(d.loops):
-        raise MoveError("no loop %r" % (li,))
-    if side not in ("in", "out"):
-        raise MoveError("side must be 'in' or 'out'")
-    lab, host = d.loops[li]
-    theta = list(d.theta) + [0] * 4
-    theta[n0], theta[n3] = n3, n0
-    theta[n1], theta[n2] = n2, n1
     # the kinked circle: monogon (n0) is the petal, monogon (n2) and the
     # 2-face (n1,n3) are the two sides of the old circle, the petal lying
     # on the (n1,n3) side
-    if side == "out":
-        up, far_face = n1, n2
-    else:
-        up, far_face = n2, n1
-
-    def map_region(rkey):
-        if rkey == ("l", li):
-            return ("f", far_face)
-        if rkey[0] == "l" and rkey[1] > li:
-            return ("l", rkey[1] - 1)
-        return rkey
-
-    hosts = {k: (map_region(h), u) for k, (h, u) in d.hosts.items()}
-    hosts[n0] = (map_region(host), up)
+    up, far_face = (n1, n2) if side == "out" else (n2, n1)
+    faces = {li: far_face}
+    hosts = {k: (_remap_circles(h, faces), u) for k, (h, u) in d.hosts.items()}
+    hosts[n0] = (_remap_circles(d.loops[li].host, faces), up)
     loops = [
-        (lp.label, map_region(lp.host))
+        (lp.label, _remap_circles(lp.host, faces))
         for j, lp in enumerate(d.loops)
         if j != li
     ]
     # the kink is a fresh component whose smallest dart sorts last
-    labels = list(d.labels) + [lab]
+    labels = list(d.labels) + [d.loops[li].label]
     return Diagram(d.mode, theta, over_list, labels, loops, hosts)
 
 
@@ -371,8 +389,8 @@ def rii_add(
     captured : children of `region` that end up inside the finger pocket
         (possible only when both site elements lie on one boundary
         circle, which is when the finger separates the region).
-    engulfed : children of the region beyond B wrapped into the new bigon
-        by the finger tip.
+    engulfed : children of the region beyond B wrapped into the new
+        bigon by the finger tip.
     Both must lie in the pools `rii_scope` names.
     """
     if over not in ("A", "B"):
@@ -382,111 +400,47 @@ def rii_add(
     n = d.ncross
     pl, pu = 4 * n, 4 * n + 4  # A runs E-W through both; B enters pu from N
     region = d._norm_region(region)
-
-    def check_elem(e):
-        if e[0] == "d":
-            x = e[1]
-            if not (isinstance(x, int) and 0 <= x < d.ndart):
-                raise MoveError("no dart %r" % (x,))
-            if d.region_of_face(d.face_of[x]) != region:
-                raise MoveError("dart %r does not bound region %r" % (x, region))
-        elif e[0] == "loop":
-            i = e[1]
-            if not (isinstance(i, int) and 0 <= i < len(d.loops)):
-                raise MoveError("no loop %r" % (i,))
-            if d.loops[i].host != region and region != ("l", i):
-                raise MoveError("loop %r does not bound region %r" % (i, region))
-        else:
-            raise MoveError("bad site element %r" % (e,))
-
-    check_elem(elem_a)
-    check_elem(elem_b)
+    if not d._region_exists(region):
+        raise MoveError("no region %r" % (region,))
+    elems = d.region_boundary(region)
+    for e in (elem_a, elem_b):
+        if e not in elems:
+            raise MoveError("%r does not bound region %r" % (e, region))
     split, capturable, engulfable = rii_scope(d, region, elem_a, elem_b)
 
     theta = list(d.theta) + [0] * 8
     over_list = list(d.over) + ([0, 0] if over == "A" else [1, 1])
-
-    def pair(x, y):
-        theta[x], theta[y] = y, x
-
-    pair(pl + _E, pu + _E)  # finger tip
-    pair(pu + _S, pl + _N)  # crossed middle of B
-
-    consumed = {}  # loop index -> role "A" | "B" | "AB"
-    keep_probe = None  # a dart of the face that keeps the region's role
-    one_edge = False
-
-    if elem_a[0] == "d" and elem_b[0] == "d":
-        da, db = elem_a[1], elem_b[1]
-        ea, eb = d.theta[da], d.theta[db]
-        keep_probe = da
-        if da == db:  # strand across itself, one edge, one flank
-            one_edge = True
-            if order == 1:
-                pair(da, pl + _W)
-                pair(pu + _W, pu + _N)
-                pair(pl + _S, ea)
-            else:
-                pair(da, pu + _N)
-                pair(pl + _S, pl + _W)
-                pair(pu + _W, ea)
-        elif db == ea:
-            # the two flanks of one edge never bound a common region (a
-            # 4-valent shadow is Eulerian, hence bridgeless), so this
-            # naming cannot describe a site
-            raise MoveError("site names both flanks of one edge")
-        else:
-            pair(da, pl + _W)
-            pair(pu + _W, ea)
-            pair(db, pu + _N)
-            pair(pl + _S, eb)
-    elif elem_a[0] == "d":  # B is a bare circle
-        da = elem_a[1]
-        pair(da, pl + _W)
-        pair(pu + _W, d.theta[da])
-        pair(pl + _S, pu + _N)
-        consumed[elem_b[1]] = "B"
-        keep_probe = da
-    elif elem_b[0] == "d":  # A is a bare circle
-        db = elem_b[1]
-        pair(pu + _W, pl + _W)
-        pair(db, pu + _N)
-        pair(pl + _S, d.theta[db])
-        consumed[elem_a[1]] = "A"
-        keep_probe = db
-    elif elem_a[1] == elem_b[1]:  # a bare circle poked through itself
-        pair(pu + _W, pu + _N)
-        pair(pl + _S, pl + _W)
-        consumed[elem_a[1]] = "AB"
-        # the poked-from side ends in two teardrop faces; the one cut off
-        # by the long remnant arc keeps the region's role
-        keep_probe = pu + _W
-    else:  # two bare circles
-        pair(pu + _W, pl + _W)
-        pair(pl + _S, pu + _N)
-        consumed[elem_a[1]] = "A"
-        consumed[elem_b[1]] = "B"
-        keep_probe = pl + _S  # both circles' region-side flanks merge here
-
-    if order == 2 and not one_edge:
+    theta[pl + _E], theta[pu + _E] = pu + _E, pl + _E  # finger tip
+    theta[pu + _S], theta[pl + _N] = pl + _N, pu + _S  # crossed middle of B
+    if order == 2 and not (elem_a == elem_b and elem_a[0] == "d"):
         raise MoveError("order applies only to one-edge sites")
+    run_a, run_b = (pl + _W, pu + _W), (pu + _N, pl + _S)
+    if elem_a == elem_b:  # a strand across itself: one edge, or one circle
+        _splice(theta, d, elem_a, (run_a, run_b) if order == 1 else (run_b, run_a))
+    elif elem_a[0] == "d" == elem_b[0] and d.theta[elem_a[1]] == elem_b[1]:
+        # the two flanks of one edge never bound a common region (a
+        # 4-valent shadow is Eulerian, hence bridgeless), so this
+        # naming cannot describe a site
+        raise MoveError("site names both flanks of one edge")
+    else:
+        _splice(theta, d, elem_a, (run_a,))
+        _splice(theta, d, elem_b, (run_b,))
 
     skel = structure(theta)
 
     bigon = skel.face_of[pl + _N]
     if set(skel.face_darts(bigon)) != {pl + _N, pu + _E}:
         raise DiagramError("finger surgery produced no bigon")
-    keep_face = skel.face_of[keep_probe]
+    # the face that keeps the region's role: the one at the first site
+    # dart, or, for circles alone, the one cut off by the long remnant arc
+    darts = [e[1] for e in (elem_a, elem_b) if e[0] == "d"]
+    keep_face = skel.face_of[darts[0] if darts else pu + _W]
     pocket_face = None
     if split:
         cand = {skel.face_of[pl + _S], skel.face_of[pu + _W]} - {keep_face}
         if len(cand) != 1:
             raise DiagramError("finger pocket did not separate")
         pocket_face = cand.pop()
-    far_face = skel.face_of[pl + _E]  # beyond B, outside the tip
-    behind_face = skel.face_of[pu + _S]  # dragged along behind the finger
-
-    site_islands = {d.island_of[e[1]] for e in (elem_a, elem_b) if e[0] == "d"}
 
     captured = set(captured)
     engulfed = set(engulfed)
@@ -500,25 +454,42 @@ def rii_add(
     if not engulfed <= engulfable:
         raise MoveError("engulfed content is not beyond the crossed strand")
 
-    dropped = sorted(consumed)
+    # a consumed circle's far side becomes the face behind the finger (A,
+    # or a circle poked through itself) or beyond the tip (B)
+    faces = {}
+    for e, f in ((elem_a, skel.face_of[pu + _S]), (elem_b, skel.face_of[pl + _E])):
+        if e[0] == "loop":
+            faces.setdefault(e[1], f)
 
-    def loop_shift(i):
-        return i - sum(1 for x in dropped if x < i)
-
-    # the region keeps its key unless its own bounding circle was rebuilt
-    site_faces = {d.face_of[e[1]] for e in (elem_a, elem_b) if e[0] == "d"}
-    if region == ROOT:
-        region_new = ROOT
-    elif region[0] == "f":
-        region_new = ("f", keep_face) if region[1] in site_faces else region
-    elif region[1] in consumed:
-        region_new = ("f", keep_face)
+    # site islands and consumed circles merge into one island; when the
+    # region was bounded by a site island's face or a consumed circle's
+    # far side, the new island takes over that place, else every
+    # participant was a child of the region
+    site_islands = {d.island_of[x] for x in darts}
+    owner = d.island_of[region[1]] if region[0] == "f" else None
+    if owner in site_islands:
+        outer, up = d.hosts[owner][0], skel.face_of[d.hosts[owner][1]]
+    elif region[0] == "l" and region[1] in faces:
+        # poked from the far side, which keeps the region's role; the
+        # face that side would have become opens toward the circle's host
+        outer, up = d.loops[region[1]].host, faces[region[1]]
+        faces[region[1]] = keep_face
     else:
-        region_new = ("l", loop_shift(region[1]))
-
-    def consumed_far_target(li):
-        # where the far side of a circle consumed from its hosting side went
-        return ("f", behind_face if consumed[li] in ("A", "AB") else far_face)
+        outer = None
+        for isl in sorted(site_islands):
+            if d.hosts[isl][0] != region:
+                raise DiagramError("site island outside the poked region")
+        for li in faces:
+            if d.loops[li].host != region:
+                raise DiagramError("consumed circle outside the poked region")
+    if outer is None:
+        region_new = _remap_circles(region, faces)
+        outer, up = region_new, keep_face
+    else:
+        if outer[0] == "l" and outer[1] in faces:
+            raise DiagramError("participant hosted by a consumed circle")
+        region_new = ("f", keep_face)
+        outer = _remap_circles(outer, faces)
 
     def map_ref(child, rkey):
         if child in captured:
@@ -527,68 +498,22 @@ def rii_add(
             return ("f", bigon)
         if rkey == region:
             return region_new
-        if rkey[0] == "l" and rkey[1] in consumed:
-            return consumed_far_target(rkey[1])
-        if rkey[0] == "l":
-            return ("l", loop_shift(rkey[1]))
-        return rkey
+        return _remap_circles(rkey, faces)
 
-    def map_outside(rkey):
-        # host reference of a participant, one level out of the region
-        if rkey[0] == "l":
-            if rkey[1] in consumed:
-                raise DiagramError("participant hosted by a consumed circle")
-            return ("l", loop_shift(rkey[1]))
-        return rkey
-
-    hosts = {}
-    for k, (h, u) in d.hosts.items():
-        if k in site_islands:
-            continue
-        hosts[k] = (map_ref(("I", k), h), u)
-
-    # site islands and consumed circles merge into one island
-    new_island = skel.island_of[pl]
-    owner = d.island_of[region[1]] if region != ROOT and region[0] == "f" else None
-    if owner in site_islands:
-        # the region's own face carried a site dart; the merged island
-        # takes over the owner's place (its outward face is untouched)
-        host_new = map_outside(d.hosts[owner][0])
-        up_new = skel.face_of[d.hosts[owner][1]]
-    else:
-        host_new = up_new = None
-        if region[0] == "l" and region[1] in consumed:
-            # poked from the circle's far side: it opens toward its host
-            li = region[1]
-            host_new = map_outside(d.loops[li].host)
-            up_new = behind_face if consumed[li] in ("A", "AB") else far_face
-        if host_new is None:
-            for isl in sorted(site_islands):
-                if d.hosts[isl][0] != region:
-                    raise DiagramError("site island outside the poked region")
-        if host_new is None:
-            for li in dropped:
-                if d.loops[li].host != region:
-                    raise DiagramError("consumed circle outside the poked region")
-        if host_new is None:
-            # every participant was a child of the region
-            host_new, up_new = region_new, keep_face
-    hosts[new_island] = (host_new, up_new)
-
-    loops = []
-    for i, lp in enumerate(d.loops):
-        if i in consumed:
-            continue
-        loops.append((lp.label, map_ref(("L", i), lp.host)))
-
+    hosts = {
+        k: (map_ref(("I", k), h), u)
+        for k, (h, u) in d.hosts.items()
+        if k not in site_islands
+    }
+    hosts[skel.island_of[pl]] = (outer, up)
+    loops = [
+        (lp.label, map_ref(("L", i), lp.host))
+        for i, lp in enumerate(d.loops)
+        if i not in faces
+    ]
     # consumed circles become strand components: the finger strand's
     # smallest dart is pl+E, the crossed strand's pl+N, so A sorts first
-    labels = list(d.labels)
-    for role in ("A", "AB", "B"):
-        for li in dropped:
-            if consumed[li] == role:
-                labels.append(d.loops[li].label)
-
+    labels = list(d.labels) + [d.loops[li].label for li in faces]
     return Diagram(d.mode, skel, over_list, labels, loops, hosts)
 
 
