@@ -21,7 +21,7 @@ again.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 PLANE = "plane"
 SPHERE = "sphere"

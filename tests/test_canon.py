@@ -12,7 +12,7 @@ from hardsplit.generators import (
     split_d_pq,
     torus_knot_diagram,
 )
-from hardsplit.maps import PLANE, ROOT, SPHERE, Diagram, DiagramError, Loop
+from hardsplit.maps import PLANE, ROOT, SPHERE, Diagram, DiagramError
 from hardsplit.moves import apply_move, enumerate_moves
 
 KINK = [3, 2, 1, 0]
