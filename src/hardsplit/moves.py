@@ -39,14 +39,17 @@ failure).
 
 `inverse_face` names, without enumerating or building anything, the face
 an insertion or a triangle slide leaves: the new petal, the new bigon or
-the slid triangle.  It is the one reader of how `surgery.ri_add`,
+the slid triangle.  `slide_legs` says where a slide re-attaches each leg
+of its triangle.  These two are the only readers of how `surgery.ri_add`,
 `surgery.rii_add` and `surgery.riii` number the darts they create or
-move; a change to that numbering must change it too.  Two readers build
-on it: `inverse_site` here, the site that undoes the move (the search
-skips it), and `resolution._event_site`, which reads the site of every
-event of a swept-curve trace.  `tests/test_search.py` checks it against
-every discovery of the search corpus, and `tests/test_resolution.py`
-against pinned traces of every curve event kind.
+move; a change to that numbering must change them too.  Two readers build
+on `inverse_face`: `inverse_site` here, the site that undoes the move
+(the search skips it), and `resolution._event_site`, which reads the
+site of every event of a swept-curve trace; `resolution` also carries a
+slide's legs by `slide_legs`.  `tests/test_search.py` checks
+`inverse_face` against every discovery of the search corpus, and
+`tests/test_resolution.py` both against pinned traces of every curve
+event kind.
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ __all__ = [
     "rooting_free",
     "triangle_coherent",
     "inverse_face",
+    "slide_legs",
     "inverse_site",
     "top_of_sequence",
     "replay",
@@ -272,6 +276,18 @@ def inverse_face(d: Diagram, site, child: Diagram):
     return None
 
 
+def slide_legs(d: Diagram, darts):
+    """For each dart y of `darts`, darts on the edges of a triangle that
+    `surgery.riii` slides on `d`, the dart opp(d.theta[y]) of the slid
+    diagram that continues y's strand out of the new triangle.
+
+    `surgery.riii` keeps every dart number and re-attaches each outer
+    edge at the port opposite its old one, so the germ at old leg
+    opp(y) re-enters the new triangle at theta[y].
+    """
+    return {y: opp(d.theta[y]) for y in darts}
+
+
 _INVERSE_KIND = {"RI+": "RI-", "RII+": "RII-", "RIII": "RIII"}
 
 
@@ -323,12 +339,12 @@ def top_of_sequence(seq: MoveSequence) -> int:
 #   RII+ dartA=1 dartB=3 over=A     (loopA=/loopB=; order=2, from=far,
 #                                    captured=I0,L1 engulfed=... as needed)
 #   RII- face=5
-#   RIII face=0 variant=0
+#   RIII face=0
 #   ROOT region=f5                  (also root / l0; sphere scripts only)
 #
 # Lines refer to the diagram produced by the preceding lines, using its
-# dart numbering; `variant` is accepted for symmetry but there is only
-# one way to slide a triangle, so it carries no information.
+# dart numbering.  A triangle slides one way only; older scripts wrote
+# `RIII ... variant=0`, which still parses.
 
 
 def _fmt_children(refs):
@@ -369,7 +385,7 @@ def format_move(site) -> str:
     if kind == "RII-":
         return "RII- face=%d" % spot[0]
     if kind == "RIII":
-        return "RIII face=%d variant=0" % spot[0]
+        return "RIII face=%d" % spot[0]
     if kind == "ROOT":
         (r,) = spot
         return "ROOT region=%s" % ("root" if r == ROOT else "%s%d" % r)
@@ -498,8 +514,8 @@ def parse_move(d: Diagram, line: str) -> MoveSite:
         f = _take_int(kv, "face")
         if not 0 <= f < d.ndart:
             raise MoveError("no face %d" % f)
-        if kv.pop("variant", "0") not in ("0", "1"):
-            raise MoveError("variant must be 0 or 1")
+        if kv.pop("variant", "0") != "0":
+            raise MoveError("a triangle slides one way: variant= can only be 0")
         site = MoveSite("RIII", (f,))
 
     elif kind == "ROOT":

@@ -15,9 +15,11 @@ count against the background never exceeds the trace's own peak.
 
 Every event's site is read once, by `_event_site`: the face the event
 acts on and the face it leaves, the latter named by `moves.inverse_face`
-from the surgeries' dart numbering, which only `moves` knows.  The tag
-check reads the strands of those faces, the pack-down maps the crossings
-they lose, and the graph the crossings they hold.
+from the surgeries' dart numbering, which only `moves` knows; a slide's
+legs are carried across it by `moves.slide_legs`, the one other reader
+of that numbering.  The tag check reads the strands of those faces, the
+pack-down maps the crossings they lose, and the graph the crossings they
+hold.
 
 Edge existence is decided by tracing the smoothed strands through the
 event site and comparing the induced boundary matchings; no case tables
@@ -30,7 +32,7 @@ from itertools import combinations, product
 from typing import NamedTuple
 
 from . import moves, pdio, surgery
-from .maps import Diagram, DiagramError, MoveError, PLANE, opp
+from .maps import Diagram, DiagramError, MoveError, PLANE
 
 __all__ = [
     "TraceError",
@@ -585,11 +587,9 @@ def _transition_edges(trace, j, layers):
     if before and after:
         pre_internal = _face_internal_darts(pre, before)
         post_internal = _face_internal_darts(post, after)
-        # the slide swaps each corner's triangle-side and outward ports:
-        # the germ at old leg opp(y) re-enters at the new leg theta[y],
-        # for y running over the pre triangle-edge darts.  Carry the post
-        # legs back through that before comparing matchings.
-        back = {y: opp(pre.theta[y]) for y in pre_internal}
+        # the slide swaps each corner's triangle-side and outward ports;
+        # carry the post legs back through that before comparing matchings
+        back = moves.slide_legs(pre, pre_internal)
         ports = {x for c in site_pre for x in range(4 * c, 4 * c + 4)}
         if post_internal != ports - set(back):
             raise ResolutionError("slid triangle legs do not line up")

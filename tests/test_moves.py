@@ -352,6 +352,16 @@ def test_script_line_numbers_in_errors():
         apply_script(kink(), "RI+ dart=0 side=R over=1\n\nRII- face=99\n")
 
 
+def test_riii_lines_carry_no_variant():
+    # a triangle slides one way: scripts name the face alone, and an
+    # older script's variant=0 still reads as the same slide
+    d = trefoil([0, 1, 0])
+    site = next(s for s in enumerate_moves(d) if s.kind == "RIII")
+    line = format_move(site)
+    assert line == "RIII face=%d" % site.spot[0]
+    assert parse_move(d, line + " variant=0") == site
+
+
 def test_parse_errors():
     d = kink()
     bad = [
@@ -364,6 +374,7 @@ def test_parse_errors():
         "RII+ dartA=0 loopB=0 over=A",
         "RII+ dartA=0 dartB=1 over=A from=near",
         "RIII face=0 variant=2",
+        "RIII face=0 variant=1",
         "FLIP x=1",
         "RI+ dart=0 side=R over=1 extra=2",
         "RI+ dart=0 dart=1 side=R over=1",

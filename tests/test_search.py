@@ -307,8 +307,8 @@ def test_pinned_kinked_unknot_witness():
             1,
             [
                 "RI+ dart=1 side=R over=0",
-                "RIII face=2 variant=0",
-                "RIII face=3 variant=0",
+                "RIII face=2",
+                "RIII face=3",
             ],
             17,
         ),
@@ -318,7 +318,7 @@ def test_pinned_kinked_unknot_witness():
             [
                 "RI+ dart=0 side=R over=0",
                 "RI+ dart=1 side=R over=0",
-                "RIII face=2 variant=0",
+                "RIII face=2",
             ],
             89,
         ),
