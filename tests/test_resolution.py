@@ -8,6 +8,7 @@ diagrams' crossing labels, without `ShadowOverlay`'s counts.
 import pytest
 
 from hardsplit.resolution import (
+    IsotopyPath,
     TraceError,
     build_resolution_graph,
     find_isotopy_path,
@@ -294,3 +295,63 @@ def test_verify_builds_its_own_graph_and_path(events):
         assert st.length == st.mixed
         assert st.counts == (len(st.u_self_ids), st.mixed, st.m_self)
         assert sum(st.counts) == st.diagram.ncross
+
+
+# the slide graph walked the long way: up to the last layer, back down an
+# M3b edge, along the M2b edge of layer 2 and up again
+DETOUR = ((0, 0), (1, 0), (2, 0), (3, 0), (2, 1), (2, 2), (3, 0))
+DETOUR_REPORT = """\
+trace: 5 events over 4 layers
+m = 3  (peak overlay crossing count along the trace)
+step 0: layer 0  smoothing []  overlay 2+0 <= 3
+  move: M1 (up)
+step 1: layer 1  smoothing [(2, 1)]  overlay 2+0 <= 3
+  replay: M RI+ dart=1 side=R over=0
+  move: M2a (up)
+step 2: layer 2  smoothing [(2, 1), (4, 3), (5, 1)]  overlay 2+1 <= 3
+  replay: M RI- crossing=3
+  move: M3b (up)
+step 3: layer 3  smoothing [(2, 1), (3, 1), (4, 3)]  overlay 2+0 <= 3
+  move: M3b (down)
+  undo: M RI- crossing=3
+step 4: layer 2  smoothing [(2, 3), (4, 1), (5, 1)]  overlay 2+1 <= 3
+  move: M2b (level)
+step 5: layer 2  smoothing [(2, 3), (4, 3), (5, 3)]  overlay 2+1 <= 3
+  replay: M RI- crossing=3
+  move: M3b (up)
+step 6: layer 3  smoothing [(2, 1), (3, 1), (4, 3)]  overlay 2+0 <= 3
+final: resolution of the ending curve (3 self-crossings smoothed)
+verified: 6 steps, overlay bound m = 3 holds throughout
+"""
+
+
+def test_explicit_path_walks_down_and_along_a_layer():
+    trace = parse_trace(HOPF_OVERLAY + "\n" + TANGLE_CURL_IN_SLIDE)
+    graph = build_resolution_graph(trace)
+    hops = tuple(
+        next(i for i, e in enumerate(graph.edges) if {e.a, e.b} == {u, v})
+        for u, v in zip(DETOUR, DETOUR[1:])
+    )
+    res = verify_isotopy(trace, IsotopyPath(DETOUR, hops), graph=graph)
+    assert (res.m, res.steps) == (3, 6)
+    assert res.report == DETOUR_REPORT
+
+
+def test_trace_with_no_curve_event_stays_on_its_one_layer():
+    # tangle events only: the curve never moves, so there is one layer,
+    # one vertex and an empty path, but m still counts the tangle curl
+    trace = parse_trace(
+        HOPF_OVERLAY + "\nM RI+ dart=1 side=R over=0\nM RI- crossing=2\n"
+    )
+    assert trace.nlayers == 1
+    graph = build_resolution_graph(trace)
+    assert list(graph.edges) == [] and graph.degree_sequences() == ((0,),)
+    res = verify_isotopy(trace, graph=graph)
+    assert (res.m, res.steps) == (3, 0)
+    assert res.report == (
+        "trace: 2 events over 1 layers\n"
+        "m = 3  (peak overlay crossing count along the trace)\n"
+        "step 0: layer 0  smoothing []  overlay 2+0 <= 3\n"
+        "final: the ending curve is simple and the path ends on it exactly\n"
+        "verified: 0 steps, overlay bound m = 3 holds throughout\n"
+    )
