@@ -277,13 +277,14 @@ def inverse_face(d: Diagram, site, child: Diagram):
 
 
 def slide_legs(d: Diagram, darts):
-    """For each dart y of `darts`, darts on the edges of a triangle that
-    `surgery.riii` slides on `d`, the dart opp(d.theta[y]) of the slid
-    diagram that continues y's strand out of the new triangle.
+    """Map each leg of a slid triangle to the leg of the old one on the
+    same strand germ: `darts` are the darts on the edges of a triangle
+    that `surgery.riii` slides on `d`, and each such dart y is a leg of
+    the new triangle, carrying the germ that entered the old triangle
+    at opp(d.theta[y]).
 
-    `surgery.riii` keeps every dart number and re-attaches each outer
-    edge at the port opposite its old one, so the germ at old leg
-    opp(y) re-enters the new triangle at theta[y].
+    This holds because `surgery.riii` keeps every dart number and
+    re-attaches each outer edge at the port opposite its old one.
     """
     return {y: opp(d.theta[y]) for y in darts}
 

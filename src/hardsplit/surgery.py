@@ -454,8 +454,9 @@ def rii_add(
     if not engulfed <= engulfable:
         raise MoveError("engulfed content is not beyond the crossed strand")
 
-    # a consumed circle's far side becomes the face behind the finger (A,
-    # or a circle poked through itself) or beyond the tip (B)
+    # a consumed circle's side away from the poke becomes the face behind
+    # the finger (A, or a circle poked through itself) or beyond the tip
+    # (B); that is its far side unless the poke came from there
     faces = {}
     for e, f in ((elem_a, skel.face_of[pu + _S]), (elem_b, skel.face_of[pl + _E])):
         if e[0] == "loop":
@@ -470,10 +471,9 @@ def rii_add(
     if owner in site_islands:
         outer, up = d.hosts[owner][0], skel.face_of[d.hosts[owner][1]]
     elif region[0] == "l" and region[1] in faces:
-        # poked from the far side, which keeps the region's role; the
-        # face that side would have become opens toward the circle's host
+        # poked from the far side: the face away from the poke opens
+        # toward the circle's host (map_ref maps the region itself first)
         outer, up = d.loops[region[1]].host, faces[region[1]]
-        faces[region[1]] = keep_face
     else:
         outer = None
         for isl in sorted(site_islands):
