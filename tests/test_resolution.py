@@ -2,11 +2,17 @@
 
 The overlay is the Hopf link with one circle as the sweep curve U and
 the other as the tangle.  The peak is recounted here from the replayed
-diagrams' crossing labels, without `ShadowOverlay`'s counts.
+diagrams' crossing labels, without `ShadowOverlay`'s counts.  Pinned
+traces cover each curve event kind; seeded random traces, tagged by the
+strands of their own sites, check the whole engine end to end.
 """
+
+import random
+from collections import Counter
 
 import pytest
 
+from hardsplit import moves
 from hardsplit.resolution import (
     IsotopyPath,
     TraceError,
@@ -123,6 +129,9 @@ TANGLE_CURL_IN_SLIDE = (
 )
 # a curl of the bare curve: its lone crossing has two petals
 LOOP_CURL = "C R1+ loop=0 side=out\nC R1- crossing=2\n"
+# two self-pokes, then a slide of the triangle they make: the layer-2
+# resolutions pair up by M2b and two of them reach layer 3 by M3a
+DOUBLE_POKE_SLIDE = "C R2+ dartA=7 dartB=7\nC R2+ dartA=13 dartB=2\nC R3 face=8\n"
 
 SELF_POKE_REPORT = """\
 trace: 2 events over 3 layers
@@ -180,6 +189,20 @@ final: resolution of the ending curve (3 self-crossings smoothed)
 verified: 3 steps, overlay bound m = 3 holds throughout
 """
 
+DOUBLE_POKE_SLIDE_REPORT = """\
+trace: 3 events over 4 layers
+m = 2  (peak overlay crossing count along the trace)
+step 0: layer 0  smoothing []  overlay 2+0 <= 2
+  move: M2a (up)
+step 1: layer 1  smoothing [(2, 3), (3, 1)]  overlay 2+0 <= 2
+  move: M2a (up)
+step 2: layer 2  smoothing [(2, 3), (3, 1), (4, 3), (5, 1)]  overlay 2+0 <= 2
+  move: M3b (up)
+step 3: layer 3  smoothing [(2, 1), (3, 3), (4, 3), (5, 1)]  overlay 2+0 <= 2
+final: resolution of the ending curve (4 self-crossings smoothed)
+verified: 3 steps, overlay bound m = 2 holds throughout
+"""
+
 LOOP_CURL_REPORT = """\
 trace: 2 events over 3 layers
 m = 2  (peak overlay crossing count along the trace)
@@ -203,6 +226,17 @@ SLIDE_EDGES = [
     ("M3b", (2, 2), (3, 0)),
 ]
 SLIDE_DEGREES = ((1,), (2,), (2, 2, 2), (3,))
+DOUBLE_POKE_SLIDE_EDGES = [
+    ("M2a", (0, 0), (1, 0)),
+    ("M2a", (1, 0), (2, 2)),
+    ("M2b", (2, 0), (2, 1)),
+    ("M2b", (2, 3), (2, 4)),
+    ("M3a", (2, 1), (3, 0)),
+    ("M3a", (2, 4), (3, 2)),
+    ("M3b", (2, 0), (3, 1)),
+    ("M3b", (2, 2), (3, 1)),
+    ("M3b", (2, 3), (3, 1)),
+]
 
 
 @pytest.mark.parametrize(
@@ -249,6 +283,16 @@ SLIDE_DEGREES = ((1,), (2,), (2, 2, 2), (3,))
             TANGLE_CURL_IN_SLIDE_REPORT,
         ),
         (
+            HOPF_OVERLAY,
+            DOUBLE_POKE_SLIDE,
+            (None, None, None),
+            DOUBLE_POKE_SLIDE_EDGES,
+            ((1,), (2,), (2, 2, 2, 2, 2), (1, 1, 3)),
+            2,
+            3,
+            DOUBLE_POKE_SLIDE_REPORT,
+        ),
+        (
             BARE_LOOP_OVERLAY,
             LOOP_CURL,
             (None, (0, 1, None)),
@@ -264,6 +308,7 @@ SLIDE_DEGREES = ((1,), (2,), (2, 2, 2), (3,))
         "curl-poke-slide",
         "tangle-curl-around-curl",
         "tangle-curl-in-slide",
+        "double-poke-slide",
         "loop-curl",
     ],
 )
@@ -325,16 +370,53 @@ verified: 6 steps, overlay bound m = 3 holds throughout
 """
 
 
+# the poked curl walked up, down and up again: the down hop from layer 2
+# undoes the tangle event after the uncurl before the uncurl itself
+POKED_CURL_BACK = ((0, 0), (1, 0), (2, 0), (1, 0), (2, 0))
+POKED_CURL_BACK_REPORT = """\
+trace: 4 events over 3 layers
+m = 4  (peak overlay crossing count along the trace)
+step 0: layer 0  smoothing []  overlay 2+0 <= 4
+  replay: X RII+ dartA=0 dartB=6 over=A
+  move: M1 (up)
+step 1: layer 1  smoothing [(4, 1)]  overlay 4+0 <= 4
+  move: M1 (up)
+  replay: X RII- face=6
+step 2: layer 2  smoothing []  overlay 2+0 <= 4
+  undo: X RII- face=6
+  move: M1 (down)
+step 3: layer 1  smoothing [(4, 1)]  overlay 4+0 <= 4
+  move: M1 (up)
+  replay: X RII- face=6
+step 4: layer 2  smoothing []  overlay 2+0 <= 4
+final: the ending curve is simple and the path ends on it exactly
+verified: 4 steps, overlay bound m = 4 holds throughout
+"""
+
+
+def _walk(trace, graph, vertices):
+    "The path through `vertices`, by the first edge joining each hop."
+    hops = tuple(
+        next(i for i, e in enumerate(graph.edges) if {e.a, e.b} == {u, v})
+        for u, v in zip(vertices, vertices[1:])
+    )
+    return IsotopyPath(vertices, hops)
+
+
 def test_explicit_path_walks_down_and_along_a_layer():
     trace = parse_trace(HOPF_OVERLAY + "\n" + TANGLE_CURL_IN_SLIDE)
     graph = build_resolution_graph(trace)
-    hops = tuple(
-        next(i for i, e in enumerate(graph.edges) if {e.a, e.b} == {u, v})
-        for u, v in zip(DETOUR, DETOUR[1:])
-    )
-    res = verify_isotopy(trace, IsotopyPath(DETOUR, hops), graph=graph)
+    res = verify_isotopy(trace, _walk(trace, graph, DETOUR), graph=graph)
     assert (res.m, res.steps) == (3, 6)
     assert res.report == DETOUR_REPORT
+
+
+def test_down_hop_undoes_the_events_after_its_curve_event():
+    trace = parse_trace(HOPF_OVERLAY + "\n" + POKED_CURL)
+    graph = build_resolution_graph(trace)
+    res = verify_isotopy(trace, _walk(trace, graph, POKED_CURL_BACK), graph=graph)
+    assert (res.m, res.steps) == (4, 4)
+    assert res.report == POKED_CURL_BACK_REPORT
 
 
 def test_trace_with_no_curve_event_stays_on_its_one_layer():
@@ -355,3 +437,70 @@ def test_trace_with_no_curve_event_stays_on_its_one_layer():
         "final: the ending curve is simple and the path ends on it exactly\n"
         "verified: 0 steps, overlay bound m = 3 holds throughout\n"
     )
+
+
+# -- seeded traces -----------------------------------------------------
+#
+# Random walks through `moves.enumerate_moves` under a cap of four added
+# crossings.  Each site is tagged by the labels of its own face - the
+# face a removal or slide names on the state, or the one
+# `moves.inverse_face` names on the child - and curve events are written
+# in the shadow spelling; a line stays only if `parse_trace` accepts it.
+
+SHADOW_KINDS = {"RI+": "R1+", "RI-": "R1-", "RII+": "R2+", "RII-": "R2-", "RIII": "R3"}
+
+
+def site_tag(d, site):
+    "C, M or X, by the strands of the face the site acts on or leaves."
+    if site.kind in ("RI-", "RII-", "RIII"):
+        holder, f = d, site.spot[0]
+    else:
+        holder = moves.apply_move(d, site)
+        f = moves.inverse_face(d, site, holder)
+    labels = {holder.label_of_dart(x) for x in holder.face_darts(holder.face_of[f])}
+    if labels == {"U"}:
+        return "C"
+    return "X" if "U" in labels else "M"
+
+
+def event_line(d, site):
+    tag = site_tag(d, site)
+    kind, *toks = moves.format_move(site).split()
+    if tag == "C":
+        kind = SHADOW_KINDS[kind]
+        toks = [t for t in toks if not t.startswith("over=")]
+    return " ".join([tag, kind] + toks)
+
+
+def random_trace(seed, overlay):
+    "A trace of 1 to 8 events from `overlay`, fixed by `seed`."
+    rng = random.Random(seed)
+    text = overlay + "\n"
+    trace = parse_trace(text)
+    cap = trace.overlay.diagram.ncross + 4
+    for _ in range(rng.randint(1, 8)):
+        d = trace.states[-1].diagram
+        sites = moves.enumerate_moves(d, cap)
+        rng.shuffle(sites)
+        for site in sites:
+            line = event_line(d, site) + "\n"
+            try:
+                trace = parse_trace(text + line)
+            except TraceError:
+                continue
+            text += line
+            break
+    return trace
+
+
+def test_seeded_traces_verify_at_their_peak():
+    kinds = Counter()
+    for seed in range(200):
+        overlay = BARE_LOOP_OVERLAY if seed % 4 == 0 else HOPF_OVERLAY
+        trace = random_trace(seed, overlay)
+        graph = build_resolution_graph(trace)
+        path = find_isotopy_path(graph)
+        assert verify_isotopy(trace, path, graph=graph).m == peak_overlay_crossings(trace)
+        kinds.update(e.move for e in graph.edges)
+    # the walks reach every local move of the calculus
+    assert set(kinds) == {"M1", "M2a", "M2b", "M3a", "M3b"}
