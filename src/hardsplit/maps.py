@@ -376,8 +376,12 @@ class Diagram:
 
         Darts listed have the region on their right; loops listed are the
         circles bounding the region (hosted in it, or the loop itself when
-        the region is its far side).
+        the region is its far side).  A key naming no region - an up
+        face, a face by a dart other than its key, a loop out of range -
+        raises DiagramError.
         """
+        if rkey not in self.region_children:
+            raise DiagramError("no region %r" % (rkey,))
         elems = []
         if rkey[0] == "f":
             elems.extend(("d", d) for d in self.face_darts(rkey[1]))

@@ -399,10 +399,11 @@ def rii_add(
         raise MoveError("order must be 1 or 2")
     n = d.ncross
     pl, pu = 4 * n, 4 * n + 4  # A runs E-W through both; B enters pu from N
-    region = d._norm_region(region)
-    if not d._region_exists(region):
-        raise MoveError("no region %r" % (region,))
-    elems = d.region_boundary(region)
+    try:
+        region = d._norm_region(region)
+        elems = d.region_boundary(region)
+    except DiagramError as e:
+        raise MoveError(str(e)) from e
     for e in (elem_a, elem_b):
         if e not in elems:
             raise MoveError("%r does not bound region %r" % (e, region))

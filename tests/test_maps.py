@@ -128,6 +128,20 @@ def test_region_boundary():
     assert far == [("loop", 0)]
 
 
+@pytest.mark.parametrize(
+    "rkey",
+    [("l", 5), ("f", 1), ("f", 3), ("q", 0)],
+    ids=["no-loop", "up-face", "not-a-face-key", "no-kind"],
+)
+def test_region_boundary_refuses_a_key_naming_no_region(rkey):
+    # on the kinked unknot the regions are the root and faces 0 and 2;
+    # face 1 is the island's up face, which ("f", 3) names by another dart
+    d = unknot_diagram(1)
+    assert d.region_keys == (ROOT, ("f", 0), ("f", 2))
+    with pytest.raises(DiagramError, match="no region"):
+        d.region_boundary(rkey)
+
+
 def test_hosting_cycle_detected():
     theta = KINK + [d + 4 for d in KINK]
     d = Diagram(

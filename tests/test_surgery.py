@@ -369,6 +369,8 @@ def test_rii_site_must_bound_region():
         (("f", 1), ("d", 1), ("d", 0)),  # dart 0 bounds the root region
         (("f", 1), ("d", 4), ("d", 1)),  # no dart 4
         (("f", 1), ("d", 1), ("x", 1)),  # no such element kind
+        (("f", 99), ("d", 1), ("d", 3)),  # a face key naming no dart
+        (("f",), ("d", 1), ("d", 3)),  # a face key with no dart at all
     ],
 )
 def test_rii_add_needs_an_existing_region_and_its_boundary(region, a, b):
