@@ -21,6 +21,17 @@ of that numbering.  The tag check reads the strands of those faces, the
 pack-down maps the crossings they lose, and the graph the crossings they
 hold.
 
+Each layer gap is read once, by `_transition_edges`.  Its curve event is
+`Trace.c_events[j]`, since every gap holds exactly one.  Crossing ids
+move between states only by `_carry`, through the pack-down maps: a
+layer-j id onto the event (the site crossings are those landing on the
+event's face) or, off the site, across the whole gap; an id the event
+leaves on its face on to layer j+1.  Both sides of the event disk are
+matched by `_site_matchings`, one dict per side for a slide, whose new
+legs are renamed by `moves.slide_legs`, and one dict for both sides of
+an insertion or removal, whose crossing-free side reads the
+through-passage.
+
 Edge existence is decided by tracing the smoothed strands through the
 event site and comparing the induced boundary matchings; no case tables
 are consulted.  The classical corner-parity rule is still evaluated, but
@@ -66,24 +77,6 @@ class ResolutionError(Exception):
 U_LABEL = "U"
 
 
-def _normalized(d):
-    # the sweep curve has no over/under, so every crossing it passes
-    # keeps height bit 0; this makes replayed states canonical no matter
-    # what the event scripts spelled
-    over = list(d.over)
-    touched = False
-    for c in range(d.ncross):
-        la, lb = d.strandpair_labels(c)
-        if U_LABEL in (la, lb) and over[c]:
-            over[c] = 0
-            touched = True
-    if not touched:
-        return d
-    return Diagram(
-        d.mode, d.theta, over, d.labels, [(lp.label, lp.host) for lp in d.loops], d.hosts
-    )
-
-
 class ShadowOverlay:
     """One diagram holding the sweep curve (labelled ``U``) and the tangle.
 
@@ -103,20 +96,29 @@ class ShadowOverlay:
                 "the overlay needs exactly one component labelled %r, found %d"
                 % (U_LABEL, len(stranded) + len(looped))
             )
-        diagram = _normalized(diagram)
-        self.diagram = diagram
-
         uu = []
         um = mm = 0
+        over = list(diagram.over)
         for c in range(diagram.ncross):
             la, lb = diagram.strandpair_labels(c)
             k = (la == U_LABEL) + (lb == U_LABEL)
+            if k:
+                # the sweep curve has no over/under, so every crossing it
+                # passes keeps height bit 0; this makes replayed states
+                # canonical no matter what the event scripts spelled
+                over[c] = 0
             if k == 2:
                 uu.append(c)
             elif k == 1:
                 um += 1
             else:
                 mm += 1
+        if tuple(over) != diagram.over:
+            loops = [(lp.label, lp.host) for lp in diagram.loops]
+            diagram = Diagram(
+                diagram.mode, diagram.theta, over, diagram.labels, loops, diagram.hosts
+            )
+        self.diagram = diagram
         self.u_self_ids = tuple(uu)
         self.mixed = um
         self.m_self = mm
@@ -456,6 +458,34 @@ def _face_internal_darts(d, orb):
     return darts
 
 
+def _site_matchings(d, face, back=None):
+    """Leg matching of the event disk inside `face` on `d`, keyed by the
+    masks of the disk's crossings in crossing order: every smoothing,
+    and () for the plain through-passage.
+
+    `back`, for the slid side of a triangle, renames each leg to the one
+    of the old triangle on the same strand germ (`moves.slide_legs`), so
+    both sides of the slide speak one naming.  Without it the legs keep
+    their darts, which inserting or removing the disk's crossings does
+    not move, so one dict serves both sides of an insertion or removal:
+    the crossing-free side reads its () entry.
+    """
+    cs = _crossings(face)
+    internal = _face_internal_darts(d, face)
+    if back is not None:
+        ports = {x for c in cs for x in range(4 * c, 4 * c + 4)}
+        if internal != ports - set(back):
+            raise ResolutionError("slid triangle legs do not line up")
+    out = {}
+    for picks in [()] + list(product((1, 3), repeat=len(cs))):
+        masks = dict(zip(cs, picks)) if picks else dict.fromkeys(cs, 2)
+        pairs, cycles = _leg_matching(d, cs, masks, internal)
+        if back is not None:
+            pairs = frozenset(frozenset(back[q] for q in pr) for pr in pairs)
+        out[picks] = (pairs, cycles)
+    return out
+
+
 def _corner_masks(orb):
     # a face-orbit dart at slot s spans the corner ports {s-1, s}; the
     # smoothing that rounds that corner is ^1 when s is odd, ^3 when s
@@ -530,13 +560,9 @@ def build_resolution_graph(trace: Trace) -> ResolutionGraph:
     edges.sort()
     graph = ResolutionGraph(trace, layers, tuple(edges))
 
-    deg = {}
-    for e in graph.edges:
-        deg[e.a] = deg.get(e.a, 0) + 1
-        deg[e.b] = deg.get(e.b, 0) + 1
     for lj in range(1, graph.nlayers - 1):
         for i in range(len(layers[lj])):
-            k = deg.get((lj, i), 0)
+            k = graph.degree((lj, i))
             if k not in (2, 4, 6):
                 raise ResolutionError(
                     "vertex %r in internal layer has degree %d" % ((lj, i), k)
@@ -544,122 +570,79 @@ def build_resolution_graph(trace: Trace) -> ResolutionGraph:
     return graph
 
 
-def _compose_sigma(x, sigmas):
-    for s in sigmas:
-        if s is not None and x is not None:
-            x = s[x]
-    return x
+def _carry(trace, c, lo, hi):
+    """Crossing `c` of states[lo] renumbered through the pack-down maps
+    into states[hi].  Only a curve event removes curve self-crossings,
+    those on its own face, and no carry takes one of those through it;
+    so a lost id is an engine fault."""
+    for s in trace.sigmas[lo:hi]:
+        if s is not None:
+            c = s[c]
+            if c is None:
+                raise ResolutionError(
+                    "a curve self-crossing vanished outside a C event"
+                )
+    return c
 
 
 def _transition_edges(trace, j, layers):
     p0, p1 = trace.layer_pos[j], trace.layer_pos[j + 1]
-    gs = [i for i in range(p0, p1) if trace.events[i].tag == "C"]
-    if len(gs) != 1:
-        raise ResolutionError("layer gap %d holds %d curve events" % (j, len(gs)))
-    g = gs[0]
+    g = trace.c_events[j]
     ev = trace.events[g]
     pre = trace.states[g].diagram  # at event time
     post = trace.states[g + 1].diagram
-
-    # crossing identities: layer j ids -> event time (f1, a bijection on
-    # curve self-crossings, since only C events make or break them), and
-    # event time -> layer j+1 (f2)
-    f1 = {c: _compose_sigma(c, trace.sigmas[p0:g]) for c in trace.layer_state(j).u_self_ids}
-    inv_f1 = {v: k for k, v in f1.items()}
-
-    def f2(x):
-        x = _compose_sigma(x, trace.sigmas[g + 1 : p1])
-        if x is None:
-            raise ResolutionError("a curve self-crossing vanished outside a C event")
-        return x
-
     before, after = _event_site(pre, ev.site, post)
     if not (before or after):
         raise ResolutionError("curve event of kind %r acts on no face" % (ev.kind,))
     site_pre, site_post = _crossings(before), _crossings(after)
-    corners = _corner_masks(before or after)
 
-    # matchings per site assignment; () keys the crossing-free side,
-    # whose matching is the plain through-passage on the other side's
-    # state (adding or removing the site crossings does not move the
-    # legs)
-    move = None  # a slide's edges are named per corner pattern
     if before and after:
-        pre_internal = _face_internal_darts(pre, before)
-        post_internal = _face_internal_darts(post, after)
         # the slide swaps each corner's triangle-side and outward ports;
-        # carry the post legs back through that before comparing matchings
-        back = moves.slide_legs(pre, pre_internal)
-        ports = {x for c in site_pre for x in range(4 * c, 4 * c + 4)}
-        if post_internal != ports - set(back):
-            raise ResolutionError("slid triangle legs do not line up")
-        pre_match, post_match = {}, {}
-        for picks in product((1, 3), repeat=3):
-            masks = dict(zip(site_pre, picks))
-            pre_match[picks] = _leg_matching(pre, site_pre, masks, pre_internal)
-            pp, pc = _leg_matching(post, site_pre, masks, post_internal)
-            post_match[picks] = (
-                frozenset(frozenset(back[q] for q in pr) for pr in pp),
-                pc,
-            )
+        # the post legs are carried back through that
+        back = moves.slide_legs(pre, _face_internal_darts(pre, before))
+        pre_match = _site_matchings(pre, before)
+        post_match = _site_matchings(post, after, back)
+        move = None  # a slide's edges are named per corner pattern
     else:
         d, face = (pre, before) if before else (post, after)
-        cs = site_pre or site_post
-        internal = _face_internal_darts(d, face)
-        full = {
-            picks: _leg_matching(d, cs, dict(zip(cs, picks)), internal)
-            for picks in product((1, 3), repeat=len(cs))
-        }
-        bare = {(): _leg_matching(d, cs, dict.fromkeys(cs, 2), internal)}
-        pre_match, post_match = (full, bare) if before else (bare, full)
-        move = "M1" if len(cs) == 1 else "M2a"
+        pre_match = post_match = _site_matchings(d, face)
+        move = "M1" if len(site_pre or site_post) == 1 else "M2a"
 
-    # vertex buckets keyed by the off-site assignment, transported into
-    # layer j+1 crossing ids
-    pre_layer_sites = tuple(sorted(inv_f1[c] for c in site_pre))
-    sig_c = trace.sigmas[g]
-    fwd = {}
-    for c, x in f1.items():
-        if c in pre_layer_sites:
-            continue
-        fwd[c] = f2(x if sig_c is None else sig_c[x])
-    post_layer_sites = tuple(sorted(f2(c) for c in site_post))
-
-    pre_buckets = _bucket(layers[j], set(pre_layer_sites), fwd)
-    post_buckets = _bucket(layers[j + 1], set(post_layer_sites), None)
+    # vertices bucketed by their off-site smoothings in layer j+1 ids;
+    # the layer-j site crossings are those that reach the event on it
+    ids = trace.layer_state(j).u_self_ids
+    pre_sites = {c for c in ids if _carry(trace, c, p0, g) in site_pre}
+    post_sites = {_carry(trace, c, g + 1, p1) for c in site_post}
+    pre_buckets = _bucket(trace, layers[j], pre_sites, p0, p1)
+    post_buckets = _bucket(trace, layers[j + 1], post_sites, p1, p1)
 
     # site masks are spoken in layer ids but the matchings in event-time
     # ids; pack-down maps are monotone, so sorted order lines up
+    corners = _corner_masks(before or after)
     othru = tuple(corners[c] ^ 2 for c in sorted(corners))
 
     out = []
     for key, pres in pre_buckets.items():
-        posts = post_buckets.get(key)
-        if not posts:
-            continue
-        for pi, pm in pres:
-            mp = pre_match[pm]
-            for qi, qm in posts:
-                if post_match[qm] != mp:
-                    continue
-                if move is None:
-                    name = _triangle_edge_name(pm, qm, othru)
-                else:
-                    name = move
-                    _audit_r12(ev.kind, pm, qm, othru)
-                out.append(GraphEdge(name, (j, pi), (j + 1, qi)))
+        for (pi, pm), (qi, qm) in product(pres, post_buckets.get(key, ())):
+            if pre_match[pm] != post_match[qm]:
+                continue
+            if move is None:
+                name = _triangle_edge_name(pm, qm, othru)
+            else:
+                name = move
+                _audit_r12(ev.kind, pm, qm, othru)
+            out.append(GraphEdge(name, (j, pi), (j + 1, qi)))
 
     if move == "M2a":
-        side = j + 1 if after else j
-        buckets = post_buckets if after else pre_buckets
-        match = post_match if after else pre_match
+        # rival smoothings of the bigon's layer; one dict holds both sides
+        side, buckets = (j + 1, post_buckets) if after else (j, pre_buckets)
         turn = {
             (othru[0], othru[1] ^ 2),
             (othru[0] ^ 2, othru[1]),
         }
         for members in buckets.values():
             for (ai, am), (bi, bm) in combinations(members, 2):
-                if am != bm and match[am] == match[bm]:
+                if pre_match[am] == pre_match[bm]:
                     if {am, bm} != turn:
                         raise ResolutionError(
                             "level bigon pair %r is not the turnback pair" % ({am, bm},)
@@ -692,18 +675,18 @@ def _triangle_edge_name(pm, qm, othru):
     )
 
 
-def _bucket(layer_verts, site_set, transport):
+def _bucket(trace, verts, sites, lo, hi):
+    """Vertices keyed by their off-site smoothings, carried from states[lo]
+    to states[hi]; each entry is (index, site masks in crossing order)."""
     out = {}
-    for idx, r in enumerate(layer_verts):
-        off = []
-        smask = {}
-        for c, mval in r.assignment:
-            if c in site_set:
-                smask[c] = mval
+    for idx, r in enumerate(verts):
+        off, on = [], []
+        for c, m in r.assignment:
+            if c in sites:
+                on.append(m)
             else:
-                off.append((transport[c], mval) if transport is not None else (c, mval))
-        key = tuple(sorted(off))
-        out.setdefault(key, []).append((idx, tuple(smask[c] for c in sorted(site_set))))
+                off.append((_carry(trace, c, lo, hi), m))
+        out.setdefault(tuple(off), []).append((idx, tuple(on)))
     return out
 
 
@@ -835,7 +818,7 @@ def _hop_lines(trace, graph, path, k):
         return ["  move: M2b (level)"]
     ja = edge.a[0]  # lower layer of the hop
     p0, p1 = trace.layer_pos[ja], trace.layer_pos[ja + 1]
-    g = next(i for i in range(p0, p1) if trace.events[i].tag == "C")
+    g = trace.c_events[ja]
     out = []
     if vb[0] > va[0]:
         for ev in trace.events[p0:g]:
