@@ -9,6 +9,7 @@ import random
 import pytest
 
 from hardsplit import surgery
+from hardsplit.canon import canonical_code
 from hardsplit.generators import (
     goeritz_diagram,
     split_d_pq,
@@ -65,6 +66,10 @@ def census(d):
     return out
 
 
+def distinct_children(d, sites):
+    return len({canonical_code(apply_move(d, s)) for s in sites})
+
+
 # -- enumeration -----------------------------------------------------
 
 
@@ -115,6 +120,7 @@ def test_free_loop_sites():
 def test_kink_census():
     ks = census(kink())
     assert {k: len(v) for k, v in ks.items()} == {"RI+": 10, "RI-": 2, "RII+": 20}
+    assert distinct_children(kink(), ks["RII+"]) == 9
     assert sorted(s.spot for s in ks["RI-"]) == [(0,), (2,)]
     # the up face is the monogon (0), so only dart 0 offers wrap curls
     assert sorted(s.spot for s in ks["RI+"] if s.spot[0] == "wrap") == [
@@ -156,6 +162,7 @@ def test_hairpin_has_exactly_one_bigon_retraction():
         "RII+": 60,
         "RII-": 1,
     }
+    assert distinct_children(hairpin(), ks["RII+"]) == 27
     assert ks["RII-"][0].spot == (1,)
 
 

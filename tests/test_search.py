@@ -749,6 +749,60 @@ def test_no_region_lists_both_flanks_of_an_edge():
                         todo.append(child)
 
 
+def test_order_two_pokes_build_their_twin():
+    # on one edge, which run is the finger is the choice of which run is
+    # over: an order-2 self-poke builds the child of the order-1 poke with
+    # over swapped and the same captured and engulfed sets.  Checked on
+    # every site, uncapped, of the census diagrams and of every rooting of
+    # every state of budget-2 closures, with and without content.
+    census = [
+        Diagram(PLANE, (3, 2, 1, 0), (0,), ("K",)),
+        torus_knot_diagram(2, 3),
+        hopf(),
+        poked_unknot(),
+        split_d_pq(2, 3),
+        d_pq(2, 3),
+    ]
+    starts = [
+        lambda: torus_knot_diagram(2, 3),
+        hopf,
+        lambda: unknot_diagram(0),
+        lambda: unknot_diagram(1),
+        lambda: circles(2),
+        lambda: circles(3),
+    ]
+    reps = []
+    for d in census:
+        reps += [d, d.with_mode(SPHERE)]
+    for make in starts:
+        for mode in (PLANE, SPHERE):
+            d0 = make().with_mode(mode)
+            cap = d0.ncross + 2
+            seen = {digest(d0)}
+            todo = [d0]
+            while todo:
+                d = todo.pop()
+                roots = [None] if mode == PLANE else d.region_keys
+                reps += [d if r is None else d.rerooted(r) for r in roots]
+                for *_, child, cdg in search._expand_one(d, cap, ()):
+                    if cdg not in seen:
+                        seen.add(cdg)
+                        todo.append(child)
+    n = content = 0
+    for rep in reps:
+        for site in enumerate_moves(rep):
+            if site.kind != "RII+" or site.spot[6] != 2:
+                continue
+            region, a, b, ov, cap_, eng, _order = site.spot
+            twin = site._replace(
+                spot=(region, a, b, "B" if ov == "A" else "A", cap_, eng, 1)
+            )
+            assert digest(apply_move(rep, site)) == digest(apply_move(rep, twin))
+            n += 1
+            content += bool(cap_ or eng)
+    assert (n, content) == (127760, 19128)
+
+
 def test_every_closure_site_replays_from_its_script_line():
     # a script line must rebuild the child of the site it was written
     # from; a plane RI- on a lone curl whose 2-face holds content is the
