@@ -310,7 +310,6 @@ class Diagram:
             + tuple(("f", orb[0]) for orb in s.faces if orb[0] not in ups)
             + tuple(("l", i) for i in range(len(loops)))
         )
-        # a host naming no region still gets an entry; validate() reports it
         children = {key: [] for key in region_keys}
         for key in s.islands_keys:
             children.setdefault(norm_hosts[key][0], []).append(("I", key))
@@ -380,15 +379,13 @@ class Diagram:
         face, a face by a dart other than its key, a loop out of range -
         raises DiagramError.
         """
-        if rkey not in self.region_children:
+        if not self._region_exists(rkey):
             raise DiagramError("no region %r" % (rkey,))
         elems = []
         if rkey[0] == "f":
             elems.extend(("d", d) for d in self.face_darts(rkey[1]))
         elif rkey[0] == "l":
             elems.append(("loop", rkey[1]))
-        elif rkey != ROOT:
-            raise DiagramError("bad region key %r" % (rkey,))
         for kind, ref in self.region_children.get(rkey, ()):
             if kind == "I":
                 _host, up = self.hosts[ref]

@@ -87,7 +87,7 @@ class MoveSite(NamedTuple):
     spot payloads:
         RI+   ("d", dart, over) or ("loop", index, side, over)
         RI-   (petal_dart,)
-        RII+  (region, elem_a, elem_b, over, captured, engulfed, order)
+        RII+  (region, elem_a, elem_b, over, captured, engulfed)
         RII-  (bigon_face,)
         RIII  (triangle_face,)
         ROOT  (region,)       sphere re-rooting, never enumerated
@@ -182,16 +182,10 @@ def _rii_add_sites(d):
         for a in elems:
             for b in elems:
                 _split, cap_pool, eng_pool = surgery.rii_scope(d, region, a, b)
-                orders = (1, 2) if (a == b and a[0] == "d") else (1,)
                 for ov in ("A", "B"):
-                    for order in orders:
-                        for cap in _subsets(cap_pool):
-                            for eng in _subsets(eng_pool):
-                                sites.append(
-                                    MoveSite(
-                                        "RII+", (region, a, b, ov, cap, eng, order)
-                                    )
-                                )
+                    for cap in _subsets(cap_pool):
+                        for eng in _subsets(eng_pool):
+                            sites.append(MoveSite("RII+", (region, a, b, ov, cap, eng)))
     return sites
 
 
@@ -223,10 +217,8 @@ def apply_move(d: Diagram, site) -> Diagram:
     if kind == "RI-":
         return surgery.ri_remove(d, spot[0])
     if kind == "RII+":
-        region, a, b, ov, cap, eng, order = spot
-        return surgery.rii_add(
-            d, region, a, b, ov, captured=cap, engulfed=eng, order=order
-        )
+        region, a, b, ov, cap, eng = spot
+        return surgery.rii_add(d, region, a, b, ov, captured=cap, engulfed=eng)
     if kind == "RII-":
         (f,) = spot
         if not _rii_decorations_ok(d, surgery.site_face(d, f, 2)[0]):
@@ -337,15 +329,14 @@ def top_of_sequence(seq: MoveSequence) -> int:
 #
 #   RI+ dart=5 side=R over=1        RI+ loop=0 side=out over=0
 #   RI- crossing=2                  (petal=2 or 3 names a petal at that slot)
-#   RII+ dartA=1 dartB=3 over=A     (loopA=/loopB=; order=2, from=far,
+#   RII+ dartA=1 dartB=3 over=A     (loopA=/loopB=; from=far,
 #                                    captured=I0,L1 engulfed=... as needed)
 #   RII- face=5
 #   RIII face=0
 #   ROOT region=f5                  (also root / l0; sphere scripts only)
 #
 # Lines refer to the diagram produced by the preceding lines, using its
-# dart numbering.  A triangle slides one way only; older scripts wrote
-# `RIII ... variant=0`, which still parses.
+# dart numbering.
 
 
 def _fmt_children(refs):
@@ -366,7 +357,7 @@ def format_move(site) -> str:
             return "RI- crossing=%d" % (p >> 2)
         return "RI- crossing=%d petal=%d" % (p >> 2, p & 3)
     if kind == "RII+":
-        region, a, b, ov, cap, eng, order = spot
+        region, a, b, ov, cap, eng = spot
         toks = []
         for name, e in (("A", a), ("B", b)):
             if e[0] == "d":
@@ -374,8 +365,6 @@ def format_move(site) -> str:
             else:
                 toks.append("loop%s=%d" % (name, e[1]))
         toks.append("over=%s" % ov)
-        if order != 1:
-            toks.append("order=%d" % order)
         if a == b and a[0] == "loop" and region == ("l", a[1]):
             toks.append("from=far")
         if cap:
@@ -500,10 +489,9 @@ def parse_move(d: Diagram, line: str) -> MoveSite:
         ov = kv.pop("over", None)
         if ov not in ("A", "B"):
             raise MoveError("over must be A or B")
-        order = _take_int(kv, "order") if "order" in kv else 1
         cap = _parse_children(kv.pop("captured")) if "captured" in kv else ()
         eng = _parse_children(kv.pop("engulfed")) if "engulfed" in kv else ()
-        site = MoveSite("RII+", (region, a, b, ov, cap, eng, order))
+        site = MoveSite("RII+", (region, a, b, ov, cap, eng))
 
     elif kind == "RII-":
         f = _take_int(kv, "face")
@@ -515,8 +503,6 @@ def parse_move(d: Diagram, line: str) -> MoveSite:
         f = _take_int(kv, "face")
         if not 0 <= f < d.ndart:
             raise MoveError("no face %d" % f)
-        if kv.pop("variant", "0") != "0":
-            raise MoveError("a triangle slides one way: variant= can only be 0")
         site = MoveSite("RIII", (f,))
 
     elif kind == "ROOT":

@@ -301,8 +301,9 @@ def parse_trace(text, mode=PLANE) -> Trace:
             if head != "OVERLAY":
                 raise TraceError("line %d: trace must open with an OVERLAY line" % ln)
             try:
-                pd = pdio.parse_pd(rest.replace(";", "\n"), mode=mode)
-                overlay = ShadowOverlay(pd.diagram.check())
+                overlay = ShadowOverlay(
+                    pdio.parse_pd(rest.replace(";", "\n"), mode=mode).diagram
+                )
             except (DiagramError, TraceError) as e:
                 raise TraceError("line %d: %s" % (ln, e)) from e
             states.append(overlay)

@@ -201,8 +201,8 @@ def _expand_one(d, cap, skips):
       hosts.  The own rooting lists the plain curl on every dart.
     - Every RII+ element is a dart and the capture and engulf pools are
       empty.  `rii_add`'s theta for two darts depends only on (a, b,
-      over, order), never on the region key, and the own rooting lists
-      the same poke with empty sets.
+      over), never on the region key, and the own rooting lists the same
+      poke with empty sets.
     - There are no loop curls, and the other sites are rooting-free.
 
     So each later-rooting child is already in the dedup table when it is

@@ -375,16 +375,18 @@ def rii_add(
     over: str,
     captured=(),
     engulfed=(),
-    order: int = 1,
 ) -> Diagram:
     """Push a finger of strand A across strand B through `region`.
 
     elem_a, elem_b : ("d", dart) or ("loop", i), each bounding the region.
         Strand A carries the finger; B is the strand crossed.  Using one
         dart twice (or one loop twice) pushes a strand across itself.
-        For such one-edge sites `order` picks which new crossing sits
-        nearer the named dart's own crossing: 1 the finger base, 2 the
-        spot where the finger crosses the edge.
+        On one edge the finger base is spliced nearer the named dart's
+        own crossing.  Splicing the crossed run first needs no site of
+        its own: both runs are stretches of the one edge, so which of
+        them is the finger is the same choice as which passes over, and
+        that splice builds this poke with `over` swapped and the same
+        `captured` and `engulfed` (the same pocket and bigon).
     over : "A" if the finger passes over, "B" if under.
     captured : children of `region` that end up inside the finger pocket
         (possible only when both site elements lie on one boundary
@@ -395,8 +397,6 @@ def rii_add(
     """
     if over not in ("A", "B"):
         raise MoveError("over must be 'A' or 'B'")
-    if order not in (1, 2):
-        raise MoveError("order must be 1 or 2")
     n = d.ncross
     pl, pu = 4 * n, 4 * n + 4  # A runs E-W through both; B enters pu from N
     try:
@@ -413,11 +413,9 @@ def rii_add(
     over_list = list(d.over) + ([0, 0] if over == "A" else [1, 1])
     theta[pl + _E], theta[pu + _E] = pu + _E, pl + _E  # finger tip
     theta[pu + _S], theta[pl + _N] = pl + _N, pu + _S  # crossed middle of B
-    if order == 2 and not (elem_a == elem_b and elem_a[0] == "d"):
-        raise MoveError("order applies only to one-edge sites")
     run_a, run_b = (pl + _W, pu + _W), (pu + _N, pl + _S)
     if elem_a == elem_b:  # a strand across itself: one edge, or one circle
-        _splice(theta, d, elem_a, (run_a, run_b) if order == 1 else (run_b, run_a))
+        _splice(theta, d, elem_a, (run_a, run_b))
     elif elem_a[0] == "d" == elem_b[0] and d.theta[elem_a[1]] == elem_b[1]:
         # the two flanks of one edge never bound a common region (a
         # 4-valent shadow is Eulerian, hence bridgeless), so this

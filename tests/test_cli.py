@@ -51,7 +51,7 @@ def test_replay_reaches_the_witness_target(tmp_path, capsys):
     d0 = torus_knot_diagram(2, 3).with_mode(SPHERE)
     target = apply_script(
         d0,
-        "RI+ dart=0 side=R over=0\nRI+ dart=1 side=R over=0\nRIII face=2 variant=0",
+        "RI+ dart=0 side=R over=0\nRI+ dart=1 side=R over=0\nRIII face=2",
     )
     r = bfs_reachable(d0, Goal.target(target), 2)
     assert r.reached
@@ -74,7 +74,7 @@ def test_replay_rejects_bad_input(tmp_path, capsys):
     good = tmp_path / "good.txt"
     good.write_text("RI+ dart=0 side=R over=0\n")
     bad = tmp_path / "bad.txt"
-    bad.write_text("# a comment\nRI+ dart=0 side=R over=0\nRIII face=99 variant=0\n")
+    bad.write_text("# a comment\nRI+ dart=0 side=R over=0\nRIII face=99\n")
     for argv, why in (
         (["replay", str(pd), str(bad)], "line 3: no face 99"),
         (["replay", str(bad_pd), str(good)], "bad.pd"),

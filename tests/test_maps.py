@@ -142,6 +142,15 @@ def test_region_boundary_refuses_a_key_naming_no_region(rkey):
         d.region_boundary(rkey)
 
 
+def test_region_boundary_refuses_a_host_naming_no_region():
+    # the kink's up face as a loop host: validate() reports it, and the
+    # key still names no region
+    d = Diagram(PLANE, KINK, [0], loops=[("C", ("f", 0))])
+    assert d.validate() == ["loop 0: host region ('f', 0) does not exist"]
+    with pytest.raises(DiagramError, match="no region"):
+        d.region_boundary(("f", 0))
+
+
 def test_hosting_cycle_detected():
     theta = KINK + [d + 4 for d in KINK]
     d = Diagram(

@@ -1,6 +1,6 @@
 """Move-layer tests: site enumeration, policy checks, scripts.
 
-Counts pinned here were cross-checked by hand (the kink's 20 poke sites
+Counts pinned here were cross-checked by hand (the kink's 12 poke sites
 were enumerated on paper region by region).
 """
 
@@ -119,7 +119,7 @@ def test_free_loop_sites():
 
 def test_kink_census():
     ks = census(kink())
-    assert {k: len(v) for k, v in ks.items()} == {"RI+": 10, "RI-": 2, "RII+": 20}
+    assert {k: len(v) for k, v in ks.items()} == {"RI+": 10, "RI-": 2, "RII+": 12}
     assert distinct_children(kink(), ks["RII+"]) == 9
     assert sorted(s.spot for s in ks["RI-"]) == [(0,), (2,)]
     # the up face is the monogon (0), so only dart 0 offers wrap curls
@@ -159,7 +159,7 @@ def test_hairpin_has_exactly_one_bigon_retraction():
     assert {k: len(v) for k, v in ks.items()} == {
         "RI+": 18,
         "RI-": 2,
-        "RII+": 60,
+        "RII+": 44,
         "RII-": 1,
     }
     assert distinct_children(hairpin(), ks["RII+"]) == 27
@@ -360,13 +360,12 @@ def test_script_line_numbers_in_errors():
 
 
 def test_riii_lines_carry_no_variant():
-    # a triangle slides one way: scripts name the face alone, and an
-    # older script's variant=0 still reads as the same slide
+    # a triangle slides one way: scripts name the face alone
     d = trefoil([0, 1, 0])
     site = next(s for s in enumerate_moves(d) if s.kind == "RIII")
     line = format_move(site)
     assert line == "RIII face=%d" % site.spot[0]
-    assert parse_move(d, line + " variant=0") == site
+    assert parse_move(d, line) == site
 
 
 def test_parse_errors():
@@ -382,6 +381,8 @@ def test_parse_errors():
         "RII+ dartA=0 dartB=1 over=A from=near",
         "RIII face=0 variant=2",
         "RIII face=0 variant=1",
+        "RIII face=0 variant=0",
+        "RII+ dartA=1 dartB=1 over=A order=2",
         "FLIP x=1",
         "RI+ dart=0 side=R over=1 extra=2",
         "RI+ dart=0 dart=1 side=R over=1",
@@ -397,7 +398,7 @@ BAD_NUMBERS = [
     "RI- crossing=--1",
     "RII- face=²",
     "RII- face=+1",
-    "RII+ dartA=0 dartB=2 over=A order=x",
+    "RII+ dartA=0 loopB=x over=A",
 ]
 
 
@@ -412,8 +413,8 @@ def test_bad_numbers_are_move_errors(line):
 
 def test_self_poke_script_names_far_side():
     d = free_loop()
-    near = MoveSite("RII+", (ROOT, ("loop", 0), ("loop", 0), "A", (), (), 1))
-    far = MoveSite("RII+", (("l", 0), ("loop", 0), ("loop", 0), "A", (), (), 1))
+    near = MoveSite("RII+", (ROOT, ("loop", 0), ("loop", 0), "A", (), ()))
+    far = MoveSite("RII+", (("l", 0), ("loop", 0), ("loop", 0), "A", (), ()))
     assert "from=far" not in format_move(near)
     assert "from=far" in format_move(far)
     for s in (near, far):

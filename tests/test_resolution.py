@@ -96,7 +96,7 @@ def test_event_tags_must_match_the_strands_touched():
         "X RI- crossing=--1",
         "X RII- face=²",
         "X RII- face=+1",
-        "X RII+ dartA=0 dartB=6 over=A order=x",
+        "X RII+ dartA=0 loopB=x over=A",
     ],
 )
 def test_bad_numbers_are_trace_errors(line):
@@ -494,8 +494,11 @@ def random_trace(seed, overlay):
 
 
 def test_seeded_traces_verify_at_their_peak():
+    # the least range of seeds whose walks reach every local move: M3a
+    # first appears at seed 386; the double-poke-slide case of
+    # test_pinned_curve_traces also pins it
     kinds = Counter()
-    for seed in range(200):
+    for seed in range(387):
         overlay = BARE_LOOP_OVERLAY if seed % 4 == 0 else HOPF_OVERLAY
         trace = random_trace(seed, overlay)
         graph = build_resolution_graph(trace)

@@ -414,8 +414,8 @@ def test_every_enumerated_site_but_the_parent_is_built(monkeypatch):
     monkeypatch.setattr(search, "enumerate_moves", counting_enumerate)
     monkeypatch.setattr(search, "apply_move", counting_apply_move)
     for start, goal, states, built in (
-        (torus_knot_diagram(2, 3), Goal.zero_crossing, (1, 28, 609), (2641, 1446)),
-        (hopf(), Goal.split_any, (1, 22, 372), (1588, 910)),
+        (torus_knot_diagram(2, 3), Goal.zero_crossing, (1, 28, 609), (2593, 1398)),
+        (hopf(), Goal.split_any, (1, 22, 372), (1556, 878)),
     ):
         counts.update(sites=0, built=0)
         cert = verify_hard(start, goal(), 2)
@@ -438,8 +438,8 @@ def test_every_enumerated_site_but_the_parent_is_built(monkeypatch):
     # the plane (before the carried skips: 5 + 94 and 4 + 68 sites, one
     # per non-start state; built 450 and 292)
     for start, goal, states, built in (
-        (torus_knot_diagram(2, 3), Goal.zero_crossing, (1, 6, 95), (549, 374)),
-        (hopf(), Goal.split_any, (1, 5, 69), (364, 242)),
+        (torus_knot_diagram(2, 3), Goal.zero_crossing, (1, 6, 95), (525, 350)),
+        (hopf(), Goal.split_any, (1, 5, 69), (348, 226)),
     ):
         counts.update(sites=0, built=0)
         cert = verify_hard(start.with_mode(SPHERE), goal(), 2)
@@ -513,7 +513,7 @@ def test_inverse_face_names_the_bigon_an_engulfing_poke_fills():
             assert sorted(x >> 2 for x in child.face_darts(f)) == [n, n + 1]
             assert child.region_children.get(child.region_of_face(f))
             seen += 1
-    assert seen == 4 + 14 + 14
+    assert seen == 4 + 10 + 10
 
 
 def reference_parents(d0, budget):
@@ -747,60 +747,6 @@ def test_no_region_lists_both_flanks_of_an_edge():
                     if cdg not in seen:
                         seen.add(cdg)
                         todo.append(child)
-
-
-def test_order_two_pokes_build_their_twin():
-    # on one edge, which run is the finger is the choice of which run is
-    # over: an order-2 self-poke builds the child of the order-1 poke with
-    # over swapped and the same captured and engulfed sets.  Checked on
-    # every site, uncapped, of the census diagrams and of every rooting of
-    # every state of budget-2 closures, with and without content.
-    census = [
-        Diagram(PLANE, (3, 2, 1, 0), (0,), ("K",)),
-        torus_knot_diagram(2, 3),
-        hopf(),
-        poked_unknot(),
-        split_d_pq(2, 3),
-        d_pq(2, 3),
-    ]
-    starts = [
-        lambda: torus_knot_diagram(2, 3),
-        hopf,
-        lambda: unknot_diagram(0),
-        lambda: unknot_diagram(1),
-        lambda: circles(2),
-        lambda: circles(3),
-    ]
-    reps = []
-    for d in census:
-        reps += [d, d.with_mode(SPHERE)]
-    for make in starts:
-        for mode in (PLANE, SPHERE):
-            d0 = make().with_mode(mode)
-            cap = d0.ncross + 2
-            seen = {digest(d0)}
-            todo = [d0]
-            while todo:
-                d = todo.pop()
-                roots = [None] if mode == PLANE else d.region_keys
-                reps += [d if r is None else d.rerooted(r) for r in roots]
-                for *_, child, cdg in search._expand_one(d, cap, ()):
-                    if cdg not in seen:
-                        seen.add(cdg)
-                        todo.append(child)
-    n = content = 0
-    for rep in reps:
-        for site in enumerate_moves(rep):
-            if site.kind != "RII+" or site.spot[6] != 2:
-                continue
-            region, a, b, ov, cap_, eng, _order = site.spot
-            twin = site._replace(
-                spot=(region, a, b, "B" if ov == "A" else "A", cap_, eng, 1)
-            )
-            assert digest(apply_move(rep, site)) == digest(apply_move(rep, twin))
-            n += 1
-            content += bool(cap_ or eng)
-    assert (n, content) == (127760, 19128)
 
 
 def test_every_closure_site_replays_from_its_script_line():

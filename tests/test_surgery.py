@@ -213,28 +213,23 @@ def test_rii_capture_validation():
 
 
 def test_rii_one_edge_orders():
+    # the finger base sits nearer the named dart's crossing than the spot
+    # where the finger crosses the edge
     base = kink()
-    d1 = surgery.rii_add(base, ("f", 1), ("d", 1), ("d", 1), "B", order=1).check()
+    d1 = surgery.rii_add(base, ("f", 1), ("d", 1), ("d", 1), "B").check()
     assert list(d1.theta) == [3, 6, 7, 0, 8, 11, 1, 2, 4, 10, 9, 5]
     assert sorted(d1.faces) == [(0,), (1, 7, 3), (2, 4, 9, 11, 6), (5, 8), (10,)]
     assert_same(surgery.rii_remove(d1, 5).check(), base)
 
-    d2 = surgery.rii_add(base, ("f", 1), ("d", 1), ("d", 1), "B", order=2).check()
-    assert list(d2.theta) == [3, 9, 10, 0, 8, 11, 7, 6, 4, 1, 2, 5]
-    assert sorted(d2.faces) == [(0,), (1, 10, 3), (2, 11, 6, 4, 9), (5, 8), (7,)]
-    assert_same(surgery.rii_remove(d2, 5).check(), base)
 
-
-def test_rii_one_edge_capture_flank_depends_on_order():
+def test_rii_one_edge_capture_rides_into_the_pocket():
+    # captured content rides into the finger pocket, the monogon (10,)
+    # beside the finger base
     base = kink(loops=[Loop("C", ("f", 1))])
     c1 = surgery.rii_add(
-        base, ("f", 1), ("d", 1), ("d", 1), "B", order=1, captured=[("L", 0)]
+        base, ("f", 1), ("d", 1), ("d", 1), "B", captured=[("L", 0)]
     ).check()
     assert c1.loops == (Loop("C", ("f", 10)),)
-    c2 = surgery.rii_add(
-        base, ("f", 1), ("d", 1), ("d", 1), "B", order=2, captured=[("L", 0)]
-    ).check()
-    assert c2.loops == (Loop("C", ("f", 7)),)
 
 
 # -- RII, circles ----------------------------------------------------
@@ -344,11 +339,6 @@ def test_rii_remove_rejects_one_crossing_2gon():
         surgery.rii_remove(kink(), 1)
 
 
-def test_rii_order_only_on_one_edge_sites():
-    with pytest.raises(MoveError):
-        surgery.rii_add(kink(), ("f", 1), ("d", 1), ("d", 3), "A", order=2)
-
-
 def test_rii_rejects_edge_flank_pair():
     # naming an edge by both its flank darts never describes a region site
     with pytest.raises(MoveError):
@@ -376,6 +366,12 @@ def test_rii_site_must_bound_region():
 def test_rii_add_needs_an_existing_region_and_its_boundary(region, a, b):
     with pytest.raises(MoveError):
         surgery.rii_add(kink(), region, a, b, "A")
+
+
+def test_rii_add_refuses_a_host_naming_no_region():
+    d = kink(loops=[Loop("C", ("f", 0))])  # fails validate(): 0 is the up face
+    with pytest.raises(MoveError, match="no region"):
+        surgery.rii_add(d, ("f", 0), ("d", 0), ("d", 0), "A")
 
 
 # -- RIII ------------------------------------------------------------
