@@ -386,7 +386,7 @@ class Diagram:
             elems.extend(("d", d) for d in self.face_darts(rkey[1]))
         elif rkey[0] == "l":
             elems.append(("loop", rkey[1]))
-        for kind, ref in self.region_children.get(rkey, ()):
+        for kind, ref in self.region_children[rkey]:
             if kind == "I":
                 _host, up = self.hosts[ref]
                 elems.extend(("d", d) for d in self.face_darts(up))
@@ -423,7 +423,7 @@ class Diagram:
     def _region_exists(self, rkey):
         if rkey == ROOT:
             return True
-        if len(rkey) != 2:
+        if not isinstance(rkey, tuple) or len(rkey) != 2:
             return False
         kind, ref = rkey
         if kind == "f":

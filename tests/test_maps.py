@@ -130,8 +130,8 @@ def test_region_boundary():
 
 @pytest.mark.parametrize(
     "rkey",
-    [("l", 5), ("f", 1), ("f", 3), ("q", 0)],
-    ids=["no-loop", "up-face", "not-a-face-key", "no-kind"],
+    [("l", 5), ("f", 1), ("f", 3), ("q", 0), 5],
+    ids=["no-loop", "up-face", "not-a-face-key", "no-kind", "not-a-tuple"],
 )
 def test_region_boundary_refuses_a_key_naming_no_region(rkey):
     # on the kinked unknot the regions are the root and faces 0 and 2;
