@@ -34,6 +34,11 @@ in the plane one that also gives the smallest up-face marker.  For two
 diagrams with equal codes the two recorded numberings compose to an
 isomorphism that keeps theta, decorations, labels and, in the plane, the
 up face; `search` uses it to carry a move site from one to the other.
+The same diagram also records (`Diagram.automorphisms`) what its
+recorded numbering composes to with each other achiever - in the plane,
+each other achiever with the smallest up marker.  These are all its
+automorphisms that keep those things, the identity left out; `search`
+builds one child per orbit of them.
 """
 
 from __future__ import annotations
@@ -119,18 +124,25 @@ def canonical_code(d):
     keys = d.islands_keys
     if len(keys) == 1 and not d.loops:
         # no content: the code is the island's, and the diagram records the
-        # numbering that achieves it (`search` maps sites between states)
+        # numbering that achieves it and its automorphisms (`search` maps
+        # sites between states and within one)
         best, numberings = ctx.island_best(d, keys[0])
         if d.mode == SPHERE:
             # any face can be made outer, so the up marker bottoms out at 0;
             # search._expand_one enumerates such a state in one rooting only
-            marker, lab = 0, numberings[0]
+            marker, achievers = 0, numberings
         else:
             up = d.face_darts(d.hosts[keys[0]][1])
             marks = [min([lab[x] for x in up]) for lab in numberings]
             marker = min(marks)
-            lab = numberings[marks.index(marker)]
+            achievers = [lab for lab, m in zip(numberings, marks) if m == marker]
+        lab = achievers[0]
         object.__setattr__(d, "numbering", tuple(lab))
+        # another achiever gives the number lab[x] to the dart order[lab[x]];
+        # equal walk codes make x -> order[lab[x]] an automorphism
+        orders = [tuple(other) for other in achievers[1:]]
+        autos = tuple(tuple([order[lab[x]] for x in d.darts()]) for order in orders)
+        object.__setattr__(d, "automorphisms", autos)
         tag = "S" if d.mode == SPHERE else "P"
         return (tag, ctx.table, (("I", (best, marker, ())),))
     if d.mode == SPHERE:

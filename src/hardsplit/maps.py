@@ -252,13 +252,19 @@ class Diagram:
     numbering : None until `canon.canonical_code` codes a diagram with
         one island and no loops; then the darts in the order of a walk
         numbering that achieves the code (set once, like the fields above)
+    automorphisms : None until `numbering` is set; then one tuple per
+        other achieving numbering (in the plane, per other achiever with
+        the smallest up marker), mapping each dart x to the dart that
+        numbering gives x's number: the automorphisms of the state that
+        keep theta, decorations, labels and, in the plane, the up face,
+        identity left out.  Empty for an asymmetric state
     """
 
     __slots__ = (
         "mode", "theta", "over", "labels", "loops", "hosts",
         "faces", "face_of", "face_len", "components", "comp_of",
         "islands", "islands_keys", "island_of", "region_keys", "region_children",
-        "numbering",
+        "numbering", "automorphisms",
     )
 
     def __init__(self, mode, theta, over, labels=None, loops=(), hosts=None):
@@ -318,6 +324,7 @@ class Diagram:
         put(self, "region_keys", region_keys)
         put(self, "region_children", children)
         put(self, "numbering", None)
+        put(self, "automorphisms", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Diagram is immutable")

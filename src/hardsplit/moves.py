@@ -132,8 +132,14 @@ def enumerate_moves(d: Diagram, max_cross=None):
     over every re-rooting - but in plane mode that fails for some RII+
     insertions: a diagram that returns to `d` by RII- need not be
     rebuilt by any RII+ site of `d` (ROADMAP item 1).  Distinct sites
-    may still produce equal diagrams (e.g. a poke described from either
-    strand's point of view).
+    may still produce equal diagrams.  The search skips two classes of
+    such twins on a diagram with one island and no loops: a site that
+    an automorphism of the diagram maps onto another
+    (`search._expand_one`), and on the sphere a wrap curl, which builds
+    the plain dart curl's child.  Others are left and built: curls on
+    either side of an existing kink of the same type, RI- of either of
+    two such kinks, and RII+ pokes that no automorphism relates (some
+    are one poke named from either strand's point of view).
     """
 
     def fits(kind):

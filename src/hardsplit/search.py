@@ -36,7 +36,20 @@ diagram in each, so it is built in the state's own rooting only
 (`region_keys[0]` is `ROOT`, which re-roots to the state itself).  In a
 later rooting its child is already in the dedup table, so skipping it
 changes no discovery.  A skipped site names a face key of theta as well,
-and is skipped in every rooting.  Every other site enumerated is built.
+and is skipped in every rooting.
+
+A state with one island and no loops also builds one child per orbit
+of its symmetries.  `canon.canonical_code` records on it the
+automorphisms its achieving walk numberings compose to; a site that one
+of them maps onto a site already built from the state is skipped, since
+its child is that site's child renumbered.  On the sphere such a state
+skips every wrap curl too, which builds its plain dart curl's child.
+This is the orderly-generation rule of McKay ("Isomorph-free exhaustive
+generation", J. Algorithms 26, 1998), with the automorphisms read off
+the plantri-style walk kernel.  Only a later twin of a child already
+built from the same parent is skipped.  Every other site enumerated is
+built.
+
 Expansion is serial and in frontier order: each parent's children are
 merged, in enumeration order, before the next parent is expanded, so the
 discovery order - and with it every reported number - is the same on
@@ -182,9 +195,11 @@ def _expand_one(d, cap, skips):
     re-rooting, since some sites only exist when the right region is
     outermost; a rooting-free site is built in the first rooting, the
     state itself, and skipped in the later ones, whose copy of it would
-    rebuild the same child.  Every other site enumerated is built.  A
-    generator, so a parent's children are built only as they are merged
-    and a cap that fires mid-parent stops the building.
+    rebuild the same child.  A state with one island and no loops skips
+    the twins of the sites it has built (below).  Every other site
+    enumerated is built.  A generator, so a parent's children are built
+    only as they are merged and a cap that fires mid-parent stops the
+    building.
 
     A sphere state with one island and no loops - the condition under
     which `canon.canonical_code` codes it without its hosts - is
@@ -232,31 +247,76 @@ def _expand_one(d, cap, skips):
       search that builds every site would make.
     - A state with more than one island or with a loop records no
       numbering, and keeps the parent's site alone.
+
+    Why a twin's child needs no building: a state d with one island and
+    no loops records its automorphisms (`Diagram.automorphisms`), each
+    composed of two walk numberings that achieve its code.  Such a map
+    sigma keeps theta and the rotation, since equal walk codes describe
+    the same rooted map, and keeps decorations and labels, which the code
+    spells out.  In the plane both numberings give the smallest up
+    marker, so sigma also keeps the up face.  So sigma is a symmetry of
+    the diagram, and `_image` carries each site s to a site sigma(s) of
+    the same legality: a dart curl to the curl on sigma's dart with the
+    same `over`, a face key to the key of the image face, an RII+ poke
+    to the poke on both image darts, in the region of their face.
+    apply_move(d, sigma(s)) is apply_move(d, s) renumbered (on the
+    sphere, perhaps rooted in another region), and gets its digest.
+    The search builds the first site of each orbit that it builds at
+    all; a later site of the orbit rebuilds a child already merged from
+    this parent, so no discovery changes.  A sphere wrap curl is skipped
+    on its own, as argued above.
     """
+    lone = len(d.islands_keys) == 1 and not d.loops
     if d.mode == PLANE:
         reps = [(None, d)]
     else:
-        roots = (ROOT,) if len(d.islands_keys) == 1 and not d.loops else d.region_keys
+        roots = (ROOT,) if lone else d.region_keys
         reps = ((r, d.rerooted(r)) for r in roots)
+    # a lone sphere state's wrap curl builds its plain dart curl's child
+    no_wraps = d.mode != PLANE and lone
+    autos = d.automorphisms or ()
+    # the images of the sites built so far under every automorphism
+    twins = set()
     for rkey, rep in reps:
         later = rep is not d
         for site in enumerate_moves(rep, cap):
-            if site in skips or (later and rooting_free(site)):
+            if site in skips or site in twins or (later and rooting_free(site)):
+                continue
+            if no_wraps and site.kind == "RI+" and site.spot[0] == "wrap":
                 continue
             child = apply_move(rep, site)
+            for sigma in autos:
+                twins.add(_image(site, sigma, d))
             yield rkey, rep, site, child, _digest(child)
+
+
+def _image(site, sigma, d):
+    """The site of `d` that an isomorphism onto `d` carries `site` to;
+    `sigma[x]` is the image of dart x.
+
+    Only the sites of a diagram with one island and no loops are mapped:
+    dart curls keep `over`, RII+ pokes keep the order of their two darts
+    and `over` and get the region of the image face, and a face key goes
+    to the key of the image face.
+    """
+    kind, spot = site
+    if kind == "RI+":
+        how, x, ov = spot
+        return MoveSite(kind, (how, sigma[x], ov))
+    if kind == "RII+":
+        _region, (_ka, a), (_kb, b), ov, cap, eng = spot
+        a, b = sigma[a], sigma[b]
+        return MoveSite(kind, (d.region_of_face(a), ("d", a), ("d", b), ov, cap, eng))
+    (f,) = spot
+    return MoveSite(kind, (d.face_of[sigma[f]],))
 
 
 def _carried(site, child, d):
     """The site of `d` that `site` of `child` is carried to by the
-    isomorphism between their recorded walk numberings (see `_expand_one`).
-
-    `site` names a face key; the dart with the same walk number in `d`
-    lies on the image face.
+    isomorphism between their recorded walk numberings (see `_expand_one`),
+    which takes each dart to the dart with the same walk number in `d`.
     """
-    kind, (x,) = site
-    y = d.numbering[child.numbering.index(x)]
-    return MoveSite(kind, (d.face_of[y],))
+    return _image(site, dict(zip(child.numbering, d.numbering)), d)
 
 
 def _witness(d0, parent, digest):

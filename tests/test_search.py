@@ -19,9 +19,10 @@ from hardsplit.generators import (
     unknot_diagram,
 )
 from hardsplit.invariants import d_pq_crossing_floor
-from hardsplit.maps import PLANE, ROOT, SPHERE, Diagram, DiagramError
+from hardsplit.maps import PLANE, ROOT, SPHERE, Diagram, DiagramError, rot
 from hardsplit.moves import (
     CROSSING_DELTA,
+    MoveSite,
     apply_move,
     apply_script,
     enumerate_moves,
@@ -395,11 +396,16 @@ def test_every_enumerated_site_but_the_parent_is_built(monkeypatch):
     # whose child is known to be in the table already: the site that
     # rebuilds its BFS parent, and, for a state with one island and no
     # loops, every site carried over from a tracked inverse found when
-    # the state was met again as a duplicate before its expansion.  Every
-    # other site it is given is built.  Before the carried skips only the
-    # parent's site was skipped (trefoil plane 633 = 0 + 26 + 607 over
-    # budgets 0..2, Hopf plane 390, d_pq(3,4) 728 of 3780); now each RIII
-    # edge of d_pq(3,4) is built from one end only (1890 = 3780 / 2)
+    # the state was met again as a duplicate before its expansion, every
+    # image of a site it has built under one of its automorphisms and, on
+    # the sphere, every wrap curl.  Every other site it is given is built.
+    # Before the carried skips only the parent's site was skipped
+    # (trefoil plane 633 = 0 + 26 + 607 over budgets 0..2, Hopf plane
+    # 390, d_pq(3,4) 728 of 3780); now each RIII edge of d_pq(3,4) is
+    # built from one end only (1890 = 3780 / 2).  Before the twin skips
+    # the plane built 1398 and 878; every state of the d_pq(3,4) closure
+    # is asymmetric (its three components carry distinct labels), so its
+    # count stays
     counts = {"sites": 0, "built": 0}
 
     def counting_enumerate(d, max_cross=None):
@@ -414,8 +420,8 @@ def test_every_enumerated_site_but_the_parent_is_built(monkeypatch):
     monkeypatch.setattr(search, "enumerate_moves", counting_enumerate)
     monkeypatch.setattr(search, "apply_move", counting_apply_move)
     for start, goal, states, built in (
-        (torus_knot_diagram(2, 3), Goal.zero_crossing, (1, 28, 609), (2593, 1398)),
-        (hopf(), Goal.split_any, (1, 22, 372), (1556, 878)),
+        (torus_knot_diagram(2, 3), Goal.zero_crossing, (1, 28, 609), (2593, 1241)),
+        (hopf(), Goal.split_any, (1, 22, 372), (1556, 805)),
     ):
         counts.update(sites=0, built=0)
         cert = verify_hard(start, goal(), 2)
@@ -436,10 +442,11 @@ def test_every_enumerated_site_but_the_parent_is_built(monkeypatch):
     # on the sphere every state of these closures has one island and no
     # loops, so it is enumerated in its own rooting only, and skips as in
     # the plane (before the carried skips: 5 + 94 and 4 + 68 sites, one
-    # per non-start state; built 450 and 292)
+    # per non-start state; built 450 and 292; before the twin skips 350
+    # and 226, of which 169 and 88 rebuilt an earlier sibling's child)
     for start, goal, states, built in (
-        (torus_knot_diagram(2, 3), Goal.zero_crossing, (1, 6, 95), (525, 350)),
-        (hopf(), Goal.split_any, (1, 5, 69), (348, 226)),
+        (torus_knot_diagram(2, 3), Goal.zero_crossing, (1, 6, 95), (525, 192)),
+        (hopf(), Goal.split_any, (1, 5, 69), (348, 144)),
     ):
         counts.update(sites=0, built=0)
         cert = verify_hard(start.with_mode(SPHERE), goal(), 2)
@@ -454,6 +461,106 @@ def inverse_corpus():
         for mode in (PLANE, SPHERE):
             out += [(make().with_mode(mode), b) for b in (0, 1, 2)]
     return out + [(split_d_pq(2, 3), 0), (d_pq(3, 4), 0)]
+
+
+def closure_states(d0, budget):
+    "The first diagram met for each state of the budgeted closure."
+    cap = d0.ncross + budget
+    seen = {digest(d0): d0}
+    todo = [d0]
+    while todo:
+        d = todo.pop()
+        reps = [d] if d.mode == PLANE else [d.rerooted(r) for r in d.region_keys]
+        for rep in reps:
+            for site in enumerate_moves(rep, cap):
+                child = apply_move(rep, site)
+                cdg = digest(child)
+                if cdg not in seen:
+                    seen[cdg] = child
+                    todo.append(child)
+    return list(seen.values())
+
+
+def symmetry(d, y0):
+    """The map of d's darts that keeps theta and rotation and sends dart 0
+    to `y0`, when it is a permutation keeping over-ness, labels and, in
+    the plane, the up face; else None.  `d` has one island."""
+    sigma = {0: y0}
+    order = [0]
+    for x in order:  # grows while it is read
+        for a, b in ((rot(x), rot(sigma[x])), (d.theta[x], d.theta[sigma[x]])):
+            if a not in sigma:
+                sigma[a] = b
+                order.append(a)
+    perm = tuple(sigma[x] for x in d.darts())
+    up = d.hosts[d.islands_keys[0]][1]
+    ok = (
+        sorted(perm) == list(d.darts())
+        and all(perm[rot(x)] == rot(perm[x]) for x in d.darts())
+        and all(perm[d.theta[x]] == d.theta[perm[x]] for x in d.darts())
+        and all(d.is_over_dart(perm[x]) == d.is_over_dart(x) for x in d.darts())
+        and all(d.label_of_dart(perm[x]) == d.label_of_dart(x) for x in d.darts())
+        and (d.mode == SPHERE or d.face_of[perm[up]] == up)
+    )
+    return perm if ok else None
+
+
+def site_image(d, site, perm):
+    "The site `site` of d names after renumbering its darts by `perm`."
+    kind, spot = site
+    if kind == "RI+":
+        return MoveSite(kind, (spot[0], perm[spot[1]], spot[2]))
+    if kind == "RII+":
+        _region, (_, a), (_, b), ov, cap, eng = spot
+        a, b = perm[a], perm[b]
+        return MoveSite(kind, (d.region_of_face(a), ("d", a), ("d", b), ov, cap, eng))
+    return MoveSite(kind, (d.face_of[perm[spot[0]]],))
+
+
+def test_recorded_automorphisms_are_the_symmetries():
+    # every state with one island and no loops records, besides the
+    # identity, exactly the maps that an independent extension from
+    # dart 0 finds to keep theta, rotation, over-ness, labels and, in the
+    # plane, the up face; and each of them carries every site to a site
+    # whose child has the same digest.  A sphere wrap curl is left out:
+    # the search never builds one, and its image need not be a wrap
+    corpus = inverse_corpus() + [
+        (torus_knot_diagram(2, 5).with_mode(mode), b)
+        for mode in (PLANE, SPHERE)
+        for b in (0, 1)
+    ] + [(torus_knot_diagram(3, 4).with_mode(SPHERE), 0)]
+    orders = {}
+    for d0, budget in corpus:
+        for d in closure_states(d0, budget):
+            if len(d.islands_keys) != 1 or d.loops:
+                assert d.automorphisms is None
+                continue
+            identity = tuple(d.darts())
+            # an image of dart 0 lies on a face of the same length
+            cands = [y for y in d.darts() if d.face_len[y] == d.face_len[0]]
+            found = {symmetry(d, y) for y in cands} - {None}
+            assert identity not in d.automorphisms
+            assert set(d.automorphisms) | {identity} == found
+            assert len(d.automorphisms) + 1 == len(found)
+            if d is d0:
+                orders[d0.mode, d0.ncross, budget] = len(found)
+            if not d.automorphisms:
+                continue
+            kids = {
+                site: digest(apply_move(d, site))
+                for site in enumerate_moves(d)
+                if d.mode == PLANE or site.spot[0] != "wrap"
+            }
+            for site, cdg in kids.items():
+                for perm in d.automorphisms:
+                    twin = site_image(d, site, perm)
+                    assert kids.get(twin) == cdg, (site, twin)
+    # the starts: trefoil 2 in the plane (its up face is a bigon) and 6
+    # on the sphere, Hopf 2 and 4, T(2,5) 2 and 10, T(3,4) 8, d_pq(3,4) 1
+    assert orders[PLANE, 3, 0] == 2 and orders[SPHERE, 3, 0] == 6
+    assert orders[PLANE, 2, 0] == 2 and orders[SPHERE, 2, 0] == 4
+    assert orders[PLANE, 5, 0] == 2 and orders[SPHERE, 5, 0] == 10
+    assert orders[SPHERE, 8, 0] == 8 and orders[PLANE, 20, 0] == 1
 
 
 def test_inverse_site_rebuilds_the_bfs_parent(monkeypatch):
@@ -559,11 +666,19 @@ def test_skipped_sites_rebuild_known_states(monkeypatch):
 
     monkeypatch.setattr(search, "enumerate_moves", recording_enumerate)
     monkeypatch.setattr(search, "apply_move", recording_apply_move)
-    corpus = inverse_corpus() + [
-        (unknot_diagram(2).with_mode(mode), b)
-        for mode in (PLANE, SPHERE)
-        for b in (0, 1, 2)
-    ]
+    # T(2,5) has a symmetry group of order 10 on the sphere and 2 in the
+    # plane, so its closures skip many twin sites (230 states on the
+    # sphere at b2)
+    corpus = (
+        inverse_corpus()
+        + [
+            (unknot_diagram(2).with_mode(mode), b)
+            for mode in (PLANE, SPHERE)
+            for b in (0, 1, 2)
+        ]
+        + [(torus_knot_diagram(2, 5).with_mode(SPHERE), b) for b in (0, 1, 2)]
+        + [(torus_knot_diagram(2, 5), b) for b in (0, 1)]
+    )
     skips = {}
     for d0, budget in corpus:
         calls.clear()
@@ -580,6 +695,7 @@ def test_skipped_sites_rebuild_known_states(monkeypatch):
     # more skips than states: beyond the one BFS-parent site per state
     n, states = skips[PLANE, 3, 1, 2]
     assert states == 609 and n > states
+    assert skips[SPHERE, 5, 1, 2][1] == 230
 
 
 def test_bad_arguments():
