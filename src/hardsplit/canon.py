@@ -73,9 +73,13 @@ class _Ctx:
         self.deco = bytes(
             ((x & 1) == over[x >> 2]) << 4 | lsym[comp_of[x]] for x in range(len(d.theta))
         )
-        # per dart: the length of its face, read off `maps.structure`;
-        # re-rootings keep theta, so every island and rooting shares it
-        self.flen = d.face_len
+        # per dart: the length of its face, read off the faces
+        # `maps.structure` traced, by face key; re-rootings keep theta, so
+        # every island and rooting shares it
+        by_key = [0] * len(d.theta)
+        for orb in d.faces:
+            by_key[orb[0]] = len(orb)
+        self.flen = [by_key[f] for f in d.face_of]
         self._best = {}
 
     def island_best(self, d, key):

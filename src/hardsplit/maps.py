@@ -13,10 +13,13 @@ is the face lying to the right of that dart.
 
 Everything theta alone determines (faces, strand components, islands) is
 derived by one checking pass, `structure(theta)`, into an immutable
-`Structure` record.  `Diagram` accepts such a record in place of theta, so
-a surgery that has already read faces and islands off its new theta, or a
-re-rooting that keeps theta, hands the record on instead of deriving it
-again.
+`Structure` record; its per-dart maps (`face_of`, `comp_of`, `island_of`)
+are tuples indexed by dart, like theta.  A tuple reads -1 as its last
+entry, so a dart key that comes from outside this module is range- and
+type-checked (`_is_dart`) before it indexes one.  `Diagram` accepts such
+a record in place of theta, so a surgery that has already read faces and
+islands off its new theta, or a re-rooting that keeps theta, hands the
+record on instead of deriving it again.
 """
 
 from __future__ import annotations
@@ -77,13 +80,12 @@ class Structure(NamedTuple):
 
     theta: tuple
     faces: tuple
-    face_of: dict
-    face_len: list
+    face_of: tuple
     components: tuple
-    comp_of: dict
+    comp_of: tuple
     islands: dict
     islands_keys: tuple
-    island_of: dict
+    island_of: tuple
 
     def face_darts(self, fkey):
         return _face_darts(self.theta, self.face_of, fkey)
@@ -108,7 +110,6 @@ def structure(theta) -> Structure:
 
     # faces: orbits of phi = rot . theta (inlined), met from their smallest dart
     fkey = [-1] * nd
-    flen = [0] * nd
     faces = []
     for d0 in range(nd):
         if fkey[d0] >= 0:
@@ -122,7 +123,6 @@ def structure(theta) -> Structure:
             fkey[x] = d0
             t = theta[x]
             x = (t & ~3) | ((t + 1) & 3)
-        flen[d0] = len(orb)
         faces.append(tuple(orb))
 
     # strands: opp . theta traces each one twice, once per direction; the
@@ -168,13 +168,12 @@ def structure(theta) -> Structure:
     return Structure(
         theta,
         tuple(faces),
-        dict(enumerate(fkey)),
-        [flen[k] for k in fkey],
+        tuple(fkey),
         tuple(comps),
-        dict(enumerate(cidx)),
+        tuple(cidx),
         islands,
         tuple(islands),
-        {d: ikey[d >> 2] for d in range(nd)},
+        tuple([ikey[d >> 2] for d in range(nd)]),
     )
 
 
@@ -197,9 +196,14 @@ def carried_labels(d, skel, dmap):
     return [by_min[orb[0]] for orb in skel.components]
 
 
+def _is_dart(theta, x):
+    "Whether `x`, a key from outside this module, is a dart of `theta`."
+    return isinstance(x, int) and 0 <= x < len(theta)
+
+
 def _face_darts(theta, face_of, fkey):
     "The phi-orbit of face key `fkey`, walked from the key."
-    if face_of.get(fkey) != fkey:
+    if not _is_dart(theta, fkey) or face_of[fkey] != fkey:
         raise DiagramError("no face with key %r" % (fkey,))
     orb = [fkey]
     t = theta[fkey]
@@ -235,20 +239,21 @@ class Diagram:
 
     faces : face orbits of phi = rot . theta, each starting at its smallest
         dart, in order of that dart
-    face_of : map dart -> face key (the smallest dart on its face)
-    face_len : per dart, the length of its face
+    face_of : per dart, its face key (the smallest dart on its face)
     components : strand components as forward dart cycles (one dart per
         edge).  The forward direction is the orbit containing the
         component's smallest dart, which makes derived orientations
         deterministic.
-    comp_of : map dart -> component index
+    comp_of : per dart, its component index
     islands : map island key -> sorted tuple of its darts
     islands_keys : sorted smallest-dart keys of the connected shadow pieces
-    island_of : map dart -> island key
+    island_of : per dart, its island key
     region_keys : ROOT, then ("f", face_key) for each face that is not an
-        up face, then ("l", loop_index) for each loop's far side
+        up face, then ("l", loop_index) for each loop's far side; computed
+        on each access, not stored
     region_children : map region key -> list of ("I", island_key) and
-        ("L", loop_index) hosted there; every region key is present
+        ("L", loop_index) hosted there; a region that hosts nothing has no
+        entry
     numbering : None until `canon.canonical_code` codes a diagram with
         one island and no loops; then the darts in the order of a walk
         numbering that achieves the code (set once, like the fields above)
@@ -262,8 +267,8 @@ class Diagram:
 
     __slots__ = (
         "mode", "theta", "over", "labels", "loops", "hosts",
-        "faces", "face_of", "face_len", "components", "comp_of",
-        "islands", "islands_keys", "island_of", "region_keys", "region_children",
+        "faces", "face_of", "components", "comp_of",
+        "islands", "islands_keys", "island_of", "region_children",
         "numbering", "automorphisms",
     )
 
@@ -298,10 +303,9 @@ class Diagram:
         for key in s.islands_keys:
             if hosts and key in hosts:
                 host, up = hosts[key]
-                up_face = face_of.get(up)
-                if up_face is None:
+                if not _is_dart(s.theta, up):
                     raise DiagramError("island %r: no dart %r for its up face" % (key, up))
-                norm_hosts[key] = (self._norm_region(host), up_face)
+                norm_hosts[key] = (self._norm_region(host), face_of[up])
             else:
                 norm_hosts[key] = (ROOT, face_of[key])
         if hosts:
@@ -310,18 +314,11 @@ class Diagram:
                     raise DiagramError("host entry for unknown island %r" % (key,))
         put(self, "hosts", norm_hosts)
 
-        ups = {up for (_h, up) in norm_hosts.values()}
-        region_keys = (
-            (ROOT,)
-            + tuple(("f", orb[0]) for orb in s.faces if orb[0] not in ups)
-            + tuple(("l", i) for i in range(len(loops)))
-        )
-        children = {key: [] for key in region_keys}
+        children = {}
         for key in s.islands_keys:
             children.setdefault(norm_hosts[key][0], []).append(("I", key))
         for i, lp in enumerate(loops):
             children.setdefault(lp.host, []).append(("L", i))
-        put(self, "region_keys", region_keys)
         put(self, "region_children", children)
         put(self, "numbering", None)
         put(self, "automorphisms", None)
@@ -363,14 +360,26 @@ class Diagram:
         "Region keys name faces by their smallest dart; fix up any other dart."
         rkey = tuple(rkey)
         if rkey and rkey[0] == "f":
-            f = self.face_of.get(rkey[1]) if len(rkey) == 2 else None
-            if f is None:
+            if len(rkey) != 2 or not _is_dart(self.theta, rkey[1]):
                 raise DiagramError("no face for region %r" % (rkey,))
-            return ("f", f)
+            return ("f", self.face_of[rkey[1]])
         return rkey
 
+    @property
+    def region_keys(self):
+        "ROOT, the faces that are not up faces, then the loops' far sides."
+        ups = {up for (_h, up) in self.hosts.values()}
+        return (
+            (ROOT,)
+            + tuple(("f", orb[0]) for orb in self.faces if orb[0] not in ups)
+            + tuple(("l", i) for i in range(len(self.loops)))
+        )
+
     def region_of_face(self, fkey):
-        """Region key for the area of face `fkey` (follows up faces outward)."""
+        """Region key for the area of face `fkey`, named by any of its darts
+        (follows up faces outward)."""
+        if not _is_dart(self.theta, fkey):
+            raise DiagramError("no dart %r" % (fkey,))
         fkey = self.face_of[fkey]
         host, up = self.hosts[self.island_of[fkey]]
         if fkey == up:
@@ -393,7 +402,7 @@ class Diagram:
             elems.extend(("d", d) for d in self.face_darts(rkey[1]))
         elif rkey[0] == "l":
             elems.append(("loop", rkey[1]))
-        for kind, ref in self.region_children[rkey]:
+        for kind, ref in self.region_children.get(rkey, ()):
             if kind == "I":
                 _host, up = self.hosts[ref]
                 elems.extend(("d", d) for d in self.face_darts(up))
@@ -415,11 +424,11 @@ class Diagram:
                     "island %d: Euler characteristic %d (not planar)" % (key, chi)
                 )
         for key, (host, up) in self.hosts.items():
-            if self.island_of.get(up) != key:
+            if self.island_of[up] != key:
                 out.append("island %d: up face %r is not its own face" % (key, up))
             if host != ROOT and not self._region_exists(host):
                 out.append("island %d: host region %r does not exist" % (key, host))
-            if host[0] == "f" and self.island_of.get(host[1]) == key:
+            if host[0] == "f" and self.island_of[host[1]] == key:
                 out.append("island %d hosted inside itself" % key)
         for i, lp in enumerate(self.loops):
             if lp.host != ROOT and not self._region_exists(lp.host):
@@ -434,7 +443,7 @@ class Diagram:
             return False
         kind, ref = rkey
         if kind == "f":
-            return ref in self.face_of and self.region_of_face(ref) == rkey
+            return _is_dart(self.theta, ref) and self.region_of_face(ref) == rkey
         if kind == "l":
             return isinstance(ref, int) and 0 <= ref < len(self.loops)
         return False
@@ -493,7 +502,7 @@ class Diagram:
     def _structure(self):
         "The record this diagram was built from, for a copy with the same theta."
         return Structure(
-            self.theta, self.faces, self.face_of, self.face_len, self.components,
+            self.theta, self.faces, self.face_of, self.components,
             self.comp_of, self.islands, self.islands_keys, self.island_of,
         )
 
@@ -511,6 +520,10 @@ class Diagram:
         n = self.ncross
         perm = list(perm) if perm is not None else list(range(n))
         shifts = list(shifts) if shifts is not None else [0] * n
+        if len(perm) != n or set(perm) != set(range(n)):
+            raise DiagramError("perm %r is not a permutation of range(%d)" % (perm, n))
+        if len(shifts) != n:
+            raise DiagramError("%d shifts for %d crossings" % (len(shifts), n))
         dmap = {}
         for c in range(n):
             for s in range(4):

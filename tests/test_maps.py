@@ -25,6 +25,7 @@ from hardsplit.maps import (
     slot_of,
 )
 from hardsplit.moves import MoveSite, apply_move, enumerate_moves
+from hardsplit.surgery import rii_add
 
 KINK = [3, 2, 1, 0]
 # trefoil shadow: three crossings, each pair joined by two parallel edges
@@ -198,6 +199,17 @@ def test_relabeled_identity_and_shift():
     assert list(shifted.theta) == KINK and shifted.over == (0,)
 
 
+@pytest.mark.parametrize(
+    "perm, shifts",
+    [([0, 1, 5], None), ([0, 1], None), ([0, 0, 1], None), (None, [0, 1]), (None, [0] * 4)],
+    ids=["out of range", "short", "repeated", "two shifts", "four shifts"],
+)
+def test_relabeled_refuses_a_bad_perm_or_shifts(perm, shifts):
+    d = Diagram(PLANE, TREFOIL, [0, 1, 0])
+    with pytest.raises(DiagramError):
+        d.relabeled(perm, shifts)
+
+
 def test_rerooted():
     d = Diagram(PLANE, KINK, [0], labels=["K"])
     r = d.rerooted(("f", 1))
@@ -274,13 +286,12 @@ def assert_structure(d):
         i = orb.index(min(orb))
         faces.add(tuple(orb[i:] + orb[:i]))
     assert list(d.faces) == sorted(faces)
-    assert d.face_of == {x: f[0] for f in faces for x in f}
-    assert dict(enumerate(d.face_len)) == {x: len(f) for f in faces for x in f}
+    assert d.face_of == tuple(f[0] for x in range(n) for f in faces if x in f)
 
     islands = _classes(n, [(x, _next_ccw(x)) for x in range(n)] + list(enumerate(th)))
     assert d.islands == islands
     assert d.islands_keys == tuple(sorted(islands))
-    assert d.island_of == {x: k for k, ds in islands.items() for x in ds}
+    assert d.island_of == tuple(k for x in range(n) for k, ds in islands.items() if x in ds)
 
     strands = _classes(n, [(x, _across(x)) for x in range(n)] + list(enumerate(th)))
     assert len(d.components) == len(strands)
@@ -289,7 +300,7 @@ def assert_structure(d):
         assert comp[0] == low
         assert tuple(sorted(set(comp) | {th[x] for x in comp})) == ds
         assert all(d.comp_of[x] == i for x in ds)
-    assert len(d.comp_of) == n
+    assert type(d.comp_of) is tuple and len(d.comp_of) == n
 
     ups = {up for _host, up in d.hosts.values()}
     regions = (
@@ -298,7 +309,8 @@ def assert_structure(d):
         + [("l", i) for i in range(len(d.loops))]
     )
     assert list(d.region_keys) == regions
-    assert set(d.region_children) == set(regions)
+    assert set(d.region_children) <= set(regions)
+    assert all(d.region_children.values())
     listed = [e for kids in d.region_children.values() for e in kids]
     nodes = [("I", k) for k in islands] + [("L", i) for i in range(len(d.loops))]
     assert sorted(listed) == sorted(nodes)
@@ -335,15 +347,33 @@ def test_structure_matches_oracle(make, with_children):
             assert_structure(e)
 
 
+def _dart_key_uses(x):
+    "Each way a dart key reaches the kink from outside `maps`, with `x` as the key."
+    kink = Diagram(PLANE, KINK, [0])
+    return [
+        ("up dart", lambda: Diagram(PLANE, KINK, [0], hosts={0: (ROOT, x)})),
+        ("loop host face", lambda: Diagram(PLANE, KINK, [0], loops=[(None, ("f", x))])),
+        ("island host face", lambda: Diagram(PLANE, KINK, [0], hosts={0: (("f", x), 0)})),
+        ("rerooted", lambda: kink.rerooted(("f", x))),
+        ("region_boundary", lambda: kink.region_boundary(("f", x))),
+        ("region_of_face", lambda: kink.region_of_face(x)),
+        ("rii_add region", lambda: rii_add(kink, ("f", x), ("d", 1), ("d", 3), "A")),
+    ]
+
+
+# the kink has darts 0..3, and a tuple indexed by -1 would read dart 3's
+# face (1, 3): a real region
+BAD_KEY_BUILDS = _dart_key_uses(99)[:3] + [
+    ("short region key", lambda: Diagram(PLANE, KINK, [0]).rerooted(("f",))),
+] + [
+    ("%s %s" % (name, xid), build)
+    for x, xid in ((-1, "-1"), (4, "ndart"), ("0", "non-int"))
+    for name, build in _dart_key_uses(x)
+]
+
+
 @pytest.mark.parametrize(
-    "build",
-    [
-        lambda: Diagram(PLANE, KINK, [0], hosts={0: (ROOT, 99)}),
-        lambda: Diagram(PLANE, KINK, [0], loops=[(None, ("f", 99))]),
-        lambda: Diagram(PLANE, KINK, [0], hosts={0: (("f", 99), 0)}),
-        lambda: Diagram(PLANE, KINK, [0]).rerooted(("f",)),
-    ],
-    ids=["up dart", "loop host face", "island host face", "short region key"],
+    "build", [b for _, b in BAD_KEY_BUILDS], ids=[name for name, _ in BAD_KEY_BUILDS]
 )
 def test_bad_keys_are_diagram_errors(build):
     with pytest.raises(DiagramError):

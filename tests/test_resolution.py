@@ -104,6 +104,35 @@ def test_bad_numbers_are_trace_errors(line):
         parse_trace(HOPF_OVERLAY + "\n" + line + "\n")
 
 
+# the Hopf overlay after `C R1+ dart=0 side=R`: the curve has a curl
+CURLED_OVERLAY = (
+    "OVERLAY X c0 E1 E2 E3 E4; X c1 E4 E3 E5 E1; X c2 E6 E6 E5 E2;"
+    " C T E1 E3; C U E2 E6 E5 E4; F E2:R"
+)
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("OVERLAY X c0 E1 E2", "line 1: .*four edges"),
+        (HOPF_OVERLAY.replace("C U", "C W"), "exactly one component .* found 0"),
+        (HOPF_OVERLAY.replace("C T", "C U"), "exactly one component .* found 2"),
+        (HOPF_OVERLAY + "\nC RI+ dart=0 side=R", "line 2: C events are R1\\+"),
+        (HOPF_OVERLAY + "\nC R1+ dart=0 side=R over=0", "line 2: .* drop over="),
+        (HOPF_OVERLAY + "\nX RI+ dart=1 side=R over=0", "line 2: an X event must touch both"),
+        (CURLED_OVERLAY, "must start with a simple curve"),
+    ],
+    ids=[
+        "overlay-pd", "no-curve", "two-curves", "c-kind", "c-over", "x-tangle-only",
+        "curled-start",
+    ],
+)
+def test_bad_input_is_a_trace_error(text, match):
+    # the last case parses, and the path search refuses its start
+    with pytest.raises(TraceError, match=match):
+        find_isotopy_path(build_resolution_graph(parse_trace(text)))
+
+
 # curve-only traces with RII+, RII- and RIII events: a self-poke pulled
 # back, and a curl poked and then slid
 SELF_POKE = "C R2+ dartA=0 dartB=0\nC R2- face=9\n"

@@ -537,7 +537,8 @@ def test_recorded_automorphisms_are_the_symmetries():
                 continue
             identity = tuple(d.darts())
             # an image of dart 0 lies on a face of the same length
-            cands = [y for y in d.darts() if d.face_len[y] == d.face_len[0]]
+            size = len(d.face_darts(d.face_of[0]))
+            cands = [y for y in d.darts() if len(d.face_darts(d.face_of[y])) == size]
             found = {symmetry(d, y) for y in cands} - {None}
             assert identity not in d.automorphisms
             assert set(d.automorphisms) | {identity} == found
