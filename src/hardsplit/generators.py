@@ -37,8 +37,8 @@ def _closed_braid(p, q, base):
     strand positions a and a+1.  Its darts 4j+s sit at slot s with
     0 = SE, 1 = NE, 2 = NW, 3 = SW, so the braid flows upward and slots
     run counterclockwise.  Returns (pairs, wrap) where wrap is position
-    0's closure arc as (top NW dart, bottom SW dart); the clasped-pair
-    builders cut the diagram open along that arc.
+    0's closure arc as (top NW dart, bottom SW dart); `_clasped_pair`
+    cuts the diagram open along that arc.
     """
     n = q * (p - 1)
     pairs = []
@@ -77,6 +77,40 @@ def torus_knot_diagram(p, q):
     return Diagram(PLANE, theta, (1,) * n, (None,), (), {0: (ROOT, top)})
 
 
+# slots of the clasp and guard crossings, counterclockwise from east
+_E, _N, _W, _S = 0, 1, 2, 3
+
+
+def _clasped_pair(p, q):
+    """The clasp shared by `d_pq` and `split_d_pq`: two (p, q) braid
+    closures M1, M2 with their position-0 closure arcs cut open, M1's
+    opened arc made a tongue that crosses M2's at K (crossing 2n) and
+    back at L (2n + 1).
+
+    Returns (pairs, over, out, back): the edges so far, the decorations
+    of crossings 0..2n+1, and the two gaps of the tongue left for the
+    caller's route, each (M1 dart, clasp dart): from M1 out to K, and
+    from L back to M1.
+    """
+    _family_params(p, q)
+    n = q * (p - 1)
+    pairs1, (a1, b1) = _closed_braid(p, q, 0)
+    pairs2, (a2, b2) = _closed_braid(p, q, 4 * n)
+    ck, cl = 8 * n, 8 * n + 4
+    drop = {(a1, b1), (a2, b2)}
+    pairs = [e for e in pairs1 + pairs2 if e not in drop]
+    pairs += [
+        # the fingertip between K and L
+        (ck + _E, cl + _E),
+        # M2's opened arc is pierced twice by the tongue
+        (a2, ck + _S), (ck + _N, cl + _S), (cl + _N, b2),
+    ]
+    # the tongue is over at K and under at L (equal crossing signs, so
+    # the pair really links)
+    over = (1,) * (2 * n) + (0, 1)
+    return pairs, over, (a1, ck + _W), (cl + _W, b1)
+
+
 def d_pq(p, q):
     """Two clasped (p, q) torus-knot copies M1, M2 and a guard circle U.
 
@@ -85,54 +119,34 @@ def d_pq(p, q):
     the clasp; U passes over both.  Census: 2q(p-1) braid crossings plus
     2 clasp plus 2 guard.
     """
-    _family_params(p, q)
-    n = q * (p - 1)
-    pairs1, (a1, b1) = _closed_braid(p, q, 0)
-    pairs2, (a2, b2) = _closed_braid(p, q, 4 * n)
-    # Four extra crossings, slots 0/1/2/3 = E/N/W/S on each: the clasp
-    # pair K, L and the guard pair P, Q.
-    ck, cl, cp, cq = 8 * n, 8 * n + 4, 8 * n + 8, 8 * n + 12
-    E, N, W, S = 0, 1, 2, 3
-    drop = {(a1, b1), (a2, b2)}
-    pairs = [e for e in pairs1 + pairs2 if e not in drop]
+    pairs, over, (a1, kw), (lw, b1) = _clasped_pair(p, q)
+    # the guard pair P, Q follows the clasp
+    cp = 4 * len(over)
+    cq = cp + 4
     pairs += [
-        # M1's opened arc becomes the tongue: out through the guard at P,
-        # across M2's arc at K, fingertip, back across at L, out through
-        # the guard at Q, home.
-        (a1, cp + W), (cp + E, ck + W), (ck + E, cl + E),
-        (cl + W, cq + E), (cq + W, b1),
-        # M2's opened arc is pierced twice by the tongue.
-        (a2, ck + S), (ck + N, cl + S), (cl + N, b2),
+        # the tongue goes out through the guard at P and comes home
+        # through it at Q
+        (a1, cp + _W), (cp + _E, kw), (lw, cq + _E), (cq + _W, b1),
         # The guard circle: one short arc between the tongue strands, one
         # long arc around the whole of M1's body.
-        (cp + N, cq + S), (cp + S, cq + N),
+        (cp + _N, cq + _S), (cp + _S, cq + _N),
     ]
-    theta = _theta(pairs, 8 * n + 16)
-    # The tongue is over at K and under at L (equal crossing signs, so
-    # the pair really links); U is over at both P and Q (opposite signs,
-    # so U links nothing).
-    over = (1,) * (2 * n) + (0, 1, 1, 1)
-    return Diagram(PLANE, theta, over, ("M1", "M2", "U"), (), {0: (ROOT, cp + E)})
+    # U is over at both P and Q (opposite signs, so U links nothing)
+    return Diagram(
+        PLANE, _theta(pairs, cq + 4), over + (1, 1), ("M1", "M2", "U"), (),
+        {0: (ROOT, cp + _E)},
+    )
 
 
 def split_d_pq(p, q):
     """The same clasped pair, with U parked as a bare circle beside it."""
-    _family_params(p, q)
-    n = q * (p - 1)
-    pairs1, (a1, b1) = _closed_braid(p, q, 0)
-    pairs2, (a2, b2) = _closed_braid(p, q, 4 * n)
-    ck, cl = 8 * n, 8 * n + 4
-    E, N, W, S = 0, 1, 2, 3
-    drop = {(a1, b1), (a2, b2)}
-    pairs = [e for e in pairs1 + pairs2 if e not in drop]
-    pairs += [
-        (a1, ck + W), (ck + E, cl + E), (cl + W, b1),
-        (a2, ck + S), (ck + N, cl + S), (cl + N, b2),
-    ]
-    theta = _theta(pairs, 8 * n + 8)
-    over = (1,) * (2 * n) + (0, 1)
-    hosts = {0: (ROOT, a1)}
-    return Diagram(PLANE, theta, over, ("M1", "M2"), (("U", ROOT),), hosts)
+    pairs, over, (a1, kw), (lw, b1) = _clasped_pair(p, q)
+    # the tongue runs straight home
+    pairs += [(a1, kw), (lw, b1)]
+    return Diagram(
+        PLANE, _theta(pairs, 4 * len(over)), over, ("M1", "M2"), (("U", ROOT),),
+        {0: (ROOT, a1)},
+    )
 
 
 def goeritz_diagram():

@@ -24,6 +24,7 @@ __all__ = [
     "linking_number",
     "linking_table",
     "murasugi_bound",
+    "partition_sides",
     "d_pq_crossing_floor",
     "splitting_peak_floor",
     "tricolorable",
@@ -67,13 +68,30 @@ def _forward_darts(d):
     return fw
 
 
-def crossing_sign(d, c, _fw=None):
-    """+1 or -1 for crossing c under the derived component orientations."""
-    fw = _forward_darts(d) if _fw is None else _fw
+def _exits(d, c, fw):
+    "The over and under exit darts of crossing c: its forward darts `fw`."
     base = 4 * c
     exits = [base + s for s in range(4) if base + s in fw]
-    o, u = exits if d.is_over_dart(exits[0]) else exits[::-1]
+    return exits if d.is_over_dart(exits[0]) else exits[::-1]
+
+
+def crossing_sign(d, c, _fw=None):
+    """+1 or -1 for crossing c under the derived component orientations."""
+    o, u = _exits(d, c, _forward_darts(d) if _fw is None else _fw)
     return 1 if (u - o) % 4 == 1 else -1
+
+
+def _pair_sums(d):
+    """Signed crossing sum per pair (i, j), i < j, of strand components
+    that cross; pairs that never cross are absent."""
+    fw = _forward_darts(d)
+    acc = {}
+    for c in range(d.ncross):
+        i, j = d.comp_of[4 * c], d.comp_of[4 * c + 1]
+        if i != j:
+            key = (i, j) if i < j else (j, i)
+            acc[key] = acc.get(key, 0) + crossing_sign(d, c, fw)
+    return acc
 
 
 def linking_number(d, a, b) -> int:
@@ -83,13 +101,7 @@ def linking_number(d, a, b) -> int:
     ib = _component_index(d, b, names)
     if ia == ib:
         raise DiagramError("linking number needs two distinct components")
-    fw = _forward_darts(d)
-    total = 0
-    for c in range(d.ncross):
-        pair = {d.comp_of[4 * c], d.comp_of[4 * c + 1]}
-        if pair == {ia, ib}:
-            total += crossing_sign(d, c, fw)
-    return total // 2
+    return _pair_sums(d).get((min(ia, ib), max(ia, ib)), 0) // 2
 
 
 def linking_table(d):
@@ -102,19 +114,11 @@ def linking_table(d):
     sign relative to the derived orientations matters.
     """
     names = component_names(d)
-    fw = _forward_darts(d)
-    acc = {}
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            acc[i, j] = 0
-    for c in range(d.ncross):
-        i, j = d.comp_of[4 * c], d.comp_of[4 * c + 1]
-        if i != j:
-            key = (i, j) if i < j else (j, i)
-            acc[key] += crossing_sign(d, c, fw)
+    sums = _pair_sums(d)
     return {
-        tuple(sorted((names[i], names[j]))): abs(v) // 2
-        for (i, j), v in acc.items()
+        tuple(sorted((names[i], names[j]))): abs(sums.get((i, j), 0)) // 2
+        for i in range(len(names))
+        for j in range(i + 1, len(names))
     }
 
 
@@ -129,6 +133,20 @@ def _shadow_pieces(d):
     return pieces
 
 
+def partition_sides(partition):
+    """The sides a split partition names: (side_a, side_b) for a tuple or
+    list of exactly two collections of component names, else (side,),
+    one side whose complement is the other.  `is_split_diagram` and
+    `search.Goal.describe` read a partition through this."""
+    if (
+        isinstance(partition, (tuple, list))
+        and len(partition) == 2
+        and all(isinstance(s, (set, frozenset, tuple, list)) for s in partition)
+    ):
+        return tuple(partition)
+    return (partition,)
+
+
 def is_split_diagram(d, partition=None) -> bool:
     """Is the diagram split: do its shadow pieces separate the components?
 
@@ -136,26 +154,23 @@ def is_split_diagram(d, partition=None) -> bool:
     pieces (distinct plane pieces can always be separated by a circle,
     nested or not).  With one, true when no piece mixes the two sides.
     The partition is either one non-empty side (an iterable of component
-    names, the rest forming the other side) or an explicit pair of sides.
+    names, the rest forming the other side) or an explicit pair of sides
+    (`partition_sides`).
     """
     names = component_names(d)
     pieces = _shadow_pieces(d)
     if partition is None:
         return len(pieces) >= 2
 
-    if (
-        isinstance(partition, (tuple, list))
-        and len(partition) == 2
-        and all(isinstance(s, (set, frozenset, tuple, list)) for s in partition)
-    ):
-        side_a = {_component_index(d, x, names) for x in partition[0]}
-        side_b = {_component_index(d, x, names) for x in partition[1]}
+    sides = [{_component_index(d, x, names) for x in s} for s in partition_sides(partition)]
+    side_a = sides[0]
+    if len(sides) == 2:
+        side_b = sides[1]
         if side_a & side_b:
             raise DiagramError("partition sides overlap")
         if side_a | side_b != set(range(len(names))):
             raise DiagramError("partition misses some components")
     else:
-        side_a = {_component_index(d, x, names) for x in partition}
         side_b = set(range(len(names))) - side_a
     if not side_a or not side_b:
         raise DiagramError("partition needs two non-empty sides")
@@ -226,9 +241,7 @@ def tricolorable(d) -> bool:
     fw = _forward_darts(d)
     rows = []
     for c in range(d.ncross):
-        base = 4 * c
-        exits = [base + s for s in range(4) if base + s in fw]
-        oe, ue = exits if d.is_over_dart(exits[0]) else exits[::-1]
+        oe, ue = _exits(d, c, fw)
         ua = ue ^ 2  # the under arrival dart at this crossing
         row = [0] * nvars
         for var in (arc_of[oe], arc_of[ue], arc_of[d.theta[ua]]):

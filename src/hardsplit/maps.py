@@ -16,10 +16,14 @@ derived by one checking pass, `structure(theta)`, into an immutable
 `Structure` record; its per-dart maps (`face_of`, `comp_of`, `island_of`)
 are tuples indexed by dart, like theta.  A tuple reads -1 as its last
 entry, so a dart key that comes from outside this module is range- and
-type-checked (`_is_dart`) before it indexes one.  `Diagram` accepts such
+type-checked (`_in_range`) before it indexes one.  `Diagram` accepts such
 a record in place of theta, so a surgery that has already read faces and
 islands off its new theta, or a re-rooting that keeps theta, hands the
 record on instead of deriving it again.
+
+This module is the bottom of the package and imports none of it;
+canonical codes, which compare diagrams up to isotopy, come from
+`canon.canonical_code`.
 """
 
 from __future__ import annotations
@@ -196,14 +200,15 @@ def carried_labels(d, skel, dmap):
     return [by_min[orb[0]] for orb in skel.components]
 
 
-def _is_dart(theta, x):
-    "Whether `x`, a key from outside this module, is a dart of `theta`."
-    return isinstance(x, int) and 0 <= x < len(theta)
+def _in_range(x, n):
+    """Whether `x`, a dart, face or loop key from a caller, is an int in
+    range(n); `surgery` checks the keys it is given with it too."""
+    return isinstance(x, int) and 0 <= x < n
 
 
 def _face_darts(theta, face_of, fkey):
     "The phi-orbit of face key `fkey`, walked from the key."
-    if not _is_dart(theta, fkey) or face_of[fkey] != fkey:
+    if not _in_range(fkey, len(theta)) or face_of[fkey] != fkey:
         raise DiagramError("no face with key %r" % (fkey,))
     orb = [fkey]
     t = theta[fkey]
@@ -303,7 +308,7 @@ class Diagram:
         for key in s.islands_keys:
             if hosts and key in hosts:
                 host, up = hosts[key]
-                if not _is_dart(s.theta, up):
+                if not _in_range(up, len(s.theta)):
                     raise DiagramError("island %r: no dart %r for its up face" % (key, up))
                 norm_hosts[key] = (self._norm_region(host), face_of[up])
             else:
@@ -360,7 +365,7 @@ class Diagram:
         "Region keys name faces by their smallest dart; fix up any other dart."
         rkey = tuple(rkey)
         if rkey and rkey[0] == "f":
-            if len(rkey) != 2 or not _is_dart(self.theta, rkey[1]):
+            if len(rkey) != 2 or not _in_range(rkey[1], self.ndart):
                 raise DiagramError("no face for region %r" % (rkey,))
             return ("f", self.face_of[rkey[1]])
         return rkey
@@ -378,7 +383,7 @@ class Diagram:
     def region_of_face(self, fkey):
         """Region key for the area of face `fkey`, named by any of its darts
         (follows up faces outward)."""
-        if not _is_dart(self.theta, fkey):
+        if not _in_range(fkey, self.ndart):
             raise DiagramError("no dart %r" % (fkey,))
         fkey = self.face_of[fkey]
         host, up = self.hosts[self.island_of[fkey]]
@@ -443,9 +448,9 @@ class Diagram:
             return False
         kind, ref = rkey
         if kind == "f":
-            return _is_dart(self.theta, ref) and self.region_of_face(ref) == rkey
+            return _in_range(ref, self.ndart) and self.region_of_face(ref) == rkey
         if kind == "l":
-            return isinstance(ref, int) and 0 <= ref < len(self.loops)
+            return _in_range(ref, len(self.loops))
         return False
 
     def _node_parent(self, node):
@@ -604,17 +609,6 @@ class Diagram:
                 node = ("L", old_host[1])
                 carry_host, carry_up = freed, None
         return Diagram(self.mode, self._structure(), self.over, self.labels, loops, hosts)
-
-    # -- canonical form ----------------------------------------------
-
-    def canonical_code(self):
-        "Canonical code; equal codes mean equal up to relabeling and isotopy."
-        from . import canon
-
-        return canon.canonical_code(self)
-
-    def canonically_equal(self, other) -> bool:
-        return self.canonical_code() == other.canonical_code()
 
     # -- misc --------------------------------------------------------
 

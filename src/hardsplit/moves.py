@@ -378,10 +378,8 @@ def format_move(site) -> str:
         if eng:
             toks.append("engulfed=%s" % _fmt_children(eng))
         return "RII+ " + " ".join(toks)
-    if kind == "RII-":
-        return "RII- face=%d" % spot[0]
-    if kind == "RIII":
-        return "RIII face=%d" % spot[0]
+    if kind in ("RII-", "RIII"):
+        return "%s face=%d" % (kind, spot[0])
     if kind == "ROOT":
         (r,) = spot
         return "ROOT region=%s" % ("root" if r == ROOT else "%s%d" % r)
@@ -499,17 +497,9 @@ def parse_move(d: Diagram, line: str) -> MoveSite:
         eng = _parse_children(kv.pop("engulfed")) if "engulfed" in kv else ()
         site = MoveSite("RII+", (region, a, b, ov, cap, eng))
 
-    elif kind == "RII-":
-        f = _take_int(kv, "face")
-        if not 0 <= f < d.ndart:
-            raise MoveError("no face %d" % f)
-        site = MoveSite("RII-", (f,))
-
-    elif kind == "RIII":
-        f = _take_int(kv, "face")
-        if not 0 <= f < d.ndart:
-            raise MoveError("no face %d" % f)
-        site = MoveSite("RIII", (f,))
+    elif kind in ("RII-", "RIII"):
+        # `surgery.site_face` checks the face when the site is applied
+        site = MoveSite(kind, (_take_int(kv, "face"),))
 
     elif kind == "ROOT":
         tok = kv.pop("region", None)

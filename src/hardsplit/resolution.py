@@ -36,8 +36,12 @@ Edge existence is decided by tracing the smoothed strands through the
 event site and comparing the induced boundary matchings; no case tables
 are consulted.  The classical corner-parity rule is still evaluated, but
 only to name each edge and to cross-check the traced matchings.
+`_leg_matching` is the one tracer of smoothed strands: it also counts
+the circles a smoothing leaves, which decides the resolutions of each
+layer.
 """
 
+import re
 from collections import deque
 from itertools import combinations, product
 from typing import NamedTuple
@@ -82,8 +86,8 @@ class ShadowOverlay:
 
     The curve is a closed shadow: it has no over/under against itself or
     against tangle strands.  Tangle self-crossings keep their real
-    decorations.  The discrete length of the curve is its number of
-    crossings with the tangle.
+    decorations.  The discrete length of the curve is `mixed`, its
+    number of crossings with the tangle.
     """
 
     __slots__ = ("diagram", "u_self_ids", "mixed", "m_self", "u_darts")
@@ -129,11 +133,6 @@ class ShadowOverlay:
             )
         else:
             self.u_darts = ()
-
-    @property
-    def length(self):
-        "Crossings between the curve and the tangle."
-        return self.mixed
 
     @property
     def is_simple(self):
@@ -305,7 +304,9 @@ def parse_trace(text, mode=PLANE) -> Trace:
                     pdio.parse_pd(rest.replace(";", "\n"), mode=mode).diagram
                 )
             except (DiagramError, TraceError) as e:
-                raise TraceError("line %d: %s" % (ln, e)) from e
+                # parse_pd numbers the overlay's ";"-records as lines
+                why = re.sub(r"^line (\d+):", r"overlay record \1:", str(e))
+                raise TraceError("line %d: %s" % (ln, why)) from e
             states.append(overlay)
             continue
         if head not in ("C", "M", "X"):
@@ -365,27 +366,21 @@ class Resolution(NamedTuple):
 
 
 def _resolved_components(overlay, masks):
-    "Circles left by smoothing; `masks` maps curve self-crossings to 1 or 3."
+    """Circles left by smoothing; `masks` maps curve self-crossings to 1
+    or 3.
+
+    They are the closed strands `_leg_matching` traces over every
+    crossing the curve touches: the curve's darts are interior, and at a
+    crossing with the tangle the curve passes straight (mask 2), so the
+    tangle's ends there are legs and no circle reaches them.
+    """
     darts = overlay.u_darts
     if not darts:
         return 1  # a bare loop
-    theta = overlay.diagram.theta
-    seen = set()
-    orbits = 0
-    for d0 in darts:
-        if d0 in seen:
-            continue
-        orbits += 1
-        x = d0
-        while True:
-            seen.add(x)
-            y = theta[x]
-            x = y ^ masks.get(y >> 2, 2)
-            if x == d0:
-                break
-    if orbits & 1:
-        raise ResolutionError("odd directed orbit count %d" % orbits)
-    return orbits // 2
+    site = {x >> 2 for x in darts}
+    full = dict.fromkeys(site, 2)
+    full.update(masks)
+    return _leg_matching(overlay.diagram, site, full, set(darts))[1]
 
 
 def enumerate_resolutions(overlay: ShadowOverlay):
@@ -407,10 +402,11 @@ def enumerate_resolutions(overlay: ShadowOverlay):
 
 
 def _leg_matching(d, site, masks, internal):
-    """Boundary trace of a smoothed event site.
+    """Boundary trace of a smoothed site: an event disk, or every
+    crossing the curve touches (`_resolved_components`).
 
-    `site` is the set of crossings inside the event disk, `internal` the
-    darts of edges interior to it, and `masks` the port pairing at each
+    `site` is the set of crossings inside the disk, `internal` the darts
+    of edges interior to it, and `masks` the port pairing at each
     site crossing (1 or 3 a smoothing, 2 passes through).  The remaining
     ports are legs.  Returns (pairing, cycles): which legs the smoothed
     strands connect to each other, and how many closed strands never

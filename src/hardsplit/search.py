@@ -42,8 +42,10 @@ A state with one island and no loops also builds one child per orbit
 of its symmetries.  `canon.canonical_code` records on it the
 automorphisms its achieving walk numberings compose to; a site that one
 of them maps onto a site already built from the state is skipped, since
-its child is that site's child renumbered.  On the sphere such a state
-skips every wrap curl too, which builds its plain dart curl's child.
+its child is that site's child renumbered.  Expansion adds those images
+to a copy of the state's skip set, so one set holds both kinds of site
+whose child is known.  On the sphere such a state skips every wrap curl
+too, which builds its plain dart curl's child.
 This is the orderly-generation rule of McKay ("Isomorph-free exhaustive
 generation", J. Algorithms 26, 1998), with the automorphisms read off
 the plantri-style walk kernel.  Only a later twin of a child already
@@ -64,7 +66,7 @@ from time import monotonic
 from typing import NamedTuple, Optional
 
 from .canon import canonical_code, state_digest
-from .invariants import is_split_diagram
+from .invariants import is_split_diagram, partition_sides
 from .maps import PLANE, ROOT, Diagram, DiagramError
 from .moves import (
     MoveSequence,
@@ -133,12 +135,8 @@ class Goal(NamedTuple):
 
     def describe(self) -> str:
         if self.kind == "split-partition":
-            p = self.payload
-            if len(p) == 2 and all(isinstance(s, (set, frozenset, tuple, list)) for s in p):
-                return "split-partition=%s|%s" % tuple(
-                    ",".join(sorted(side)) for side in p
-                )
-            return "split-partition=%s" % ",".join(sorted(p))
+            sides = partition_sides(self.payload)
+            return "split-partition=" + "|".join(",".join(sorted(map(str, s))) for s in sides)
         if self.kind == "target":
             return "target=%s" % self.payload.hex()
         return self.kind
@@ -195,11 +193,11 @@ def _expand_one(d, cap, skips):
     re-rooting, since some sites only exist when the right region is
     outermost; a rooting-free site is built in the first rooting, the
     state itself, and skipped in the later ones, whose copy of it would
-    rebuild the same child.  A state with one island and no loops skips
-    the twins of the sites it has built (below).  Every other site
-    enumerated is built.  A generator, so a parent's children are built
-    only as they are merged and a cap that fires mid-parent stops the
-    building.
+    rebuild the same child.  A state with one island and no loops adds
+    the twins of each site it builds to a copy of `skips` (below), and
+    skips what that set holds.  Every other site enumerated is built.  A
+    generator, so a parent's children are built only as they are merged
+    and a cap that fires mid-parent stops the building.
 
     A sphere state with one island and no loops - the condition under
     which `canon.canonical_code` codes it without its hosts - is
@@ -275,18 +273,19 @@ def _expand_one(d, cap, skips):
     # a lone sphere state's wrap curl builds its plain dart curl's child
     no_wraps = d.mode != PLANE and lone
     autos = d.automorphisms or ()
-    # the images of the sites built so far under every automorphism
-    twins = set()
+    # the state's skips, then the images of each site built under every
+    # automorphism
+    skip = set(skips)
     for rkey, rep in reps:
         later = rep is not d
         for site in enumerate_moves(rep, cap):
-            if site in skips or site in twins or (later and rooting_free(site)):
+            if site in skip or (later and rooting_free(site)):
                 continue
             if no_wraps and site.kind == "RI+" and site.spot[0] == "wrap":
                 continue
             child = apply_move(rep, site)
             for sigma in autos:
-                twins.add(_image(site, sigma, d))
+                skip.add(_image(site, sigma, d))
             yield rkey, rep, site, child, _digest(child)
 
 
@@ -320,22 +319,22 @@ def _carried(site, child, d):
 
 
 def _witness(d0, parent, digest):
-    chain = []
+    """The moves from d0 to the state `digest` along the parent table, a
+    site enumerated on a later rooting preceded by its ROOT hop.
+
+    Nothing is replayed here (`moves.replay` does that): each site was
+    enumerated on the very diagram this chain rebuilds, and surgeries are
+    deterministic.
+    """
+    steps = []
     step = parent[digest]
     while step is not None:
         digest, rkey, site = step
-        chain.append((rkey, site))
-        step = parent[digest]
-    chain.reverse()
-    steps = []
-    d = d0
-    for rkey, site in chain:
-        if rkey is not None and rkey != ROOT:
-            hop = MoveSite("ROOT", (rkey,))
-            steps.append(hop)
-            d = apply_move(d, hop)
         steps.append(site)
-        d = apply_move(d, site)
+        if rkey is not None and rkey != ROOT:
+            steps.append(MoveSite("ROOT", (rkey,)))
+        step = parent[digest]
+    steps.reverse()
     return MoveSequence(d0, tuple(steps))
 
 

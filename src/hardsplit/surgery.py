@@ -37,7 +37,8 @@ Conventions:
 from __future__ import annotations
 
 from .maps import (
-    ROOT, Diagram, DiagramError, MoveError, carried_labels, opp, rot, structure,
+    ROOT, Diagram, DiagramError, MoveError, _in_range, carried_labels, opp, rot,
+    structure,
 )
 
 __all__ = [
@@ -68,7 +69,7 @@ def site_faces(d, k):
 def site_face(d, f, k):
     """The darts of face `f` (any of its darts may name it), checked to be
     a site face of `site_faces(d, k)`; MoveError otherwise."""
-    if not 0 <= f < d.ndart:
+    if not _in_range(f, d.ndart):
         raise MoveError("no face %r" % (f,))
     orb = d.face_darts(d.face_of[f])
     if len(orb) != k or len({x >> 2 for x in orb}) != k:
@@ -162,11 +163,11 @@ def ri_add(d: Diagram, elem, over: int) -> Diagram:
     n0, n1, n2, n3 = 4 * n, 4 * n + 1, 4 * n + 2, 4 * n + 3
     over_list = list(d.over) + [int(over) & 1]
     if elem[0] in ("d", "wrap"):
-        if not 0 <= elem[1] < d.ndart:
+        if not _in_range(elem[1], d.ndart):
             raise MoveError("no dart %r" % (elem[1],))
     else:
         _kind, li, side = elem
-        if not 0 <= li < len(d.loops):
+        if not _in_range(li, len(d.loops)):
             raise MoveError("no loop %r" % (li,))
         if side not in ("in", "out"):
             raise MoveError("side must be 'in' or 'out'")

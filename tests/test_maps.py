@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from hardsplit import maps
+from hardsplit.canon import canonical_code
 from hardsplit.generators import (
     d_pq,
     goeritz_diagram,
@@ -25,7 +26,7 @@ from hardsplit.maps import (
     slot_of,
 )
 from hardsplit.moves import MoveSite, apply_move, enumerate_moves
-from hardsplit.surgery import rii_add
+from hardsplit.surgery import ri_add, ri_remove, rii_add, site_face
 
 KINK = [3, 2, 1, 0]
 # trefoil shadow: three crossings, each pair joined by two parallel edges
@@ -348,8 +349,10 @@ def test_structure_matches_oracle(make, with_children):
 
 
 def _dart_key_uses(x):
-    "Each way a dart key reaches the kink from outside `maps`, with `x` as the key."
+    """Each way a dart, face or loop key reaches the kink (or, for a loop,
+    a bare circle) from outside `maps` and `surgery`, with `x` as the key."""
     kink = Diagram(PLANE, KINK, [0])
+    circle = Diagram(PLANE, [], [], loops=[(None, ROOT)])
     return [
         ("up dart", lambda: Diagram(PLANE, KINK, [0], hosts={0: (ROOT, x)})),
         ("loop host face", lambda: Diagram(PLANE, KINK, [0], loops=[(None, ("f", x))])),
@@ -358,6 +361,11 @@ def _dart_key_uses(x):
         ("region_boundary", lambda: kink.region_boundary(("f", x))),
         ("region_of_face", lambda: kink.region_of_face(x)),
         ("rii_add region", lambda: rii_add(kink, ("f", x), ("d", 1), ("d", 3), "A")),
+        ("ri_add dart", lambda: ri_add(kink, ("d", x), 0)),
+        ("ri_add wrap dart", lambda: ri_add(kink, ("wrap", x), 0)),
+        ("ri_add loop", lambda: ri_add(circle, ("loop", x, "out"), 0)),
+        ("site_face", lambda: site_face(kink, x, 1)),
+        ("ri_remove petal", lambda: ri_remove(kink, x)),
     ]
 
 
@@ -367,7 +375,7 @@ BAD_KEY_BUILDS = _dart_key_uses(99)[:3] + [
     ("short region key", lambda: Diagram(PLANE, KINK, [0]).rerooted(("f",))),
 ] + [
     ("%s %s" % (name, xid), build)
-    for x, xid in ((-1, "-1"), (4, "ndart"), ("0", "non-int"))
+    for x, xid in ((-1, "-1"), (4, "ndart"), ("0", "non-int"), (2.0, "float"), ("a", "letter"))
     for name, build in _dart_key_uses(x)
 ]
 
@@ -418,7 +426,7 @@ def test_shared_structure_matches_rebuild(make, capped):
             # sliding back across it undoes the move
             g = d0.face_darts(d0.face_of[site.spot[0]])
             back = apply_move(c, MoveSite("RIII", (c.face_of[opp(g[0])],)))
-            assert back.canonically_equal(d0), site
+            assert canonical_code(back) == canonical_code(d0), site
         s = c.with_mode(SPHERE)
         perm = list(range(c.ncross))
         rng.shuffle(perm)

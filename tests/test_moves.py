@@ -188,11 +188,11 @@ def test_wrap_curl():
     around = apply_move(d, MoveSite("RI+", ("wrap", 0, 0)))
     assert list(small.theta) == list(around.theta)
     assert small.hosts != around.hosts  # infinity inside the new petal
-    assert not small.canonically_equal(around)
-    assert small.with_mode("sphere").canonically_equal(around.with_mode("sphere"))
+    assert canonical_code(small) != canonical_code(around)
+    assert canonical_code(small.with_mode("sphere")) == canonical_code(around.with_mode("sphere"))
     # wrapping is undone by the same petal retraction
     back = next(s for s in enumerate_moves(around) if s.kind == "RI-")
-    assert apply_move(around, back).canonically_equal(d)
+    assert canonical_code(apply_move(around, back)) == canonical_code(d)
     with pytest.raises(MoveError):
         apply_move(d, MoveSite("RI+", ("wrap", 1, 0)))  # not on the outer face
 
@@ -201,11 +201,11 @@ def test_curl_flavours_are_distinct():
     d = free_loop()
     codes = set()
     for s in census(d)["RI+"]:
-        codes.add(apply_move(d, s).canonical_code())
+        codes.add(canonical_code(apply_move(d, s)))
     assert len(codes) == 4  # side and handedness both matter in the plane
     sphere = set()
     for s in census(d)["RI+"]:
-        sphere.add(apply_move(d, s).with_mode("sphere").canonical_code())
+        sphere.add(canonical_code(apply_move(d, s).with_mode("sphere")))
     assert len(sphere) == 2  # in/out collapse on the sphere
 
 
@@ -230,25 +230,25 @@ def test_every_insertion_has_a_removal_back():
     pool = [free_loop(), kink(), trefoil([0, 1, 0]), hairpin()]
     for _ in range(120):
         d = random.choice(pool)
-        want = d.canonical_code()
+        want = canonical_code(d)
         adds = [s for s in enumerate_moves(d) if s.kind in ("RI+", "RII+")]
         out = apply_move(d, random.choice(adds))
         backs = [s for s in enumerate_moves(out) if s.kind in ("RI-", "RII-")]
         assert any(
-            apply_move(out, s).canonical_code() == want for s in backs
+            canonical_code(apply_move(out, s)) == want for s in backs
         )
 
 
 def test_every_removal_has_an_insertion_back():
     for d in (kink(), hairpin(), clasp(), trefoil([0, 1, 0])):
-        want = d.canonical_code()
+        want = canonical_code(d)
         for s in enumerate_moves(d):
             if s.kind not in ("RI-", "RII-"):
                 continue
             out = apply_move(d, s)
             adds = [x for x in enumerate_moves(out) if x.kind in ("RI+", "RII+")]
             assert any(
-                apply_move(out, x).canonical_code() == want for x in adds
+                canonical_code(apply_move(out, x)) == want for x in adds
             ), s
 
 
@@ -258,7 +258,7 @@ def test_triangle_slide_is_an_involution():
         out = apply_move(d, s)
         assert sorted(len(f) for f in out.faces) == [1, 1, 1, 3, 6]
         back = census(out)["RIII"]
-        assert any(apply_move(out, x).canonically_equal(d) for x in back)
+        assert any(canonical_code(apply_move(out, x)) == canonical_code(d) for x in back)
 
 
 def test_triangle_slide_tracks_outer_region():
@@ -351,7 +351,7 @@ def test_apply_script_chain():
         RI- crossing=1
         """,
     )
-    assert out.canonically_equal(kink())
+    assert canonical_code(out) == canonical_code(kink())
 
 
 def test_script_line_numbers_in_errors():
@@ -411,6 +411,97 @@ def test_bad_numbers_are_move_errors(line):
         apply_script(d, "# a comment\n" + line + "\n")
 
 
+def three_circles(nested=False):
+    "Three bare circles, side by side or each inside the one before."
+    hosts = [ROOT, ("l", 0), ("l", 1)] if nested else [ROOT] * 3
+    return Diagram(PLANE, [], [], labels=[], loops=[Loop(None, h) for h in hosts])
+
+
+def stuffed_kink():
+    "The kink with a bare circle inside its petal, face 2."
+    return Diagram(PLANE, KINK, [0], labels=["K"], loops=[Loop(None, ("f", 2))])
+
+
+def kink_sphere():
+    return kink().with_mode(SPHERE)
+
+
+def script(line):
+    return lambda d: apply_move(d, parse_move(d, line))
+
+
+def curl(*elem):
+    return lambda d: surgery.ri_add(d, elem, 0)
+
+
+def poke(region, a, b, over):
+    return lambda d: surgery.rii_add(d, region, a, b, over)
+
+
+# one input refusal per row: the start, what is done to it, and the
+# MoveError it must raise (a TypeError or ValueError fails the row)
+REFUSALS = [
+    ("root-in-plane", kink, script("ROOT region=root"), "only on the sphere"),
+    ("root-missing-region", kink_sphere, script("ROOT region=f99"), "no region"),
+    ("root-bad-region", kink, script("ROOT region=x1"), "bad region="),
+    ("wrap-2", kink, script("RI+ dart=0 side=R over=1 wrap=2"), "wrap must be"),
+    ("wrap-loop-curl", free_loop, script("RI+ loop=0 side=out over=0 wrap=1"), "only applies"),
+    ("loop-side", free_loop, script("RI+ loop=0 side=up over=0"), "side must be in or out"),
+    ("ri-dart-range", kink, script("RI+ dart=4 side=R over=0"), "no dart 4"),
+    ("rii-dart-range", kink, script("RII+ dartA=0 dartB=9 over=A"), "no dart 9"),
+    ("rii-face-range", kink, script("RII- face=99"), "no face 99"),
+    ("riii-face-negative", kink, script("RIII face=-1"), "no face -1"),
+    ("captured-token", free_loop, script("RII+ loopA=0 loopB=0 over=A captured=X1"), "content"),
+    ("far-misused", kink, script("RII+ dartA=0 dartB=0 over=A from=far"), "from=far only"),
+    (
+        "no-common-region",
+        lambda: three_circles(nested=True),
+        script("RII+ loopA=0 loopB=2 over=A"),
+        "bound no common region",
+    ),
+    ("empty-line", kink, script("  "), "empty move line"),
+    ("apply-unknown-kind", kink, lambda d: apply_move(d, MoveSite("FLIP", ())), "unknown move"),
+    ("format-unknown-kind", kink, lambda d: format_move(MoveSite("FLIP", ())), "unknown move"),
+    ("ri-add-dart-range", kink, curl("d", 4), "no dart 4"),
+    ("ri-add-dart-negative", lambda: unknot_diagram(1), curl("d", -1), "no dart -1"),
+    ("ri-add-dart-str", lambda: unknot_diagram(1), curl("d", "0"), "no dart '0'"),
+    ("ri-add-dart-float", lambda: unknot_diagram(1), curl("d", 2.0), "no dart 2.0"),
+    ("ri-add-loop-str", free_loop, curl("loop", "0", "out"), "no loop '0'"),
+    ("ri-add-loop-side", free_loop, curl("loop", 0, "up"), "side must"),
+    ("site-face-letter", kink, lambda d: surgery.site_face(d, "a", 1), "no face 'a'"),
+    ("ri-remove-letter", kink, lambda d: surgery.ri_remove(d, "a"), "no face 'a'"),
+    ("petal-not-empty", stuffed_kink, lambda d: surgery.ri_remove(d, 2), "petal is not empty"),
+    ("over-not-ab", free_loop, poke(ROOT, ("loop", 0), ("loop", 0), "C"), "over must be"),
+    ("rii-add-bad-region", kink, poke(("f", "a"), ("d", 1), ("d", 3), "A"), "no face for"),
+    (
+        "captured-and-engulfed",
+        three_circles,
+        script("RII+ loopA=0 loopB=0 over=A captured=L1 engulfed=L1"),
+        "overlap",
+    ),
+    (
+        "capture-no-split",
+        three_circles,
+        script("RII+ loopA=0 loopB=1 over=A captured=L2"),
+        "capture needs",
+    ),
+    (
+        "engulf-outside-pool",
+        three_circles,
+        script("RII+ loopA=0 loopB=0 over=A engulfed=L1"),
+        "not beyond",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "make, act, match", [r[1:] for r in REFUSALS], ids=[r[0] for r in REFUSALS]
+)
+def test_input_refusals_are_move_errors(make, act, match):
+    with pytest.raises(MoveError, match=match):
+        act(make())
+
+
 def test_self_poke_script_names_far_side():
     d = free_loop()
     near = MoveSite("RII+", (ROOT, ("loop", 0), ("loop", 0), "A", (), ()))
@@ -419,4 +510,4 @@ def test_self_poke_script_names_far_side():
     assert "from=far" in format_move(far)
     for s in (near, far):
         assert parse_move(d, format_move(s)) == s
-    assert not apply_move(d, near).canonically_equal(apply_move(d, far))
+    assert canonical_code(apply_move(d, near)) != canonical_code(apply_move(d, far))

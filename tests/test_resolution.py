@@ -114,7 +114,14 @@ CURLED_OVERLAY = (
 @pytest.mark.parametrize(
     "text, match",
     [
-        ("OVERLAY X c0 E1 E2", "line 1: .*four edges"),
+        (
+            "OVERLAY X c0 E1 E2",
+            "^line 1: overlay record 1: X needs a name and four edges$",
+        ),
+        (
+            "# the overlay's second record is short\nOVERLAY X c0 E1 E2 E3 E4; X c1 E2",
+            "^line 2: overlay record 2: X needs a name and four edges$",
+        ),
         (HOPF_OVERLAY.replace("C U", "C W"), "exactly one component .* found 0"),
         (HOPF_OVERLAY.replace("C T", "C U"), "exactly one component .* found 2"),
         (HOPF_OVERLAY + "\nC RI+ dart=0 side=R", "line 2: C events are R1\\+"),
@@ -123,8 +130,8 @@ CURLED_OVERLAY = (
         (CURLED_OVERLAY, "must start with a simple curve"),
     ],
     ids=[
-        "overlay-pd", "no-curve", "two-curves", "c-kind", "c-over", "x-tangle-only",
-        "curled-start",
+        "overlay-pd", "overlay-pd-record-2", "no-curve", "two-curves", "c-kind", "c-over",
+        "x-tangle-only", "curled-start",
     ],
 )
 def test_bad_input_is_a_trace_error(text, match):
@@ -366,7 +373,6 @@ def test_verify_builds_its_own_graph_and_path(events):
     path = find_isotopy_path(graph)
     assert verify_isotopy(trace) == verify_isotopy(trace, path, graph=graph)
     for st in trace.states:
-        assert st.length == st.mixed
         assert st.counts == (len(st.u_self_ids), st.mixed, st.m_self)
         assert sum(st.counts) == st.diagram.ncross
 

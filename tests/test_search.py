@@ -117,6 +117,14 @@ def test_goal_describe():
         == "split-partition=U|M1,M2"
     )
     assert Goal.target(hopf()).describe().startswith("target=")
+    # a component may be named by its index, as `is_split_diagram` allows
+    assert Goal.split_partition(((0,), (1, 2))).describe() == "split-partition=0|1,2"
+    # describe reads the partition forms as `met` does: a set of two
+    # tuples is one side, whose two names are unknown
+    odd = Goal.split_partition({("U",), ("M1", "M2")})
+    assert "|" not in odd.describe()
+    with pytest.raises(DiagramError, match="unknown component"):
+        odd.met(split_d_pq(2, 3))
 
 
 def test_goal_met_at_depth_zero():
