@@ -10,7 +10,7 @@ traced shadow homotopies (`hardsplit.resolution`).
 """
 
 from .maps import PLANE, ROOT, SPHERE, Diagram, DiagramError, MoveError
-from .pdio import PD, PDError, emit_pd, parse_pd
+from .pdio import PDError, emit_pd, parse_pd
 
 __all__ = [
     "PLANE",
@@ -19,7 +19,6 @@ __all__ = [
     "Diagram",
     "DiagramError",
     "MoveError",
-    "PD",
     "PDError",
     "emit_pd",
     "parse_pd",

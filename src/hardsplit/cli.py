@@ -63,7 +63,7 @@ def main(argv=None) -> int:
             parser.error("%s: %s" % (path, e))
 
     mode = SPHERE if args.sphere else PLANE
-    d = read(args.pd_file, lambda text: parse_pd(text, mode=mode).diagram)
+    d = read(args.pd_file, lambda text: parse_pd(text, mode=mode))
     if args.command == "replay":
         d = read(args.script_file, lambda text: apply_script(d, text))
         sys.stdout.write(emit_pd(d))

@@ -152,7 +152,7 @@ def split_d_pq(p, q):
 def goeritz_diagram():
     """The Goeritz culprit, read from its shipped transcription."""
     text = resources.files("hardsplit").joinpath("data/goeritz.pd").read_text()
-    return parse_pd(text).diagram
+    return parse_pd(text)
 
 
 def unknot_diagram(kinks=0):

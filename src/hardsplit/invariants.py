@@ -231,8 +231,8 @@ def tricolorable(d) -> bool:
             continue
         k = len(orb)
         for j, i in enumerate(breaks):
-            nxt = breaks[(j + 1) % len(breaks)]
-            span = (nxt - i) % k or k
+            next_break = breaks[(j + 1) % len(breaks)]
+            span = (next_break - i) % k or k
             for t in range(1, span + 1):
                 arc_of[orb[(i + t) % k]] = narcs
             narcs += 1

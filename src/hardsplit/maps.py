@@ -55,18 +55,6 @@ def rot(d: int) -> int:
     return (d & ~3) | ((d + 1) & 3)
 
 
-def rot_inv(d: int) -> int:
-    return (d & ~3) | ((d - 1) & 3)
-
-
-def cross_of(d: int) -> int:
-    return d >> 2
-
-
-def slot_of(d: int) -> int:
-    return d & 3
-
-
 class Loop(NamedTuple):
     """A crossing-free circle living in some region of the diagram."""
 
@@ -453,15 +441,19 @@ class Diagram:
             return _in_range(ref, len(self.loops))
         return False
 
+    def _owner(self, rkey):
+        """The node whose piece bounds region `rkey`: ("I", island key) for
+        a face, ("L", loop index) for a loop's far side, None at ROOT."""
+        if rkey == ROOT:
+            return None
+        if rkey[0] == "f":
+            return ("I", self.island_of[rkey[1]])
+        return ("L", rkey[1])
+
     def _node_parent(self, node):
         "Owning node of a region-hosted node, or None at the root region."
         kind, ref = node
-        host = self.hosts[ref][0] if kind == "I" else self.loops[ref].host
-        if host == ROOT:
-            return None
-        if host[0] == "f":
-            return ("I", self.island_of[host[1]])
-        return ("L", host[1])
+        return self._owner(self.hosts[ref][0] if kind == "I" else self.loops[ref].host)
 
     def _forest_violations(self):
         out = []
@@ -581,33 +573,23 @@ class Diagram:
                     loops[ref] = (loops[ref][0], newkey)
 
         # occupants of the new root region float to the top ...
-        if new_root[0] == "f":
-            node = ("I", self.island_of[new_root[1]])
-        else:
-            node = ("L", new_root[1])
         move_children(new_root, ROOT, None)
-        # ... then the chain of former ancestors is turned inside out
-        carry_host = ROOT
-        carry_up = new_root[1] if new_root[0] == "f" else None
+        # ... then the chain of former ancestors is turned inside out: the
+        # owner of each region on it moves into the region its child freed,
+        # and an island turns the face it owned outward
+        node, carry_host, owned = self._owner(new_root), ROOT, new_root
         while node is not None:
             kind, ref = node
             if kind == "I":
                 old_host, old_up = self.hosts[ref]
-                hosts[ref] = (carry_host, carry_up)
+                hosts[ref] = (carry_host, owned[1])
                 freed = ("f", old_up)
             else:
                 old_host = self.loops[ref].host
                 loops[ref] = (loops[ref][0], carry_host)
                 freed = ("l", ref)
             move_children(old_host, freed, node)
-            if old_host == ROOT:
-                node = None
-            elif old_host[0] == "f":
-                node = ("I", self.island_of[old_host[1]])
-                carry_host, carry_up = freed, old_host[1]
-            else:
-                node = ("L", old_host[1])
-                carry_host, carry_up = freed, None
+            node, carry_host, owned = self._owner(old_host), freed, old_host
         return Diagram(self.mode, self._structure(), self.over, self.labels, loops, hosts)
 
     # -- misc --------------------------------------------------------

@@ -32,6 +32,10 @@ A face hint is ``outer`` (the root region), ``<edge>:R`` / ``<edge>:L``
 (the face to the right / left of the edge's first-listed end), or
 ``in:<loop-name>`` (the far side of a circle).
 
+``parse_pd`` returns the checked `Diagram`.  The names a text gives its
+crossings, edges and circles only tie its records together; the diagram
+does not keep them.
+
 ``emit_pd`` writes a normal form: slot numbering rotated so every crossing
 has its under strand in positions 1 and 3 (so no ``over=`` tokens), edges
 named ``E1..`` in order of first appearance, crossings ``c0..``, and an
@@ -45,7 +49,7 @@ import re
 
 from .maps import PLANE, ROOT, Diagram, DiagramError, structure
 
-__all__ = ["PDError", "PD", "parse_pd", "emit_pd"]
+__all__ = ["PDError", "parse_pd", "emit_pd"]
 
 
 class PDError(DiagramError):
@@ -53,17 +57,6 @@ class PDError(DiagramError):
 
 
 _HINT_RE = re.compile(r"^(.+):([RL])$")
-
-
-class PD:
-    """A parsed diagram together with the names it was written with."""
-
-    def __init__(self, diagram, crossing_names, edge_ends, loop_names):
-        self.diagram = diagram
-        self.crossing_names = tuple(crossing_names)
-        #: edge label -> (first dart, second dart) in record order
-        self.edge_ends = dict(edge_ends)
-        self.loop_names = tuple(loop_names)
 
 
 def _split_records(text):
@@ -74,7 +67,7 @@ def _split_records(text):
 
 
 def parse_pd(text, mode=PLANE):
-    """Parse PD text into a `PD` (use ``.diagram`` for the diagram itself)."""
+    """Parse PD text into a checked `Diagram`; PDError names what is wrong."""
     xrecs, orecs, crecs, hrecs, frecs = [], [], [], [], []
     for ln, parts in _split_records(text):
         kind = parts[0]
@@ -106,11 +99,11 @@ def parse_pd(text, mode=PLANE):
         else:
             raise PDError("line %d: unknown record kind %r" % (ln, kind))
 
-    cnames = []
+    cnames = set()
     for ln, name, _e, _f in xrecs:
         if name in cnames:
             raise PDError("line %d: crossing name %r reused" % (ln, name))
-        cnames.append(name)
+        cnames.add(name)
 
     occ = {}
     for c, (_ln, _name, edges, _flip) in enumerate(xrecs):
@@ -233,7 +226,7 @@ def parse_pd(text, mode=PLANE):
     bad = diagram.validate()
     if bad:
         raise PDError("; ".join(bad))
-    return PD(diagram, cnames, occ, loop_names)
+    return diagram
 
 
 def emit_pd(diagram) -> str:

@@ -7,10 +7,11 @@ move the curve across itself, ``M`` events move the background only, and
 ``X`` events slide the curve over background strands.  Replaying the
 events yields the layer states; smoothing every curve self-crossing in
 each of its two planar ways and keeping the connected outcomes gives the
-resolution vertices.  Consecutive layers are joined by the local moves
-M1, M2a, M3a, M3b at the event site, and M2b pairs rival smoothings
-inside a layer next to an R2 event.  A walk through that graph trades
-the self-touching sweep for a motion of simple curves whose crossing
+resolution vertices, each one the tuple of its ``(crossing, mask)``
+smoothings.  Consecutive layers are joined by the local moves M1, M2a,
+M3a, M3b at the event site, and M2b pairs rival smoothings inside a
+layer next to an R2 event.  A walk through that graph trades the
+self-touching sweep for a motion of simple curves whose crossing
 count against the background never exceeds the trace's own peak.
 
 Every event's site is read once, by `_event_site`: the face the event
@@ -56,7 +57,6 @@ __all__ = [
     "TraceEvent",
     "Trace",
     "parse_trace",
-    "Resolution",
     "GraphEdge",
     "ResolutionGraph",
     "enumerate_resolutions",
@@ -134,15 +134,6 @@ class ShadowOverlay:
         else:
             self.u_darts = ()
 
-    @property
-    def is_simple(self):
-        return not self.u_self_ids
-
-    @property
-    def counts(self):
-        "(curve self, curve-tangle, tangle self) crossing counts."
-        return (len(self.u_self_ids), self.mixed, self.m_self)
-
 
 # -- trace text ------------------------------------------------------
 #
@@ -170,7 +161,6 @@ _C_KINDS = {
 
 class TraceEvent(NamedTuple):
     tag: str  # C, M, or X
-    kind: str  # script kind: RI+, RI-, RII+, RII-, RIII, ROOT
     site: moves.MoveSite
     text: str  # source line, kept verbatim for replay reports
 
@@ -201,10 +191,6 @@ class Trace:
             )
         else:
             self.layer_pos = (len(self.events),)
-
-    @property
-    def overlay(self):
-        return self.states[0]
 
     @property
     def nlayers(self):
@@ -300,9 +286,7 @@ def parse_trace(text, mode=PLANE) -> Trace:
             if head != "OVERLAY":
                 raise TraceError("line %d: trace must open with an OVERLAY line" % ln)
             try:
-                overlay = ShadowOverlay(
-                    pdio.parse_pd(rest.replace(";", "\n"), mode=mode).diagram
-                )
+                overlay = ShadowOverlay(pdio.parse_pd(rest.replace(";", "\n"), mode=mode))
             except (DiagramError, TraceError) as e:
                 # parse_pd numbers the overlay's ";"-records as lines
                 why = re.sub(r"^line (\d+):", r"overlay record \1:", str(e))
@@ -323,7 +307,7 @@ def parse_trace(text, mode=PLANE) -> Trace:
             state = ShadowOverlay(new)
         except (MoveError, DiagramError, TraceError) as e:
             raise TraceError("line %d: %s" % (ln, e)) from e
-        events.append(TraceEvent(head, site.kind, site, line))
+        events.append(TraceEvent(head, site, line))
         states.append(state)
         removed = set(_crossings(before)) - set(_crossings(after))
         sigmas.append(_packdown(d.ncross, removed) if removed else None)
@@ -357,12 +341,9 @@ def _parse_event_site(d, tag, rest):
 # either as {0,1}{2,3} (port ^ 1) or as {1,2}{3,0} (port ^ 3); ^ 2 is
 # the untouched through-passage.  A smoothing assignment resolves the
 # curve into disjoint circles; the resolutions are the assignments that
-# leave a single circle.
-
-
-class Resolution(NamedTuple):
-    layer: int
-    assignment: tuple  # ((crossing, mask), ...) sorted, mask 1 or 3
+# leave a single circle.  A resolution is its assignment, the tuple
+# ((crossing, mask), ...) sorted by crossing; the graph refers to it by
+# (layer, index).
 
 
 def _resolved_components(overlay, masks):
@@ -518,7 +499,8 @@ class ResolutionGraph:
     def nlayers(self):
         return len(self.layers)
 
-    def vertex(self, ref) -> Resolution:
+    def vertex(self, ref):
+        "The assignment at (layer, index) `ref`."
         return self.layers[ref[0]][ref[1]]
 
     def neighbors(self, ref):
@@ -545,11 +527,9 @@ def build_resolution_graph(trace: Trace) -> ResolutionGraph:
     every vertex outside the first and last layers must have degree 2,
     4, or 6.
     """
-    layers = []
-    for j in range(trace.nlayers):
-        asgs = enumerate_resolutions(trace.layer_state(j))
-        layers.append(tuple(Resolution(j, a) for a in asgs))
-    layers = tuple(layers)
+    layers = tuple(
+        enumerate_resolutions(trace.layer_state(j)) for j in range(trace.nlayers)
+    )
 
     edges = []
     for j in range(trace.nlayers - 1):
@@ -590,7 +570,7 @@ def _transition_edges(trace, j, layers):
     post = trace.states[g + 1].diagram
     before, after = _event_site(pre, ev.site, post)
     if not (before or after):
-        raise ResolutionError("curve event of kind %r acts on no face" % (ev.kind,))
+        raise ResolutionError("curve event of kind %r acts on no face" % (ev.site.kind,))
     site_pre, site_post = _crossings(before), _crossings(after)
 
     if before and after:
@@ -627,7 +607,7 @@ def _transition_edges(trace, j, layers):
                 name = _triangle_edge_name(pm, qm, othru)
             else:
                 name = move
-                _audit_r12(ev.kind, pm, qm, othru)
+                _audit_r12(ev.site.kind, pm, qm, othru)
             out.append(GraphEdge(name, (j, pi), (j + 1, qi)))
 
     if move == "M2a":
@@ -676,9 +656,9 @@ def _bucket(trace, verts, sites, lo, hi):
     """Vertices keyed by their off-site smoothings, carried from states[lo]
     to states[hi]; each entry is (index, site masks in crossing order)."""
     out = {}
-    for idx, r in enumerate(verts):
+    for idx, asg in enumerate(verts):
         off, on = [], []
-        for c, m in r.assignment:
+        for c, m in asg:
             if c in sites:
                 on.append(m)
             else:
@@ -750,7 +730,7 @@ class VerifyResult(NamedTuple):
     report: str
 
 
-def verify_isotopy(trace: Trace, path=None, *, graph=None) -> VerifyResult:
+def verify_isotopy(trace: Trace, path=None) -> VerifyResult:
     """Replay a path through the resolution graph as a motion of simple
     curves and certify the crossing bound.
 
@@ -761,9 +741,12 @@ def verify_isotopy(trace: Trace, path=None, *, graph=None) -> VerifyResult:
     layer.  Any failed check raises ResolutionError: the construction
     guarantees these hold, so a failure is an engine bug, not a property
     of the input.
+
+    The graph is built here; `path` may come from an earlier build of it,
+    since `build_resolution_graph` sorts its edges and so numbers them
+    the same way every time.
     """
-    if graph is None:
-        graph = build_resolution_graph(trace)
+    graph = build_resolution_graph(trace)
     if path is None:
         path = find_isotopy_path(graph)
 
@@ -775,9 +758,9 @@ def verify_isotopy(trace: Trace, path=None, *, graph=None) -> VerifyResult:
     for k, ref in enumerate(path.vertices):
         if k:
             lines.extend(_hop_lines(trace, graph, path, k))
-        res = graph.vertex(ref)
+        asg = graph.vertex(ref)
         st = trace.layer_state(ref[0])
-        if tuple(c for c, _ in res.assignment) != st.u_self_ids:
+        if tuple(c for c, _ in asg) != st.u_self_ids:
             raise ResolutionError(
                 "resolution at %r does not cover the layer's self-crossings" % (ref,)
             )
@@ -788,15 +771,15 @@ def verify_isotopy(trace: Trace, path=None, *, graph=None) -> VerifyResult:
             )
         lines.append(
             "step %d: layer %d  smoothing %s  overlay %d+%d <= %d"
-            % (k, ref[0], list(res.assignment), st.mixed, st.m_self, m)
+            % (k, ref[0], list(asg), st.mixed, st.m_self, m)
         )
 
     final_ref = path.vertices[-1]
     if final_ref[0] != graph.nlayers - 1:
         raise ResolutionError("path does not end in the last layer")
     final_state = trace.layer_state(final_ref[0])
-    if final_state.is_simple:
-        if graph.vertex(final_ref).assignment:
+    if not final_state.u_self_ids:
+        if graph.vertex(final_ref):
             raise ResolutionError("simple final curve paired with smoothings")
         lines.append("final: the ending curve is simple and the path ends on it exactly")
     else:

@@ -175,8 +175,6 @@ class MinAdded(NamedTuple):
 
 class HardnessCertificate(NamedTuple):
     verdict: str  # "hard" | "not-hard" | "inconclusive"
-    added: Optional[int]
-    kmax: int
     outcome: MinAdded
     report: str
 
@@ -385,13 +383,12 @@ def _run(d0, goal, budget, limits, floor):
     parent = {start: None}
     maxcr = mincr = d0.ncross
     found = start if goal is not None and goal.met(d0) else None
-    # the states not yet expanded, by digest: (diagram, sites to skip)
+    # the states not yet expanded, by digest: (diagram, sites to skip), in
+    # discovery order; once a level is expanded it holds the next level
     waiting = {start: (d0, set())}
-    frontier = [start]
     truncated = False
-    while frontier and found is None and not truncated:
-        nxt = []
-        for pdigest in frontier:
+    while waiting and found is None and not truncated:
+        for pdigest in list(waiting):
             if monotonic() > deadline:
                 truncated = True
                 break
@@ -416,10 +413,8 @@ def _run(d0, goal, budget, limits, floor):
                     break
                 inv = inverse_site(rep, site, child)
                 waiting[digest] = (child, set() if inv is None else {inv})
-                nxt.append(digest)
             if found is not None or truncated:
                 break
-        frontier = nxt
 
     if found is not None:
         w = _witness(d0, parent, found)
@@ -498,4 +493,4 @@ def verify_hard(d0, goal, k_max, limits=None, floor=None) -> HardnessCertificate
         )
     else:
         lines.append("verdict: inconclusive (limits hit)")
-    return HardnessCertificate(verdict, out.added, k_max, out, "\n".join(lines) + "\n")
+    return HardnessCertificate(verdict, out, "\n".join(lines) + "\n")

@@ -156,22 +156,26 @@ def ri_add(d: Diagram, elem, over: int) -> Diagram:
            ("loop", i, side) — curl a bare circle instead; side "out"
            puts the petal on the side of the circle's hosting region,
            "in" on its far side.
-    over : decoration of the new crossing (0 puts the slot-{0,2} strand,
+    over : 0 or 1, the new crossing's decoration (0 puts the slot-{0,2} strand,
            which includes the petal-out end, on top).
     """
+    if over not in (0, 1):
+        raise MoveError("over must be 0 or 1, not %r" % (over,))
     n = d.ncross
     n0, n1, n2, n3 = 4 * n, 4 * n + 1, 4 * n + 2, 4 * n + 3
-    over_list = list(d.over) + [int(over) & 1]
-    if elem[0] in ("d", "wrap"):
+    over_list = list(d.over) + [over]
+    if len(elem) == 2 and elem[0] in ("d", "wrap"):
         if not _in_range(elem[1], d.ndart):
             raise MoveError("no dart %r" % (elem[1],))
-    else:
+    elif len(elem) == 3 and elem[0] == "loop":
         _kind, li, side = elem
         if not _in_range(li, len(d.loops)):
             raise MoveError("no loop %r" % (li,))
         if side not in ("in", "out"):
             raise MoveError("side must be 'in' or 'out'")
         elem = ("loop", li)
+    else:
+        raise MoveError("no curl element %r" % (elem,))
     theta = list(d.theta) + [0] * 4
     theta[n0], theta[n3] = n3, n0  # the petal
     _splice(theta, d, elem, ((n2, n1),))
@@ -417,12 +421,7 @@ def rii_add(
     run_a, run_b = (pl + _W, pu + _W), (pu + _N, pl + _S)
     if elem_a == elem_b:  # a strand across itself: one edge, or one circle
         _splice(theta, d, elem_a, (run_a, run_b))
-    elif elem_a[0] == "d" == elem_b[0] and d.theta[elem_a[1]] == elem_b[1]:
-        # the two flanks of one edge never bound a common region (a
-        # 4-valent shadow is Eulerian, hence bridgeless), so this
-        # naming cannot describe a site
-        raise MoveError("site names both flanks of one edge")
-    else:
+    else:  # no region lists the two darts of one edge: shadows are bridgeless
         _splice(theta, d, elem_a, (run_a,))
         _splice(theta, d, elem_b, (run_b,))
 

@@ -61,7 +61,7 @@ def test_replay_reaches_the_witness_target(tmp_path, capsys):
     script.write_text("".join(line + "\n" for line in script_lines(r.witness)))
     assert main(["replay", str(pd), str(script), "--sphere"]) == 0
     out = capsys.readouterr().out
-    got = parse_pd(out, mode=SPHERE).diagram.check()
+    got = parse_pd(out, mode=SPHERE).check()
     assert Goal.target(target).met(got)
     assert out == emit_pd(apply_script(d0, script.read_text()))
 
@@ -96,5 +96,5 @@ def test_replay_crosses_a_root_hop(tmp_path, capsys):
     script = tmp_path / "witness.txt"
     script.write_text("".join(line + "\n" for line in ROOT_HOP_SCRIPT))
     assert main(["replay", str(pd), str(script), "--sphere"]) == 0
-    got = parse_pd(capsys.readouterr().out, mode=SPHERE).diagram.check()
+    got = parse_pd(capsys.readouterr().out, mode=SPHERE).check()
     assert Goal.target(target).met(got)

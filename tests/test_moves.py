@@ -468,6 +468,11 @@ REFUSALS = [
     ("ri-add-dart-float", lambda: unknot_diagram(1), curl("d", 2.0), "no dart 2.0"),
     ("ri-add-loop-str", free_loop, curl("loop", "0", "out"), "no loop '0'"),
     ("ri-add-loop-side", free_loop, curl("loop", 0, "up"), "side must"),
+    ("ri-add-over-str", kink, lambda d: surgery.ri_add(d, ("d", 0), "x"), "not 'x'"),
+    ("ri-add-over-none", kink, lambda d: surgery.ri_add(d, ("d", 0), None), "not None"),
+    ("ri-add-over-2", kink, lambda d: surgery.ri_add(d, ("d", 0), 2), "over must be 0 or 1, not 2"),
+    ("ri-add-elem-kind", kink, curl("x", 0), r"no curl element \('x', 0\)"),
+    ("ri-add-loop-no-side", free_loop, curl("loop", 0), r"no curl element \('loop', 0\)"),
     ("site-face-letter", kink, lambda d: surgery.site_face(d, "a", 1), "no face 'a'"),
     ("ri-remove-letter", kink, lambda d: surgery.ri_remove(d, "a"), "no face 'a'"),
     ("petal-not-empty", stuffed_kink, lambda d: surgery.ri_remove(d, 2), "petal is not empty"),

@@ -1,7 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardsplit.canon import canonical_code
-from hardsplit.maps import PLANE, ROOT, Diagram, Loop
+from hardsplit.generators import split_d_pq, torus_knot_diagram, unknot_diagram
+from hardsplit.maps import PLANE, ROOT, SPHERE, Diagram, Loop
+from hardsplit.moves import apply_move, enumerate_moves
 from hardsplit.pdio import PDError, emit_pd, parse_pd
 
 KINK_TEXT = """
@@ -13,26 +17,20 @@ O C E1:R   # circle tucked inside the petal
 
 
 def test_parse_kink():
-    pd = parse_pd(KINK_TEXT)
-    d = pd.diagram
+    d = parse_pd(KINK_TEXT)
     assert list(d.theta) == [3, 2, 1, 0]
     assert d.over == (1,)  # positions 2 and 4 pass over by default
     assert d.hosts == {0: (ROOT, 1)}
     assert d.loops == (Loop("C", ("f", 0)),)
-    assert pd.crossing_names == ("k",)
-    assert pd.edge_ends["E1"] == [0, 3]
 
 
 def test_parse_over_flip():
-    pd = parse_pd("X k E1 E2 E2 E1 over=1\n")
-    assert pd.diagram.over == (0,)
-    pd3 = parse_pd("X k E1 E2 E2 E1 over=3\n")
-    assert pd3.diagram.over == (0,)
+    assert parse_pd("X k E1 E2 E2 E1 over=1\n").over == (0,)
+    assert parse_pd("X k E1 E2 E2 E1 over=3\n").over == (0,)
 
 
 def test_parse_component_labels():
-    pd = parse_pd("X k E1 E2 E2 E1\nC K E1 E2\n")
-    assert pd.diagram.labels == ("K",)
+    assert parse_pd("X k E1 E2 E2 E1\nC K E1 E2\n").labels == ("K",)
     with pytest.raises(PDError):
         parse_pd("X k E1 E2 E2 E1\nC ~bad E1\n")
 
@@ -44,7 +42,7 @@ def test_parse_nested_pieces():
     F E1:L
     H E3 E1:R E3:L
     """
-    d = parse_pd(text).diagram
+    d = parse_pd(text)
     assert d.hosts == {0: (ROOT, 1), 4: (("f", 0), 5)}
 
 
@@ -54,7 +52,7 @@ def test_parse_loop_hints():
     O - in:A
     O B in:A
     """
-    d = parse_pd(text).diagram
+    d = parse_pd(text)
     assert d.loops == (
         Loop("A", ROOT),
         Loop(None, ("l", 0)),
@@ -99,10 +97,10 @@ def test_parent_hint_on_an_up_face_names_that_pieces_host():
     # a hint naming another piece's up face means the region that face
     # opens toward: the root for a piece placed by F, its H host else
     two = "X a E1 E2 E2 E1\nX b E3 E4 E4 E3\nF E1:L\n"
-    d = parse_pd(two + "H E3 E1:L E3:L\n").diagram
+    d = parse_pd(two + "H E3 E1:L E3:L\n")
     assert d.hosts == {0: (ROOT, 1), 4: (ROOT, 5)}
     three = two + "X c E5 E6 E6 E5\nH E3 E1:R E3:L\nH E5 E3:L E5:L\n"
-    d = parse_pd(three).diagram
+    d = parse_pd(three)
     assert d.hosts == {0: (ROOT, 1), 4: (("f", 0), 5), 8: (("f", 0), 9)}
     # each piece hinted at the other's up face: neither has a host
     with pytest.raises(PDError, match="line 4: H records form a hosting cycle"):
@@ -139,10 +137,9 @@ ROUND_TRIP_CASES = [
 ]
 
 
-@pytest.mark.parametrize("d", ROUND_TRIP_CASES, ids=lambda d: repr(d))
-def test_emit_parse_round_trip(d):
-    d.check()
-    back = parse_pd(emit_pd(d)).diagram
+def assert_round_trip(d):
+    "parse(emit(d)) is d dart for dart, once emit_pd has rotated its slots."
+    back = parse_pd(emit_pd(d), mode=d.mode)
     norm = d.relabeled(None, [0 if o else 1 for o in d.over])
     assert back.mode == norm.mode
     assert list(back.theta) == list(norm.theta)
@@ -150,4 +147,39 @@ def test_emit_parse_round_trip(d):
     assert back.labels == norm.labels
     assert back.loops == norm.loops
     assert back.hosts == norm.hosts
+    return back
+
+
+@pytest.mark.parametrize("d", ROUND_TRIP_CASES, ids=lambda d: repr(d))
+def test_emit_parse_round_trip(d):
+    d.check()
+    back = assert_round_trip(d)
     assert canonical_code(back) == canonical_code(d)
+
+
+# the nested case above writes O, H and "~" records: a labeled circle in
+# a face, an unlabeled one holding another, and a piece inside a face
+WALK_STARTS = {
+    "trefoil": lambda: torus_knot_diagram(2, 3),
+    "hopf": lambda: Diagram(PLANE, (5, 4, 7, 6, 1, 0, 3, 2), (1, 1)),
+    "curl": lambda: unknot_diagram(1),
+    "split d_pq(2,3)": lambda: split_d_pq(2, 3),
+    "nested": lambda: ROUND_TRIP_CASES[3],
+}
+
+
+@pytest.mark.parametrize("mode", [PLANE, SPHERE])
+@pytest.mark.parametrize("name", sorted(WALK_STARTS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_walked_diagrams_round_trip(name, mode, data):
+    # a walk of up to four moves, each site drawn from enumerate_moves
+    # under a cap of two added crossings
+    d = WALK_STARTS[name]().with_mode(mode)
+    cap = d.ncross + 2
+    for _ in range(data.draw(st.integers(0, 4), label="moves")):
+        sites = enumerate_moves(d, cap)
+        if not sites:
+            break
+        d = apply_move(d, data.draw(st.sampled_from(sites), label="site"))
+    assert_round_trip(d)

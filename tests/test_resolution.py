@@ -2,9 +2,10 @@
 
 The overlay is the Hopf link with one circle as the sweep curve U and
 the other as the tangle.  The peak is recounted here from the replayed
-diagrams' crossing labels, without `ShadowOverlay`'s counts.  Pinned
-traces cover each curve event kind; seeded random traces, tagged by the
-strands of their own sites, check the whole engine end to end.
+diagrams' crossing labels, without `ShadowOverlay`'s `mixed` and
+`m_self`.  Pinned traces cover each curve event kind; seeded random
+traces, tagged by the strands of their own sites, check the whole engine
+end to end.
 """
 
 import random
@@ -60,11 +61,11 @@ def test_curl_then_uncurl_verifies_at_the_peak(events, m):
         line[0] for line in events.splitlines()
     ]
     assert trace.nlayers == 3  # start, after the curl, after the uncurl
-    assert trace.overlay.is_simple and trace.states[-1].is_simple
-    assert not trace.layer_state(1).is_simple
+    assert not trace.states[0].u_self_ids and not trace.states[-1].u_self_ids
+    assert trace.layer_state(1).u_self_ids
     graph = build_resolution_graph(trace)
     path = find_isotopy_path(graph)
-    res = verify_isotopy(trace, path, graph=graph)
+    res = verify_isotopy(trace, path)
     assert res.m == peak_overlay_crossings(trace) == m
     assert res.steps == len(path.edges) == 2
     assert "m = %d " % m in res.report
@@ -354,7 +355,7 @@ def test_pinned_curve_traces(overlay, events, sigmas, edges, degrees, m, steps, 
     graph = build_resolution_graph(trace)
     assert [tuple(e) for e in graph.edges] == edges
     assert graph.degree_sequences() == degrees
-    res = verify_isotopy(trace, graph=graph)
+    res = verify_isotopy(trace)
     assert res.m == peak_overlay_crossings(trace) == m
     assert res.steps == steps
     assert res.report == report
@@ -366,15 +367,14 @@ def test_pinned_curve_traces(overlay, events, sigmas, edges, degrees, m, steps, 
     ids=["curl", "poked-curl", "self-poke", "curl-poke-slide"],
 )
 def test_verify_builds_its_own_graph_and_path(events):
-    # with neither argument verify_isotopy builds the graph and finds the
-    # path itself; the report must match the one from the built pieces
+    # without a path verify_isotopy finds one itself; the report must
+    # match the one for a path found on a graph built beforehand
     trace = parse_trace(HOPF_OVERLAY + "\n" + events)
     graph = build_resolution_graph(trace)
     path = find_isotopy_path(graph)
-    assert verify_isotopy(trace) == verify_isotopy(trace, path, graph=graph)
+    assert verify_isotopy(trace) == verify_isotopy(trace, path)
     for st in trace.states:
-        assert st.counts == (len(st.u_self_ids), st.mixed, st.m_self)
-        assert sum(st.counts) == st.diagram.ncross
+        assert len(st.u_self_ids) + st.mixed + st.m_self == st.diagram.ncross
 
 
 # the slide graph walked the long way: up to the last layer, back down an
@@ -441,7 +441,7 @@ def _walk(trace, graph, vertices):
 def test_explicit_path_walks_down_and_along_a_layer():
     trace = parse_trace(HOPF_OVERLAY + "\n" + TANGLE_CURL_IN_SLIDE)
     graph = build_resolution_graph(trace)
-    res = verify_isotopy(trace, _walk(trace, graph, DETOUR), graph=graph)
+    res = verify_isotopy(trace, _walk(trace, graph, DETOUR))
     assert (res.m, res.steps) == (3, 6)
     assert res.report == DETOUR_REPORT
 
@@ -449,7 +449,7 @@ def test_explicit_path_walks_down_and_along_a_layer():
 def test_down_hop_undoes_the_events_after_its_curve_event():
     trace = parse_trace(HOPF_OVERLAY + "\n" + POKED_CURL)
     graph = build_resolution_graph(trace)
-    res = verify_isotopy(trace, _walk(trace, graph, POKED_CURL_BACK), graph=graph)
+    res = verify_isotopy(trace, _walk(trace, graph, POKED_CURL_BACK))
     assert (res.m, res.steps) == (4, 4)
     assert res.report == POKED_CURL_BACK_REPORT
 
@@ -463,7 +463,7 @@ def test_trace_with_no_curve_event_stays_on_its_one_layer():
     assert trace.nlayers == 1
     graph = build_resolution_graph(trace)
     assert list(graph.edges) == [] and graph.degree_sequences() == ((0,),)
-    res = verify_isotopy(trace, graph=graph)
+    res = verify_isotopy(trace)
     assert (res.m, res.steps) == (3, 0)
     assert res.report == (
         "trace: 2 events over 1 layers\n"
@@ -512,7 +512,7 @@ def random_trace(seed, overlay):
     rng = random.Random(seed)
     text = overlay + "\n"
     trace = parse_trace(text)
-    cap = trace.overlay.diagram.ncross + 4
+    cap = trace.states[0].diagram.ncross + 4
     for _ in range(rng.randint(1, 8)):
         d = trace.states[-1].diagram
         # a move kind first, uniformly, then a site of that kind: RIII
@@ -547,7 +547,54 @@ def test_seeded_traces_verify_at_their_peak():
         trace = random_trace(seed, overlay)
         graph = build_resolution_graph(trace)
         path = find_isotopy_path(graph)
-        assert verify_isotopy(trace, path, graph=graph).m == peak_overlay_crossings(trace)
+        assert verify_isotopy(trace, path).m == peak_overlay_crossings(trace)
         kinds.update(e.move for e in graph.edges)
     # the walks reach every local move of the calculus
     assert set(kinds) == {"M1", "M2a", "M2b", "M3a", "M3b"}
+
+
+# seed 64's walk, the first seed to reach M3a and M3b; its path goes along
+# an M2b edge and down an M3b edge
+SEED_64_EVENTS = [
+    "C R1+ loop=0 side=out",
+    "M RII+ dartA=1 dartB=5 over=A engulfed=I8",
+    "M RII- face=1",
+    "C R1+ dart=6 side=R",
+    "C R2+ dartA=15 dartB=13",
+    "C R3 face=6",
+    "C R2- face=6",
+    "C R1- crossing=3 petal=2",
+]
+SEED_64_REPORT = """\
+trace: 8 events over 7 layers
+m = 4  (peak overlay crossing count along the trace)
+step 0: layer 0  smoothing []  overlay 0+2 <= 4
+  move: M1 (up)
+step 1: layer 1  smoothing [(2, 1)]  overlay 0+2 <= 4
+  replay: M RII+ dartA=1 dartB=5 over=A engulfed=I8
+  replay: M RII- face=1
+  move: M1 (up)
+step 2: layer 2  smoothing [(1, 1), (3, 1)]  overlay 0+2 <= 4
+  move: M2a (up)
+step 3: layer 3  smoothing [(1, 1), (3, 1), (4, 3), (5, 1)]  overlay 0+2 <= 4
+  move: M3a (up)
+step 4: layer 4  smoothing [(1, 1), (3, 1), (4, 3), (5, 1)]  overlay 0+2 <= 4
+  move: M2b (level)
+step 5: layer 4  smoothing [(1, 3), (3, 1), (4, 3), (5, 3)]  overlay 0+2 <= 4
+  move: M3b (down)
+step 6: layer 3  smoothing [(1, 1), (3, 3), (4, 3), (5, 3)]  overlay 0+2 <= 4
+  move: M3b (up)
+step 7: layer 4  smoothing [(1, 1), (3, 1), (4, 1), (5, 3)]  overlay 0+2 <= 4
+  move: M2a (up)
+step 8: layer 5  smoothing [(2, 1), (3, 1)]  overlay 0+2 <= 4
+  move: M1 (up)
+step 9: layer 6  smoothing [(2, 1)]  overlay 0+2 <= 4
+final: resolution of the ending curve (1 self-crossings smoothed)
+verified: 9 steps, overlay bound m = 4 holds throughout
+"""
+
+
+def test_seeded_trace_report_is_pinned():
+    trace = random_trace(64, BARE_LOOP_OVERLAY)
+    assert [ev.text for ev in trace.events] == SEED_64_EVENTS
+    assert verify_isotopy(trace).report == SEED_64_REPORT

@@ -616,7 +616,7 @@ def test_inverse_face_names_the_bigon_an_engulfing_poke_fills():
     # no inverse site, but the face named off the surgeries' numbering is
     # still its new bigon: a 2-face at the two added crossings, holding
     # what was engulfed
-    hopf_and_circle = parse_pd("X c0 E1 E2 E3 E4\nX c1 E2 E1 E4 E3\nO C outer").diagram
+    hopf_and_circle = parse_pd("X c0 E1 E2 E3 E4\nX c1 E2 E1 E4 E3\nO C outer")
     seen = 0
     for d in (circles(2), hopf_and_circle, hopf_and_circle.with_mode(SPHERE)):
         n = d.ncross
@@ -798,8 +798,8 @@ def plane_one_way_pair():
     "The smallest known one-way plane edge: (3-crossing diagram, kink)."
     big = parse_pd(
         "X c0 E1 E2 E3 E4\nX c1 E5 E4 E1 E5\nX c2 E6 E6 E3 E2\nF E6:L\n"
-    ).diagram.check()
-    kink = parse_pd("X c0 E1 E2 E2 E1\nF E2:R\n").diagram.check()
+    ).check()
+    kink = parse_pd("X c0 E1 E2 E2 E1\nF E2:R\n").check()
     return big, kink
 
 

@@ -150,7 +150,7 @@ def test_ri_remove_far_side_content_stays_beyond_the_circle():
     # petal: retracting the other petal sweeps the outward face, and the
     # contracted circle's far side is the occupied petal, so the circle
     # ends up inside the contracted one, not beside it in the swept region
-    d = parse_pd("X c0 E1 E2 E2 E1\nO - E1:R\nF E2:R\n").diagram.check()
+    d = parse_pd("X c0 E1 E2 E2 E1\nO - E1:R\nF E2:R\n").check()
     out = moves.apply_move(d, moves.parse_move(d, "RI- crossing=0")).check()
     assert out.loops == (Loop(None, ("l", 1)), Loop(None, ROOT))
     assert out.hosts == {}
@@ -325,7 +325,7 @@ def test_rii_remove_hosts_a_fragment_in_the_swept_region():
     d = parse_pd(
         "X c0 E1 E2 E3 E4\nX c1 E2 E5 E4 E3\nX c2 E5 E6 E7 E8\n"
         "X c3 E7 E6 E1 E8\nF E8:R\n"
-    ).diagram.check()
+    ).check()
     out = moves.apply_move(d, moves.parse_move(d, "RII- face=10")).check()
     assert out.ncross == 2
     assert out.hosts == {0: (("l", 0), 0)}
