@@ -125,18 +125,18 @@ def _region_code(ctx, d, rkey):
 
 def canonical_code(d):
     ctx = _Ctx(d)
-    keys = d.islands_keys
-    if len(keys) == 1 and not d.loops:
+    if len(d.islands) == 1 and not d.loops:
+        (key,) = d.islands
         # no content: the code is the island's, and the diagram records the
         # numbering that achieves it and its automorphisms (`search` maps
         # sites between states and within one)
-        best, numberings = ctx.island_best(d, keys[0])
+        best, numberings = ctx.island_best(d, key)
         if d.mode == SPHERE:
             # any face can be made outer, so the up marker bottoms out at 0;
             # search._expand_one enumerates such a state in one rooting only
             marker, achievers = 0, numberings
         else:
-            up = d.face_darts(d.hosts[keys[0]][1])
+            up = d.face_darts(d.hosts[key][1])
             marks = [min([lab[x] for x in up]) for lab in numberings]
             marker = min(marks)
             achievers = [lab for lab, m in zip(numberings, marks) if m == marker]

@@ -46,9 +46,7 @@ def component_names(d):
     return tuple(names)
 
 
-def _component_index(d, which, names=None):
-    if names is None:
-        names = component_names(d)
+def _component_index(which, names):
     if isinstance(which, int):
         if not 0 <= which < len(names):
             raise DiagramError("no component %d" % which)
@@ -97,8 +95,8 @@ def _pair_sums(d):
 def linking_number(d, a, b) -> int:
     """Half the signed sum over the mixed crossings of components a and b."""
     names = component_names(d)
-    ia = _component_index(d, a, names)
-    ib = _component_index(d, b, names)
+    ia = _component_index(a, names)
+    ib = _component_index(b, names)
     if ia == ib:
         raise DiagramError("linking number needs two distinct components")
     return _pair_sums(d).get((min(ia, ib), max(ia, ib)), 0) // 2
@@ -125,8 +123,8 @@ def linking_table(d):
 def _shadow_pieces(d):
     # component-index sets, one per connected piece of the shadow
     pieces = []
-    for k in d.islands_keys:
-        pieces.append({d.comp_of[x] for x in d.islands[k]})
+    for ds in d.islands.values():
+        pieces.append({d.comp_of[x] for x in ds})
     base = len(d.labels)
     for i in range(len(d.loops)):
         pieces.append({base + i})
@@ -162,7 +160,7 @@ def is_split_diagram(d, partition=None) -> bool:
     if partition is None:
         return len(pieces) >= 2
 
-    sides = [{_component_index(d, x, names) for x in s} for s in partition_sides(partition)]
+    sides = [{_component_index(x, names) for x in s} for s in partition_sides(partition)]
     side_a = sides[0]
     if len(sides) == 2:
         side_b = sides[1]

@@ -76,7 +76,6 @@ class Structure(NamedTuple):
     components: tuple
     comp_of: tuple
     islands: dict
-    islands_keys: tuple
     island_of: tuple
 
     def face_darts(self, fkey):
@@ -164,7 +163,6 @@ def structure(theta) -> Structure:
         tuple(comps),
         tuple(cidx),
         islands,
-        tuple(islands),
         tuple([ikey[d >> 2] for d in range(nd)]),
     )
 
@@ -238,8 +236,8 @@ class Diagram:
         component's smallest dart, which makes derived orientations
         deterministic.
     comp_of : per dart, its component index
-    islands : map island key -> sorted tuple of its darts
-    islands_keys : sorted smallest-dart keys of the connected shadow pieces
+    islands : map island key (the smallest dart of a connected shadow
+        piece) -> sorted tuple of its darts, in order of key
     island_of : per dart, its island key
     region_keys : ROOT, then ("f", face_key) for each face that is not an
         up face, then ("l", loop_index) for each loop's far side; computed
@@ -261,7 +259,7 @@ class Diagram:
     __slots__ = (
         "mode", "theta", "over", "labels", "loops", "hosts",
         "faces", "face_of", "components", "comp_of",
-        "islands", "islands_keys", "island_of", "region_children",
+        "islands", "island_of", "region_children",
         "numbering", "automorphisms",
     )
 
@@ -273,7 +271,9 @@ class Diagram:
         s = theta if isinstance(theta, Structure) else structure(theta)
         for name, value in zip(Structure._fields, s):
             put(self, name, value)
-        over = tuple(int(o) & 1 for o in over)
+        if any(o not in (0, 1) for o in over):
+            raise DiagramError("over entries must be 0 or 1, not %r" % (tuple(over),))
+        over = tuple([int(o) for o in over])
         if len(over) * 4 != len(s.theta):
             raise DiagramError(
                 "over has %d entries for %d crossings" % (len(over), len(s.theta) // 4)
@@ -293,7 +293,7 @@ class Diagram:
         put(self, "loops", loops)
 
         norm_hosts = {}
-        for key in s.islands_keys:
+        for key in s.islands:
             if hosts and key in hosts:
                 host, up = hosts[key]
                 if not _in_range(up, len(s.theta)):
@@ -308,7 +308,7 @@ class Diagram:
         put(self, "hosts", norm_hosts)
 
         children = {}
-        for key in s.islands_keys:
+        for key in s.islands:
             children.setdefault(norm_hosts[key][0], []).append(("I", key))
         for i, lp in enumerate(loops):
             children.setdefault(lp.host, []).append(("L", i))
@@ -457,7 +457,7 @@ class Diagram:
 
     def _forest_violations(self):
         out = []
-        nodes = [("I", k) for k in self.islands_keys] + [
+        nodes = [("I", k) for k in self.islands] + [
             ("L", i) for i in range(len(self.loops))
         ]
         for start in nodes:
@@ -500,7 +500,7 @@ class Diagram:
         "The record this diagram was built from, for a copy with the same theta."
         return Structure(
             self.theta, self.faces, self.face_of, self.components,
-            self.comp_of, self.islands, self.islands_keys, self.island_of,
+            self.comp_of, self.islands, self.island_of,
         )
 
     def with_mode(self, mode):

@@ -58,6 +58,7 @@ from typing import NamedTuple
 
 from . import surgery
 from .maps import ROOT, SPHERE, Diagram, DiagramError, MoveError, opp
+from .pdio import text_lines
 
 __all__ = [
     "CROSSING_DELTA",
@@ -539,10 +540,7 @@ def _site_region(d, a, b, from_far):
 
 def apply_script(d: Diagram, text: str) -> Diagram:
     "Run a move script; each line sees the numbering of the diagram so far."
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for ln, line in text_lines(text):
         try:
             d = apply_move(d, parse_move(d, line))
         except MoveError as e:

@@ -59,17 +59,21 @@ class PDError(DiagramError):
 _HINT_RE = re.compile(r"^(.+):([RL])$")
 
 
-def _split_records(text):
-    for lineno, raw in enumerate(text.splitlines(), 1):
+def text_lines(text):
+    """(line number, line) for each line of `text` that holds more than a
+    comment, stripped; "#" starts a comment.  PD text, `moves` scripts and
+    `resolution` traces all read their lines through this."""
+    for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            yield lineno, line.split()
+            yield ln, line
 
 
 def parse_pd(text, mode=PLANE):
     """Parse PD text into a checked `Diagram`; PDError names what is wrong."""
     xrecs, orecs, crecs, hrecs, frecs = [], [], [], [], []
-    for ln, parts in _split_records(text):
+    for ln, line in text_lines(text):
+        parts = line.split()
         kind = parts[0]
         if kind == "X":
             if len(parts) == 7:
@@ -95,7 +99,7 @@ def parse_pd(text, mode=PLANE):
         elif kind == "F":
             if len(parts) != 2:
                 raise PDError("line %d: F needs a face hint" % ln)
-            frecs.append((ln, parts[1]))
+            frecs.append((ln, None, "outer", parts[1]))  # an H with no anchor
         else:
             raise PDError("line %d: unknown record kind %r" % (ln, kind))
 
@@ -150,28 +154,21 @@ def parse_pd(text, mode=PLANE):
     # outward ("up") faces first: they decide which hinted faces are regions
     up = {}
     host_hint = {}
-    for ln, anchor, parent, own in hrecs:
-        if anchor not in occ:
+    for ln, anchor, parent, own in hrecs + frecs:
+        if anchor is not None and anchor not in occ:
             raise PDError("line %d: unknown edge %r" % (ln, anchor))
-        k = skel.island_of[occ[anchor][0]]
         tgt = hint_target(ln, own)
         if tgt[0] != "F":
-            raise PDError("line %d: up hint must name a face by edge" % ln)
-        if skel.island_of[tgt[1]] != k:
+            what = "F" if anchor is None else "up"
+            raise PDError("line %d: %s hint must name a face by edge" % (ln, what))
+        k = skel.island_of[tgt[1]]
+        if anchor is not None and skel.island_of[occ[anchor][0]] != k:
             raise PDError("line %d: up face is not on the anchored piece" % ln)
         if k in up:
             raise PDError("line %d: piece already placed" % ln)
         up[k] = tgt[1]
         host_hint[k] = (ln, parent)
-    for ln, hint in frecs:
-        tgt = hint_target(ln, hint)
-        if tgt[0] != "F":
-            raise PDError("line %d: F hint must name a face by edge" % ln)
-        k = skel.island_of[tgt[1]]
-        if k in up:
-            raise PDError("line %d: piece already placed" % ln)
-        up[k] = tgt[1]
-    for k in skel.islands_keys:
+    for k in skel.islands:
         up.setdefault(k, skel.face_of[k])
 
     def resolve(ln, tgt, stack):
@@ -192,7 +189,7 @@ def parse_pd(text, mode=PLANE):
         return ROOT
 
     hosts = {}
-    for k in skel.islands_keys:
+    for k in skel.islands:
         if k in host_hint:
             ln, hint = host_hint[k]
             hosts[k] = (resolve(ln, hint_target(ln, hint), {k}), up[k])
@@ -274,11 +271,11 @@ def emit_pd(diagram) -> str:
     for i, comp in enumerate(d.components):
         if d.labels[i] is not None:
             out.append("C %s %s" % (d.labels[i], " ".join(lab[x] for x in comp)))
-    for k in d.islands_keys:
+    for k in d.islands:
         host, upf = d.hosts[k]
         if host != ROOT:
             out.append("H %s %s %s" % (lab[k], region_hint(host), face_hint(upf)))
-    for k in d.islands_keys:
+    for k in d.islands:
         host, upf = d.hosts[k]
         if host == ROOT:
             out.append("F %s" % face_hint(upf))

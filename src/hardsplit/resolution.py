@@ -14,23 +14,27 @@ layer next to an R2 event.  A walk through that graph trades the
 self-touching sweep for a motion of simple curves whose crossing
 count against the background never exceeds the trace's own peak.
 
-Every event's site is read once, by `_event_site`: the face the event
-acts on and the face it leaves, the latter named by `moves.inverse_face`
-from the surgeries' dart numbering, which only `moves` knows; a slide's
-legs are carried across it by `moves.slide_legs`, the one other reader
-of that numbering.  The tag check reads the strands of those faces, the
-pack-down maps the crossings they lose, and the graph the crossings they
-hold.
+Every event's site is read once, at parse, by `_event_site`: the face
+the event acts on and the face it leaves, the latter named by
+`moves.inverse_face` from the surgeries' dart numbering, which only
+`moves` knows; both are kept on the `TraceEvent`.  A slide's legs are
+carried across it by `moves.slide_legs`, the one other reader of that
+numbering.  The tag check reads the strands of those faces, the
+crossing names drop the crossings they lose, and the graph reads the
+crossings they hold.
 
-Each layer gap is read once, by `_transition_edges`.  Its curve event is
-`Trace.c_events[j]`, since every gap holds exactly one.  Crossing ids
-move between states only by `_carry`, through the pack-down maps: a
-layer-j id onto the event (the site crossings are those landing on the
-event's face) or, off the site, across the whole gap; an id the event
-leaves on its face on to layer j+1.  Both sides of the event disk are
-matched by `_site_matchings`, one dict per side for a slide, whose new
-legs are renamed by `moves.slide_legs`, and one dict for both sides of
-an insertion or removal, whose crossing-free side reads the
+Each crossing has one name for the whole trace (`Trace.names`): the
+start's crossings are 0..n-1, each appended crossing takes a fresh name,
+a removal drops the names of its crossings and a slide keeps them.
+`parse_trace` checks that only a curve event removes curve
+self-crossings, so a smoothing off a curve event's site has one name on
+both sides of it.  Each layer gap is read once, by `_transition_edges`:
+its curve event is `Trace.c_events[j]`, since every gap holds exactly
+one, and `_bucket` keys the vertices on both sides by the names of their
+off-site smoothings.  Both sides of the event disk are matched by
+`_site_matchings`, one dict per side for a slide, whose new legs are
+renamed by `moves.slide_legs`, and one dict for both sides of an
+insertion or removal, whose crossing-free side reads the
 through-passage.
 
 Edge existence is decided by tracing the smoothed strands through the
@@ -44,7 +48,7 @@ layer.
 
 import re
 from collections import deque
-from itertools import combinations, product
+from itertools import combinations, count, islice, product
 from typing import NamedTuple
 
 from . import moves, pdio, surgery
@@ -163,6 +167,8 @@ class TraceEvent(NamedTuple):
     tag: str  # C, M, or X
     site: moves.MoveSite
     text: str  # source line, kept verbatim for replay reports
+    before: tuple  # darts of the face it acts on, on the state before it
+    after: tuple  # darts of the face it leaves, on the state after it
 
 
 class Trace:
@@ -171,16 +177,18 @@ class Trace:
     ``states[i]`` is the overlay after the first ``i`` events.  Layer
     times are derived: the first layer is the start, each further layer
     sits immediately after one curve-only event, and the last layer is
-    the end of the trace.  Everything here is immutable after parse, so
-    distinct traces can be processed concurrently.
+    the end of the trace.  ``names[i][c]`` is the name crossing ``c`` of
+    ``states[i]`` keeps for the whole trace.  Everything here is
+    immutable after parse, so distinct traces can be processed
+    concurrently.
     """
 
-    __slots__ = ("events", "states", "sigmas", "c_events", "layer_pos")
+    __slots__ = ("events", "states", "names", "c_events", "layer_pos")
 
-    def __init__(self, events, states, sigmas):
+    def __init__(self, events, states, names):
         self.events = tuple(events)
         self.states = tuple(states)
-        self.sigmas = tuple(sigmas)
+        self.names = tuple(names)
         cs = tuple(i for i, ev in enumerate(self.events) if ev.tag == "C")
         self.c_events = cs
         if cs:
@@ -255,17 +263,6 @@ def _apply_event(d, tag, site):
     return moves.apply_move(d, site)
 
 
-def _packdown(ncross, removed):
-    out, j = [], 0
-    for c in range(ncross):
-        if c in removed:
-            out.append(None)
-        else:
-            out.append(j)
-            j += 1
-    return tuple(out)
-
-
 def parse_trace(text, mode=PLANE) -> Trace:
     """Parse trace text and eagerly replay every event.
 
@@ -275,11 +272,9 @@ def parse_trace(text, mode=PLANE) -> Trace:
     text, so they cannot be inconsistent.
     """
     overlay = None
-    events, states, sigmas = [], [], []
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    events, states, names = [], [], []
+    fresh = count()
+    for ln, line in pdio.text_lines(text):
         head, _, rest = line.partition(" ")
         rest = rest.strip()
         if overlay is None:
@@ -292,6 +287,7 @@ def parse_trace(text, mode=PLANE) -> Trace:
                 why = re.sub(r"^line (\d+):", r"overlay record \1:", str(e))
                 raise TraceError("line %d: %s" % (ln, why)) from e
             states.append(overlay)
+            names.append(tuple(islice(fresh, overlay.diagram.ncross)))
             continue
         if head not in ("C", "M", "X"):
             raise TraceError(
@@ -307,13 +303,18 @@ def parse_trace(text, mode=PLANE) -> Trace:
             state = ShadowOverlay(new)
         except (MoveError, DiagramError, TraceError) as e:
             raise TraceError("line %d: %s" % (ln, e)) from e
-        events.append(TraceEvent(head, site, line))
-        states.append(state)
         removed = set(_crossings(before)) - set(_crossings(after))
-        sigmas.append(_packdown(d.ncross, removed) if removed else None)
+        if head != "C" and not removed.isdisjoint(states[-1].u_self_ids):
+            raise ResolutionError(
+                "line %d: a curve self-crossing vanished outside a C event" % ln
+            )
+        kept = tuple(name for c, name in enumerate(names[-1]) if c not in removed)
+        names.append(kept + tuple(islice(fresh, new.ncross - len(kept))))
+        events.append(TraceEvent(head, site, line, before, after))
+        states.append(state)
     if overlay is None:
         raise TraceError("empty trace: an OVERLAY line is required")
-    return Trace(events, states, sigmas)
+    return Trace(events, states, names)
 
 
 def _parse_event_site(d, tag, rest):
@@ -547,28 +548,12 @@ def build_resolution_graph(trace: Trace) -> ResolutionGraph:
     return graph
 
 
-def _carry(trace, c, lo, hi):
-    """Crossing `c` of states[lo] renumbered through the pack-down maps
-    into states[hi].  Only a curve event removes curve self-crossings,
-    those on its own face, and no carry takes one of those through it;
-    so a lost id is an engine fault."""
-    for s in trace.sigmas[lo:hi]:
-        if s is not None:
-            c = s[c]
-            if c is None:
-                raise ResolutionError(
-                    "a curve self-crossing vanished outside a C event"
-                )
-    return c
-
-
 def _transition_edges(trace, j, layers):
-    p0, p1 = trace.layer_pos[j], trace.layer_pos[j + 1]
     g = trace.c_events[j]
     ev = trace.events[g]
     pre = trace.states[g].diagram  # at event time
     post = trace.states[g + 1].diagram
-    before, after = _event_site(pre, ev.site, post)
+    before, after = ev.before, ev.after
     if not (before or after):
         raise ResolutionError("curve event of kind %r acts on no face" % (ev.site.kind,))
     site_pre, site_post = _crossings(before), _crossings(after)
@@ -585,16 +570,12 @@ def _transition_edges(trace, j, layers):
         pre_match = post_match = _site_matchings(d, face)
         move = "M1" if len(site_pre or site_post) == 1 else "M2a"
 
-    # vertices bucketed by their off-site smoothings in layer j+1 ids;
-    # the layer-j site crossings are those that reach the event on it
-    ids = trace.layer_state(j).u_self_ids
-    pre_sites = {c for c in ids if _carry(trace, c, p0, g) in site_pre}
-    post_sites = {_carry(trace, c, g + 1, p1) for c in site_post}
-    pre_buckets = _bucket(trace, layers[j], pre_sites, p0, p1)
-    post_buckets = _bucket(trace, layers[j + 1], post_sites, p1, p1)
+    # vertices bucketed by the names of their off-site smoothings
+    pre_buckets = _bucket(trace, layers, j, {trace.names[g][c] for c in site_pre})
+    post_buckets = _bucket(trace, layers, j + 1, {trace.names[g + 1][c] for c in site_post})
 
     # site masks are spoken in layer ids but the matchings in event-time
-    # ids; pack-down maps are monotone, so sorted order lines up
+    # ids; names rise with crossing ids, so sorted order lines up
     corners = _corner_masks(before or after)
     othru = tuple(corners[c] ^ 2 for c in sorted(corners))
 
@@ -652,17 +633,19 @@ def _triangle_edge_name(pm, qm, othru):
     )
 
 
-def _bucket(trace, verts, sites, lo, hi):
-    """Vertices keyed by their off-site smoothings, carried from states[lo]
-    to states[hi]; each entry is (index, site masks in crossing order)."""
+def _bucket(trace, layers, j, sites):
+    """Layer j's vertices keyed by their off-site smoothings, each crossing
+    by its name in `trace.names`, the site crossings being those named in
+    `sites`; each entry is (index, site masks in crossing order)."""
+    names = trace.names[trace.layer_pos[j]]
     out = {}
-    for idx, asg in enumerate(verts):
+    for idx, asg in enumerate(layers[j]):
         off, on = [], []
         for c, m in asg:
-            if c in sites:
+            if names[c] in sites:
                 on.append(m)
             else:
-                off.append((_carry(trace, c, lo, hi), m))
+                off.append((names[c], m))
         out.setdefault(tuple(off), []).append((idx, tuple(on)))
     return out
 

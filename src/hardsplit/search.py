@@ -262,7 +262,7 @@ def _expand_one(d, cap, skips):
     this parent, so no discovery changes.  A sphere wrap curl is skipped
     on its own, as argued above.
     """
-    lone = len(d.islands_keys) == 1 and not d.loops
+    lone = len(d.islands) == 1 and not d.loops
     if d.mode == PLANE:
         reps = [(None, d)]
     else:

@@ -217,7 +217,9 @@ def _remove_crossings(d: Diagram, removed, swept, discount) -> Diagram:
 
     discount marks the arcs (by either end dart) that the move retracts:
     their old flank faces do not say which regions a fully contracted
-    strand ends up bounding.
+    strand ends up bounding.  The contracted strands are the components
+    of `d` whose darts all lie on removed crossings; each becomes a bare
+    circle, in component order.
 
     The swept region places everything.  The faces at the removed
     crossings fall into two groups, the swept faces and the rest.  Each
@@ -236,32 +238,15 @@ def _remove_crossings(d: Diagram, removed, swept, discount) -> Diagram:
     keep = [c for c in range(d.ncross) if c not in removed]
     dmap = {4 * c + s: 4 * i + s for i, c in enumerate(keep) for s in range(4)}
     theta = [0] * len(dmap)
-    consumed = set()
     for u, nu in dmap.items():
         t = d.theta[u]
         while t not in dmap:
-            consumed.add(t)
-            consumed.add(opp(t))
             t = d.theta[opp(t)]
         theta[nu] = dmap[t]
 
     # strands living entirely on removed crossings contract to bare circles
     zone_darts = [x for c in sorted(removed) for x in range(4 * c, 4 * c + 4)]
-    cycles = []
-    seen = set()
-    for x0 in zone_darts:
-        if x0 in consumed or x0 in seen:
-            continue
-        cyc = []
-        x = x0
-        while x not in seen:
-            seen.add(x)
-            seen.add(opp(x))
-            cyc.append(x)
-            x = d.theta[opp(x)]
-            if x in dmap or x in consumed:
-                raise DiagramError("contracted strand escapes the removed set")
-        cycles.append(tuple(cyc))
+    cycles = [orb for orb in d.components if all(x >> 2 in removed for x in orb)]
 
     skel = structure(theta)
     affected = {d.face_of[x] for x in zone_darts}

@@ -170,16 +170,16 @@ def test_one_island_code_records_an_achieving_numbering():
     single = 0
     for d in partition_corpus():
         code = canon.canonical_code(d)
-        if len(d.islands_keys) != 1 or d.loops:
+        if len(d.islands) != 1 or d.loops:
             assert d.numbering is None
             continue
         single += 1
         ctx = canon._Ctx(d)
-        _best, numberings = ctx.island_best(d, d.islands_keys[0])
+        _best, numberings = ctx.island_best(d, min(d.islands))
         assert d.numbering in [tuple(lab) for lab in numberings]
         if d.mode == PLANE:
             assert code == ("P", ctx.table, canon._region_code(ctx, d, ROOT))
-            up = d.face_darts(d.hosts[d.islands_keys[0]][1])
+            up = d.face_darts(d.hosts[min(d.islands)][1])
             marker = code[2][0][1][1]
             assert min(d.numbering.index(x) for x in up) == marker
     assert single

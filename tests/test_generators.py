@@ -68,7 +68,7 @@ def test_pair_census_23():
     assert d.ncross == 10
     assert d.labels == ("M1", "M2", "U")
     assert crossing_classes(d) == (0, 2, 8)
-    assert len(d.islands_keys) == 1 and not d.loops
+    assert len(d.islands) == 1 and not d.loops
     assert d.validate() == []
 
 
@@ -121,7 +121,7 @@ def test_goeritz_fixture():
     assert g.validate() == []
     assert len(g.faces) == 13
     # the drawing's unbounded region is the hexagon through both big arcs
-    assert len(g.face_darts(g.hosts[g.islands_keys[0]][1])) == 6
+    assert len(g.face_darts(g.hosts[min(g.islands)][1])) == 6
 
 
 def test_unknot_kinks():

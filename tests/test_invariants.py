@@ -123,6 +123,10 @@ def test_linking_errors():
         linking_number(d, "M1", "X")
     with pytest.raises(DiagramError):
         linking_number(d, 0, 3)
+    # two circles labelled alike: the name picks neither
+    twins = Diagram(PLANE, (), (), (), (("A", ROOT), ("A", ROOT), ("B", ROOT)), {})
+    with pytest.raises(DiagramError, match="component name 'A' is ambiguous"):
+        linking_number(twins, "A", "B")
 
 
 def test_crossing_signs_of_the_pair():

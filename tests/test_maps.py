@@ -82,7 +82,7 @@ def test_trefoil_faces_and_components():
     comp = d.components[0]
     assert comp[0] == 0 and len(comp) == 6
     assert d.label_of_dart(7) == "T"
-    assert d.islands_keys == (0,)
+    assert list(d.islands) == [0]
 
 
 def test_component_orientation_is_deterministic():
@@ -164,6 +164,39 @@ def test_missing_host_region():
     # face 0 is the island's own up face, so ('f', 0) is not a region
     d = Diagram(PLANE, KINK, [0], loops=[("C", ("f", 0))])
     assert any("does not exist" in v for v in d.validate())
+
+
+@pytest.mark.parametrize(
+    "hosts, loops, want",
+    [
+        ({0: (ROOT, 5)}, (), ["island 0: up face 5 is not its own face"]),
+        ({4: (("f", 0), 5)}, (), ["island 4: host region ('f', 0) does not exist"]),
+        (
+            {0: (("f", 2), 1)},
+            (),
+            ["island 0 hosted inside itself", "node ('I', 0): hosting cycle"],
+        ),
+        (
+            {},
+            [("C", ("l", 5))],
+            [
+                "loop 0: host region ('l', 5) does not exist",
+                "node ('L', 0): broken host chain",
+            ],
+        ),
+    ],
+    ids=["up-face-elsewhere", "host-is-an-up-face", "hosted-in-itself", "no-such-loop"],
+)
+def test_validate_names_each_hosting_fault(hosts, loops, want):
+    # two kinks side by side; each face is (0,), (1, 3), (2,) on the first
+    theta = KINK + [d + 4 for d in KINK]
+    assert Diagram(PLANE, theta, [0, 0], loops=loops, hosts=hosts).validate() == want
+
+
+@pytest.mark.parametrize("over", [[2], ["x"], [None]])
+def test_over_entries_other_than_0_or_1_are_refused(over):
+    with pytest.raises(DiagramError, match="over entries must be 0 or 1"):
+        Diagram(PLANE, KINK, over)
 
 
 def test_is_over_dart():
@@ -287,7 +320,7 @@ def assert_structure(d):
 
     islands = _classes(n, [(x, _next_ccw(x)) for x in range(n)] + list(enumerate(th)))
     assert d.islands == islands
-    assert d.islands_keys == tuple(sorted(islands))
+    assert list(d.islands) == sorted(islands)
     assert d.island_of == tuple(k for x in range(n) for k, ds in islands.items() if x in ds)
 
     strands = _classes(n, [(x, _across(x)) for x in range(n)] + list(enumerate(th)))

@@ -77,6 +77,37 @@ def test_parse_errors():
         parse_pd("X a E1 E2 E2 E1\nC K E9\n")
 
 
+KINK_PD = "X k E1 E2 E2 E1\n"
+TWO_KINKS_PD = KINK_PD + "X m E3 E4 E4 E3\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("O C\n", "line 1: O needs a name and a face hint"),
+        ("C K\n", "line 1: C needs a name and at least one edge"),
+        ("H E1 outer\n", "line 1: H needs an edge and two face hints"),
+        ("F\n", "line 1: F needs a face hint"),
+        ("O A in:B\n", "line 1: unknown loop 'B' in hint"),
+        ("O A E9:R\n", "line 1: unknown edge 'E9' in hint"),
+        (KINK_PD + "H E9 outer E1:L\n", "line 2: unknown edge 'E9'"),
+        (KINK_PD + "H E1 outer outer\n", "line 2: up hint must name a face by edge"),
+        (TWO_KINKS_PD + "H E1 outer E3:L\n", "line 3: up face is not on the anchored piece"),
+        (KINK_PD + "H E1 outer E1:L\nH E1 outer E1:R\n", "line 3: piece already placed"),
+        (KINK_PD + "F outer\n", "line 2: F hint must name a face by edge"),
+        (KINK_PD + "F E1:L\nF E1:R\n", "line 3: piece already placed"),
+        # F records are placed after every H record
+        (KINK_PD + "F E1:L\nH E1 outer E1:R\n", "line 2: piece already placed"),
+        (TWO_KINKS_PD + "C K E1 E3\n", "line 3: edges on different components"),
+        (KINK_PD + "C K E1\nC L E2\n", "line 3: component labeled twice"),
+    ],
+)
+def test_parse_refusals_name_the_line_and_fault(text, message):
+    with pytest.raises(PDError) as err:
+        parse_pd(text)
+    assert str(err.value) == message
+
+
 def test_parse_ambiguous_loop_name():
     with pytest.raises(PDError):
         parse_pd("O A outer\nO A outer\nO B in:A\n")

@@ -277,12 +277,12 @@ DOUBLE_POKE_SLIDE_EDGES = [
 
 
 @pytest.mark.parametrize(
-    "overlay, events, sigmas, edges, degrees, m, steps, report",
+    "overlay, events, names, edges, degrees, m, steps, report",
     [
         (
             HOPF_OVERLAY,
             SELF_POKE,
-            (None, (0, 1, None, None)),
+            ((0, 1), (0, 1, 2, 3), (0, 1)),
             [("M2a", (0, 0), (1, 0)), ("M2a", (1, 0), (2, 0))],
             ((1,), (2,), (1,)),
             2,
@@ -292,7 +292,7 @@ DOUBLE_POKE_SLIDE_EDGES = [
         (
             HOPF_OVERLAY,
             CURL_POKE_SLIDE,
-            (None, None, None),
+            ((0, 1), (0, 1, 2), (0, 1, 2, 3, 4), (0, 1, 2, 3, 4)),
             SLIDE_EDGES,
             SLIDE_DEGREES,
             2,
@@ -302,7 +302,7 @@ DOUBLE_POKE_SLIDE_EDGES = [
         (
             HOPF_OVERLAY,
             TANGLE_CURL_AROUND_CURL,
-            (None, None, (0, 1, None, 2), (0, 1, None)),
+            ((0, 1), (0, 1, 2), (0, 1, 2, 3), (0, 1, 3), (0, 1)),
             CURL_EDGES,
             ((1,), (2,), (1,)),
             3,
@@ -312,7 +312,14 @@ DOUBLE_POKE_SLIDE_EDGES = [
         (
             HOPF_OVERLAY,
             TANGLE_CURL_IN_SLIDE,
-            (None, None, None, (0, 1, 2, None, 3, 4), None),
+            (
+                (0, 1),
+                (0, 1, 2),
+                (0, 1, 2, 3),
+                (0, 1, 2, 3, 4, 5),
+                (0, 1, 2, 4, 5),
+                (0, 1, 2, 4, 5),
+            ),
             SLIDE_EDGES,
             SLIDE_DEGREES,
             3,
@@ -322,7 +329,7 @@ DOUBLE_POKE_SLIDE_EDGES = [
         (
             HOPF_OVERLAY,
             DOUBLE_POKE_SLIDE,
-            (None, None, None),
+            ((0, 1), (0, 1, 2, 3), (0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5)),
             DOUBLE_POKE_SLIDE_EDGES,
             ((1,), (2,), (2, 2, 2, 2, 2), (1, 1, 3)),
             2,
@@ -332,7 +339,7 @@ DOUBLE_POKE_SLIDE_EDGES = [
         (
             BARE_LOOP_OVERLAY,
             LOOP_CURL,
-            (None, (0, 1, None)),
+            ((0, 1), (0, 1, 2), (0, 1)),
             CURL_EDGES,
             ((1,), (2,), (1,)),
             2,
@@ -349,9 +356,9 @@ DOUBLE_POKE_SLIDE_EDGES = [
         "loop-curl",
     ],
 )
-def test_pinned_curve_traces(overlay, events, sigmas, edges, degrees, m, steps, report):
+def test_pinned_curve_traces(overlay, events, names, edges, degrees, m, steps, report):
     trace = parse_trace(overlay + "\n" + events)
-    assert trace.sigmas == sigmas
+    assert trace.names == names
     graph = build_resolution_graph(trace)
     assert [tuple(e) for e in graph.edges] == edges
     assert graph.degree_sequences() == degrees

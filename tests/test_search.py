@@ -166,6 +166,30 @@ def test_hopf_never_splits_within_budget():
     assert cert.report.endswith("verdict: hard (added > 1)\n")
 
 
+def test_reached_budgets_give_hard_or_inconclusive_by_the_runs_below():
+    # budget 0 exhausted, budget 1 reaches a target one curl away: hard
+    t = torus_knot_diagram(2, 3)
+    cert = verify_hard(t, Goal.target(apply_move(t, MoveSite("RI+", ("d", 0, 0)))), 1)
+    assert (cert.verdict, cert.outcome.added) == ("hard", 1)
+    assert cert.report.splitlines()[-3:] == [
+        "budget=0 reached=no states=1 max-crossings=3 min-crossings=3 exhausted=yes",
+        "budget=1 reached=yes states=2 max-crossings=4 min-crossings=3 exhausted=no"
+        " witness-moves=1",
+        "verdict: hard (added = 1)",
+    ]
+    # the same reach after a budget-0 run its state cap stopped: inconclusive
+    u = unknot_diagram(2)
+    target = apply_move(u, enumerate_moves(u)[0])
+    cert = verify_hard(u, Goal.target(target), 1, Limits(max_states=2))
+    assert (cert.verdict, cert.outcome.added) == ("inconclusive", 1)
+    assert cert.report.splitlines()[-3:] == [
+        "budget=0 reached=no states=2 max-crossings=2 min-crossings=1 exhausted=no",
+        "budget=1 reached=yes states=2 max-crossings=3 min-crossings=2 exhausted=no"
+        " witness-moves=1",
+        "verdict: inconclusive (reached at budget 1, smaller budgets capped)",
+    ]
+
+
 def test_goeritz_certificate_is_exact():
     g = goeritz_diagram().with_mode(SPHERE)
     cert = verify_hard(g, Goal.zero_crossing(), 0)
@@ -501,7 +525,7 @@ def symmetry(d, y0):
                 sigma[a] = b
                 order.append(a)
     perm = tuple(sigma[x] for x in d.darts())
-    up = d.hosts[d.islands_keys[0]][1]
+    up = d.hosts[min(d.islands)][1]
     ok = (
         sorted(perm) == list(d.darts())
         and all(perm[rot(x)] == rot(perm[x]) for x in d.darts())
@@ -540,7 +564,7 @@ def test_recorded_automorphisms_are_the_symmetries():
     orders = {}
     for d0, budget in corpus:
         for d in closure_states(d0, budget):
-            if len(d.islands_keys) != 1 or d.loops:
+            if len(d.islands) != 1 or d.loops:
                 assert d.automorphisms is None
                 continue
             identity = tuple(d.darts())
@@ -762,7 +786,7 @@ def test_rooting_free_sites_agree_in_every_rooting():
                 assert [s for s, _ in other] == [s for s, _ in free[0]]
                 assert other == free[0]
             free_kinds.update(s.kind for s, _ in free[0])
-            if len(d.islands_keys) == 1 and not d.loops:
+            if len(d.islands) == 1 and not d.loops:
                 single += 1
                 for other in kids[1:]:
                     assert other <= kids[0]
