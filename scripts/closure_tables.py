@@ -5,14 +5,17 @@
 first reached (parent digest, root region, site).  Two checkouts that
 print the same lines build the same closures in the same order from the
 same sites, so a refactor of the surgeries, the move enumeration or the
-search can be checked against its parent commit with one `diff`.
+search can be checked against its parent commit with one `diff`.  The
+expected output is committed as `scripts/closure_tables.txt`, and CI
+fails when the output differs from it; the output does not depend on
+`PYTHONHASHSEED`.
 
 Closures, each in plane and sphere mode: the trefoil, the Hopf link,
 `unknot_diagram(1)`, `unknot_diagram(2)` and T(2,5) at budgets 0-2,
 `split_d_pq(2,3)` at budgets 0-1; and `d_pq(3,4)` in the plane at
 budget 0.  About 5 s on one core.
 
-Usage: PYTHONPATH=src python scripts/closure_tables.py
+Usage: PYTHONPATH=src python scripts/closure_tables.py | diff scripts/closure_tables.txt -
 """
 
 from hashlib import sha256

@@ -4,9 +4,12 @@ A walk code is a breadth-first certificate of one connected piece rooted
 at a start dart.  `walk` numbers the darts in discovery order (neighbors
 pushed as rotation-successor first, then edge partner) and, in the same
 loop, writes for each dart the numbers of its two neighbors and its
-decoration byte.  Equal codes mean isomorphic rooted decorated pieces,
-and that isomorphism carries one walk's numbering onto the other's, so
-callers read face markers off the numbering without walking again.
+decoration byte.  The numbering is a list indexed by dart, as theta is,
+holding -1 at the darts of other pieces; the walk returns it with the
+discovery order, the darts listed by number.  Equal codes mean
+isomorphic rooted decorated pieces, and that isomorphism carries one
+walk's numbering onto the other's, so callers read face markers off the
+numbering without walking again.
 
 `best_walk` does not root a walk at every dart.  Each dart gets an
 isomorphism-invariant signature: the length of its face, the length of
@@ -28,34 +31,37 @@ __all__ = ["walk", "best_walk"]
 
 
 def walk(theta, deco, start, wide):
-    """(code, numbering) of the piece rooted at `start`; the numbering maps
-    each dart reached to its discovery number.
+    """(code, lab, order) of the piece rooted at `start`: `lab[x]` is dart
+    x's discovery number, -1 for a dart the walk does not reach, and
+    `order` lists the darts reached in discovery order.
 
     With `wide` each number takes two big-endian bytes, for pieces whose
     numbering would not fit a byte; byte order keeps code comparison equal
     to numeric comparison.
     """
-    lab = {start: 0}
+    lab = [-1] * len(theta)
+    lab[start] = 0
     order = [start]
     out = bytearray()
     put = out.append
     for d in order:  # grows while it is read
         r = (d & ~3) | ((d + 1) & 3)
-        if r not in lab:
-            lab[r] = len(order)
+        a = lab[r]
+        if a < 0:
+            a = lab[r] = len(order)
             order.append(r)
         t = theta[d]
-        if t not in lab:
-            lab[t] = len(order)
+        b = lab[t]
+        if b < 0:
+            b = lab[t] = len(order)
             order.append(t)
-        a, b = lab[r], lab[t]
         if wide:
             out += bytes((a >> 8, a & 255, b >> 8, b & 255))
         else:
             put(a)
             put(b)
         put(deco[d])
-    return bytes(out), lab
+    return bytes(out), lab, order
 
 
 def _start_darts(theta, deco, darts, flen):
@@ -70,7 +76,7 @@ def _start_darts(theta, deco, darts, flen):
 
 def best_walk(theta, deco, darts, flen):
     """Smallest walk code over the piece's start darts, and the numberings
-    of all the starts that achieve it.
+    of all the starts that achieve it, each a (lab, order) pair of `walk`.
 
     `darts` must be exactly the dart set of one connected piece, and
     `flen[x]` the length of dart x's face; walks start only from the
@@ -80,16 +86,16 @@ def best_walk(theta, deco, darts, flen):
     """
     wide = len(darts) > 252
     starts = _start_darts(theta, deco, darts, flen)
-    best, lab = walk(theta, deco, starts[0], wide)
+    best, lab, order = walk(theta, deco, starts[0], wide)
     # the first walk reaches the whole piece of its start; every other
     # start lies in it, so one check covers all of them
-    if len(lab) != len(darts) or lab.keys() != set(darts):
+    if len(order) != len(darts) or set(order) != set(darts):
         raise ValueError("darts must be the dart set of one connected piece")
-    argmin = [lab]
+    argmin = [(lab, order)]
     for s in starts[1:]:
-        code, lab = walk(theta, deco, s, wide)
+        code, lab, order = walk(theta, deco, s, wide)
         if code < best:
-            best, argmin = code, [lab]
+            best, argmin = code, [(lab, order)]
         elif code == best:
-            argmin.append(lab)
+            argmin.append((lab, order))
     return best, argmin

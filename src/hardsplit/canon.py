@@ -26,10 +26,14 @@ decoration) are tried as starts; because the start set is invariant, the
 minimum over it, and the set of starts achieving it, are canonical (see
 `_canon_py`).
 
+Each achiever comes from the kernel as a pair of lists: the numbering,
+indexed by dart (-1 off the island), which face markers read, and the
+discovery order, which lists the darts by number.
+
 A diagram with one island and no loops has no content, so its code is
 the island's alone, read without the region recursion.  `canonical_code`
-records on such a diagram (`Diagram.numbering`) the darts in the order
-of one walk numbering that achieves the code: on the sphere any achiever,
+records on such a diagram (`Diagram.numbering`) the discovery order of
+one walk numbering that achieves the code: on the sphere any achiever,
 in the plane one that also gives the smallest up-face marker.  For two
 diagrams with equal codes the two recorded numberings compose to an
 isomorphism that keeps theta, decorations, labels and, in the plane, the
@@ -38,7 +42,9 @@ The same diagram also records (`Diagram.automorphisms`) what its
 recorded numbering composes to with each other achiever - in the plane,
 each other achiever with the smallest up marker.  These are all its
 automorphisms that keep those things, the identity left out; `search`
-builds one child per orbit of them.
+builds one child per orbit of them.  Each is read off the two achievers'
+lists alone: dart x goes to the dart the other achiever's order holds at
+x's number in the recorded one.
 """
 
 from __future__ import annotations
@@ -52,6 +58,9 @@ backend = "python"  # reported by bench/run.py
 _kernel = _canon_py  # read by bench/tracer.py
 
 __all__ = ["backend", "canonical_code", "state_digest"]
+
+# the over bits of one crossing's four darts, by its `over` entry
+_OVER = (b"\x10\x00\x10\x00", b"\x00\x10\x00\x10")
 
 
 class _Ctx:
@@ -68,18 +77,22 @@ class _Ctx:
             sym[lab] = i + 1
         self.sym = sym
         self.theta = d.theta
-        # per dart: 16 if it is on its crossing's over strand, plus its label's symbol
-        over, comp_of, lsym = d.over, d.comp_of, [sym[lab] for lab in d.labels]
-        self.deco = bytes(
-            ((x & 1) == over[x >> 2]) << 4 | lsym[comp_of[x]] for x in range(len(d.theta))
-        )
+        # per dart: 16 if it is on its crossing's over strand (slots 0 and
+        # 2 when over is 0), plus its label's symbol when any are in use
+        deco = b"".join([_OVER[o] for o in d.over])
+        if self.table:
+            lsym = [sym[lab] for lab in d.labels]
+            deco = bytes([b | lsym[c] for b, c in zip(deco, d.comp_of)])
+        self.deco = deco
         # per dart: the length of its face, read off the faces
-        # `maps.structure` traced, by face key; re-rootings keep theta, so
-        # every island and rooting shares it
-        by_key = [0] * len(d.theta)
+        # `maps.structure` traced; re-rootings keep theta, so every island
+        # and rooting shares it
+        flen = [0] * len(d.theta)
         for orb in d.faces:
-            by_key[orb[0]] = len(orb)
-        self.flen = [by_key[f] for f in d.face_of]
+            k = len(orb)
+            for x in orb:
+                flen[x] = k
+        self.flen = flen
         self._best = {}
 
     def island_best(self, d, key):
@@ -102,7 +115,7 @@ def _island_code(ctx, d, key):
         if code:
             content.append((f, code))
     cands = []
-    for lab in numberings:
+    for lab, _order in numberings:
         marker = min(lab[x] for x in d.face_darts(up))
         parts = tuple(
             sorted((min(lab[x] for x in d.face_darts(f)), code) for f, code in content)
@@ -137,15 +150,15 @@ def canonical_code(d):
             marker, achievers = 0, numberings
         else:
             up = d.face_darts(d.hosts[key][1])
-            marks = [min([lab[x] for x in up]) for lab in numberings]
+            marks = [min([lab[x] for x in up]) for lab, _order in numberings]
             marker = min(marks)
-            achievers = [lab for lab, m in zip(numberings, marks) if m == marker]
-        lab = achievers[0]
-        object.__setattr__(d, "numbering", tuple(lab))
-        # another achiever gives the number lab[x] to the dart order[lab[x]];
-        # equal walk codes make x -> order[lab[x]] an automorphism
-        orders = [tuple(other) for other in achievers[1:]]
-        autos = tuple(tuple([order[lab[x]] for x in d.darts()]) for order in orders)
+            achievers = [w for w, m in zip(numberings, marks) if m == marker]
+        lab, order = achievers[0]
+        object.__setattr__(d, "numbering", tuple(order))
+        # another achiever gives the number lab[x] to the dart other[lab[x]];
+        # equal walk codes make x -> other[lab[x]] an automorphism.  The one
+        # island holds every dart, so lab numbers them all
+        autos = tuple(tuple([other[i] for i in lab]) for _lab, other in achievers[1:])
         object.__setattr__(d, "automorphisms", autos)
         tag = "S" if d.mode == SPHERE else "P"
         return (tag, ctx.table, (("I", (best, marker, ())),))

@@ -19,7 +19,13 @@ entry, so a dart key that comes from outside this module is range- and
 type-checked (`_in_range`) before it indexes one.  `Diagram` accepts such
 a record in place of theta, so a surgery that has already read faces and
 islands off its new theta, or a re-rooting that keeps theta, hands the
-record on instead of deriving it again.
+record on instead of deriving it again.  One surgery hands over a
+patched record instead: a plain dart curl (`surgery.ri_add` on
+("d", x)) gets its child's record from `curled`, which splices the four
+new darts into the parent's two faces, one strand and one island,
+shares every other tuple, and checks theta at the darts whose partner
+changed.  `structure` stays the one full derivation for every other
+theta.
 
 This module is the bottom of the package and imports none of it;
 canonical codes, which compare diagrams up to isotopy, come from
@@ -28,6 +34,7 @@ canonical codes, which compare diagrams up to isotopy, come from
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import NamedTuple, Optional
 
 PLANE = "plane"
@@ -65,9 +72,13 @@ class Loop(NamedTuple):
 class Structure(NamedTuple):
     """Everything a pairing involution determines on its own.
 
-    Built by `structure`; the fields are the `Diagram` attributes of the
-    same names.  A surgery computes it once for its new theta, reads faces
-    and islands from it, and hands it to `Diagram` as the theta argument.
+    Built by `structure`, or for a plain dart curl patched from the
+    parent's record by `curled`; the fields are the `Diagram` attributes
+    of the same names.  A surgery computes it once for its new theta,
+    reads faces and islands from it, and hands it to `Diagram` as the
+    theta argument.  Both builders check theta: `structure` at every
+    dart, `curled` at the darts whose partner changed and their old
+    partners, the parent's record being checked already.
     """
 
     theta: tuple
@@ -94,12 +105,11 @@ def structure(theta) -> Structure:
     nd = len(theta)
     if nd % 4:
         raise DiagramError("dart count %d is not a multiple of 4" % nd)
-    for d in range(nd):
-        t = theta[d]
-        if not 0 <= t < nd or t == d or theta[t] != d:
-            raise DiagramError("theta is not a fixed-point-free involution at dart %d" % d)
 
-    # faces: orbits of phi = rot . theta (inlined), met from their smallest dart
+    # faces: orbits of phi = rot . theta (inlined), met from their smallest
+    # dart.  The trace checks theta at each dart before it steps on: two
+    # checked darts never share a phi-image, so each orbit closes at its
+    # first dart, and every dart is checked once the trace is done
     fkey = [-1] * nd
     faces = []
     for d0 in range(nd):
@@ -107,13 +117,18 @@ def structure(theta) -> Structure:
             continue
         orb = [d0]
         fkey[d0] = d0
-        t = theta[d0]
-        x = (t & ~3) | ((t + 1) & 3)
-        while x != d0:
+        x = d0
+        while True:
+            t = theta[x]
+            if not 0 <= t < nd or t == x or theta[t] != x:
+                raise DiagramError(
+                    "theta is not a fixed-point-free involution at dart %d" % x
+                )
+            x = (t & ~3) | ((t + 1) & 3)
+            if x == d0:
+                break
             orb.append(x)
             fkey[x] = d0
-            t = theta[x]
-            x = (t & ~3) | ((t + 1) & 3)
         faces.append(tuple(orb))
 
     # strands: opp . theta traces each one twice, once per direction; the
@@ -167,6 +182,71 @@ def structure(theta) -> Structure:
     )
 
 
+def _spliced(orb, x, new):
+    "The tuple `orb` with the tuple `new` inserted right after dart `x`."
+    i = orb.index(x) + 1
+    return orb[:i] + new + orb[i:]
+
+
+def curled(s, x) -> Structure:
+    """The record of `s` with the edge at dart `x` curled into the face on
+    x's right, as `surgery.ri_add` does for ("d", x): the new crossing n
+    makes x-n2, n1-theta[x] and n0-n3 edges, and 4n is the new petal.
+
+    `s` is a checked record (a `Structure`, or the `Diagram` made from
+    one) and `x` one of its darts.  The curl changes two face tuples, one
+    strand and one island, and only those are rebuilt: n3, n1 go into x's
+    face after x and n2 into theta[x]'s face after theta[x] (one orbit
+    when both flanks are one face); n0, n1 go into the strand after x, or
+    n3, n2 after theta[x], whichever direction it is stored in; the
+    island gains the four darts and the monogon (4n,) comes last.  Every
+    other tuple is shared.  The new darts sort last, so every key and
+    order `structure` would give is kept.  Theta is checked at each dart
+    whose partner changed and at that dart's old partner, which, with
+    `s` already checked, is the whole involution check.
+    """
+    theta = s.theta
+    nd = len(theta)
+    n0, n1, n2, n3 = nd, nd + 1, nd + 2, nd + 3
+    tx = theta[x]
+    new = list(theta) + [n3, tx, x, n0]
+    new[x], new[tx] = n2, n1
+    new = tuple(new)
+    for y in (x, tx, n0, n1, n2, n3):
+        t = new[y]
+        if not 0 <= t < n0 + 4 or t == y or new[t] != y:
+            raise DiagramError("theta is not a fixed-point-free involution at dart %d" % y)
+
+    face_of = s.face_of
+    fx, ft = face_of[x], face_of[tx]
+    faces = list(s.faces)
+    # faces sort by key, so (f,) bisects to the face keyed f; when both
+    # flanks are one face, the second splice goes into the first's result
+    i = bisect_left(faces, (fx,))
+    faces[i] = _spliced(faces[i], x, (n3, n1))
+    i = bisect_left(faces, (ft,))
+    faces[i] = _spliced(faces[i], tx, (n2,))
+    faces.append((n0,))
+
+    c = s.comp_of[x]
+    comps = list(s.components)
+    orb = comps[c]
+    comps[c] = _spliced(orb, x, (n0, n1)) if x in orb else _spliced(orb, tx, (n3, n2))
+
+    k = s.island_of[x]
+    islands = dict(s.islands)
+    islands[k] += (n0, n1, n2, n3)
+    return Structure(
+        new,
+        tuple(faces),
+        face_of + (n0, fx, ft, fx),
+        tuple(comps),
+        s.comp_of + (c, c, c, c),
+        islands,
+        s.island_of + (k, k, k, k),
+    )
+
+
 def carried_labels(d, skel, dmap):
     """Labels for the strand components of `skel`, carried over from `d`.
 
@@ -213,8 +293,11 @@ class Diagram:
     ----------
     mode : "plane" or "sphere"
     theta : pairing involution over darts 0..4n-1 (fixed-point free), or
-        the `Structure` record `structure` made of one; a sequence is
-        checked and derived here, a record is used as it is
+        a `Structure` record of one; a sequence is checked and derived
+        here by `structure`, a record is used as it is.  Surgeries hand
+        over records: `curled`'s patch of the parent's record for a
+        plain dart curl (RI+ on ("d", x)), and a `structure` pass over
+        the new theta for every other move
     over : per crossing, 0 if the strand through slots {0,2} passes over,
         1 if the strand through slots {1,3} does
     labels : per strand component (ordered by smallest dart), a name or None

@@ -313,7 +313,10 @@ def _carried(site, child, d):
     isomorphism between their recorded walk numberings (see `_expand_one`),
     which takes each dart to the dart with the same walk number in `d`.
     """
-    return _image(site, dict(zip(child.numbering, d.numbering)), d)
+    sigma = [0] * len(child.numbering)
+    for x, y in zip(child.numbering, d.numbering):
+        sigma[x] = y
+    return _image(site, sigma, d)
 
 
 def _witness(d0, parent, digest):

@@ -18,7 +18,10 @@ the host, and every other piece the removal leaves is hosted in it
 
 An insertion (RI+, RII+) appends its crossings and threads new strand
 runs through its site elements (`_splice`): a dart's edge is cut and
-routed through them, a bare circle is closed through them.  A circle so
+routed through them, a bare circle is closed through them.  A plain
+dart curl changes only two faces, one strand and one island, so its
+child's record is the parent's, patched by `maps.curled`; every other
+surgery runs one `structure` pass over its new theta.  A circle so
 consumed becomes a strand; its side away from the poke becomes a named
 face, and the circles after it shift down (`_remap_circles`).  An RII+
 site is a region and two elements of its `Diagram.region_boundary`, the
@@ -37,8 +40,8 @@ Conventions:
 from __future__ import annotations
 
 from .maps import (
-    ROOT, Diagram, DiagramError, MoveError, _in_range, carried_labels, opp, rot,
-    structure,
+    ROOT, Diagram, DiagramError, MoveError, _in_range, carried_labels, curled, opp,
+    rot, structure,
 )
 
 __all__ = [
@@ -176,13 +179,14 @@ def ri_add(d: Diagram, elem, over: int) -> Diagram:
         elem = ("loop", li)
     else:
         raise MoveError("no curl element %r" % (elem,))
+    if elem[0] == "d":
+        # every old face and island keeps its key: new darts sort last; the
+        # record is the parent's with the curl patched in (`maps.curled`)
+        return Diagram(d.mode, curled(d, elem[1]), over_list, d.labels, d.loops, d.hosts)
     theta = list(d.theta) + [0] * 4
     theta[n0], theta[n3] = n3, n0  # the petal
     _splice(theta, d, elem, ((n2, n1),))
 
-    if elem[0] == "d":
-        # every old face and island keeps its key: new darts sort last
-        return Diagram(d.mode, theta, over_list, d.labels, d.loops, d.hosts)
     if elem[0] == "wrap":
         isl = d.island_of[elem[1]]
         if d.hosts[isl][1] != d.face_of[elem[1]]:

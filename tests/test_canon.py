@@ -100,13 +100,13 @@ def exhaustive_best_walk(theta, deco, darts, flen):
     best = None
     argmin = []
     for s in darts:
-        code, lab = _canon_py.walk(theta, deco, s, wide)
-        if len(lab) != len(darts):
+        code, lab, order = _canon_py.walk(theta, deco, s, wide)
+        if len(order) != len(darts):
             raise ValueError("darts must be the dart set of one connected piece")
         if best is None or code < best:
-            best, argmin = code, [lab]
+            best, argmin = code, [(lab, order)]
         elif code == best:
-            argmin.append(lab)
+            argmin.append((lab, order))
     return best, argmin
 
 
@@ -176,13 +176,27 @@ def test_one_island_code_records_an_achieving_numbering():
         single += 1
         ctx = canon._Ctx(d)
         _best, numberings = ctx.island_best(d, min(d.islands))
-        assert d.numbering in [tuple(lab) for lab in numberings]
+        assert d.numbering in [tuple(order) for _lab, order in numberings]
         if d.mode == PLANE:
             assert code == ("P", ctx.table, canon._region_code(ctx, d, ROOT))
             up = d.face_darts(d.hosts[min(d.islands)][1])
             marker = code[2][0][1][1]
             assert min(d.numbering.index(x) for x in up) == marker
     assert single
+
+
+def test_walk_numbers_one_island_of_two():
+    # the numbering is indexed by dart: the other island's darts read -1,
+    # and the discovery order lists the walked island's darts by number
+    d = Diagram(PLANE, KINK + [x + 4 for x in KINK], [0, 1])
+    ctx = canon._Ctx(d)
+    _code, lab, order = _canon_py.walk(ctx.theta, ctx.deco, 5, False)
+    assert len(lab) == d.ndart and lab[:4] == [-1] * 4
+    assert order[0] == 5 and sorted(order) == [4, 5, 6, 7]
+    assert [lab[x] for x in order] == [0, 1, 2, 3]
+    _best, achievers = _canon_py.best_walk(ctx.theta, ctx.deco, d.islands[4], ctx.flen)
+    for lab, order in achievers:
+        assert lab[:4] == [-1] * 4 and sorted(order) == [4, 5, 6, 7]
 
 
 def test_disconnected_darts_rejected():

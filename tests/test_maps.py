@@ -2,6 +2,8 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardsplit import maps
 from hardsplit.canon import canonical_code
@@ -484,13 +486,75 @@ def structure_calls(monkeypatch):
     return calls
 
 
+def assert_matches_rebuild(c):
+    "`c` equals the diagram `structure` derives from its theta, slot for slot."
+    r = _rebuilt(c)
+    for slot in Diagram.__slots__:
+        assert getattr(c, slot) == getattr(r, slot), slot
+
+
+CURL_WALK_STARTS = {
+    "trefoil": lambda: torus_knot_diagram(2, 3),
+    "hopf": _hopf,
+    "unknot(1)": lambda: unknot_diagram(1),
+    "split d_pq(2,3)": lambda: split_d_pq(2, 3),
+}
+
+
+@pytest.mark.parametrize("mode", [PLANE, SPHERE])
+@pytest.mark.parametrize("name", sorted(CURL_WALK_STARTS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_walked_children_match_rebuild(name, mode, data):
+    # a walk of up to four moves under a cap of two added crossings; each
+    # child, and the plain dart curl of every dart of the state reached,
+    # is the diagram a full structure pass derives (curls patch theirs)
+    d = CURL_WALK_STARTS[name]().with_mode(mode)
+    cap = d.ncross + 2
+    for _ in range(data.draw(st.integers(0, 4), label="moves")):
+        sites = enumerate_moves(d, cap)
+        if not sites:
+            break
+        d = apply_move(d, data.draw(st.sampled_from(sites), label="site"))
+        assert_matches_rebuild(d)
+    if d.ncross < cap:
+        for x in d.darts():
+            assert_matches_rebuild(ri_add(d, ("d", x), x & 1))
+
+
+@pytest.mark.parametrize(
+    "theta, over, x",
+    [
+        # not planar (one face, Euler characteristic 0): a plane shadow
+        # has no bridge, so only such a map has an edge with one face on
+        # both flanks, and the curl's three new face darts go in one orbit
+        ([2, 3, 0, 1], [0], 0),
+        ([2, 3, 0, 1], [1], 3),
+        # a kink's petal edge from either end: dart 0's face is the
+        # monogon (0,)
+        (KINK, [0], 0),
+        (KINK, [1], 3),
+    ],
+)
+def test_curl_patch_on_a_one_faced_edge_and_a_petal(theta, over, x):
+    d = Diagram(PLANE, theta, over)
+    for ov in (0, 1):
+        assert_matches_rebuild(ri_add(d, ("d", x), ov))
+        assert_matches_rebuild(ri_add(d.with_mode(SPHERE), ("d", x), ov))
+
+
 @pytest.mark.parametrize("make", STARTS, ids=START_IDS)
 def test_one_structure_pass_per_child(make, structure_calls):
     d0 = make()
+    curls = 0
     for site in enumerate_moves(d0):
         del structure_calls[:]
         apply_move(d0, site)
-        assert len(structure_calls) == 1, site
+        # a plain dart curl patches its parent's record (`maps.curled`)
+        curl = site.kind == "RI+" and site.spot[0] == "d"
+        curls += curl
+        assert len(structure_calls) == (0 if curl else 1), site
+    assert curls
     s = d0.with_mode(SPHERE)
     del structure_calls[:]
     for rkey in s.region_keys:
