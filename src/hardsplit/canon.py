@@ -32,19 +32,17 @@ discovery order, which lists the darts by number.
 
 A diagram with one island and no loops has no content, so its code is
 the island's alone, read without the region recursion.  `canonical_code`
-records on such a diagram (`Diagram.numbering`) the discovery order of
-one walk numbering that achieves the code: on the sphere any achiever,
-in the plane one that also gives the smallest up-face marker.  For two
-diagrams with equal codes the two recorded numberings compose to an
-isomorphism that keeps theta, decorations, labels and, in the plane, the
-up face; `search` uses it to carry a move site from one to the other.
-The same diagram also records (`Diagram.automorphisms`) what its
-recorded numbering composes to with each other achiever - in the plane,
-each other achiever with the smallest up marker.  These are all its
-automorphisms that keep those things, the identity left out; `search`
-builds one child per orbit of them.  Each is read off the two achievers'
-lists alone: dart x goes to the dart the other achiever's order holds at
-x's number in the recorded one.
+records on such a diagram (`Diagram.numberings`) the discovery orders
+of the walk numberings that achieve the code: on the sphere every
+achiever, in the plane every achiever that also gives the smallest
+up-face marker, the first of them first.  Any two such orders, of one
+diagram or of two with equal codes, compose to an isomorphism that
+keeps theta, decorations, labels and, in the plane, the up face: dart x
+goes to the dart the second order holds at x's number in the first.
+`search` composes them, and only for the states it uses them on: the
+recorded first orders of two diagrams carry a move site from one to the
+other, and the first order with each other order of one diagram gives
+all its automorphisms that keep those things, the identity left out.
 """
 
 from __future__ import annotations
@@ -141,8 +139,8 @@ def canonical_code(d):
     if len(d.islands) == 1 and not d.loops:
         (key,) = d.islands
         # no content: the code is the island's, and the diagram records the
-        # numbering that achieves it and its automorphisms (`search` maps
-        # sites between states and within one)
+        # orders of the numberings that achieve it (`search` maps sites
+        # between states and within one)
         best, numberings = ctx.island_best(d, key)
         if d.mode == SPHERE:
             # any face can be made outer, so the up marker bottoms out at 0;
@@ -153,13 +151,8 @@ def canonical_code(d):
             marks = [min([lab[x] for x in up]) for lab, _order in numberings]
             marker = min(marks)
             achievers = [w for w, m in zip(numberings, marks) if m == marker]
-        lab, order = achievers[0]
-        object.__setattr__(d, "numbering", tuple(order))
-        # another achiever gives the number lab[x] to the dart other[lab[x]];
-        # equal walk codes make x -> other[lab[x]] an automorphism.  The one
-        # island holds every dart, so lab numbers them all
-        autos = tuple(tuple([other[i] for i in lab]) for _lab, other in achievers[1:])
-        object.__setattr__(d, "automorphisms", autos)
+        # the one island holds every dart, so each order lists them all
+        object.__setattr__(d, "numberings", tuple([tuple(o) for _lab, o in achievers]))
         tag = "S" if d.mode == SPHERE else "P"
         return (tag, ctx.table, (("I", (best, marker, ())),))
     if d.mode == SPHERE:

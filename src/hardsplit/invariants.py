@@ -155,11 +155,10 @@ def is_split_diagram(d, partition=None) -> bool:
     names, the rest forming the other side) or an explicit pair of sides
     (`partition_sides`).
     """
+    if partition is None:
+        return len(d.islands) + len(d.loops) >= 2
     names = component_names(d)
     pieces = _shadow_pieces(d)
-    if partition is None:
-        return len(pieces) >= 2
-
     sides = [{_component_index(x, names) for x in s} for s in partition_sides(partition)]
     side_a = sides[0]
     if len(sides) == 2:

@@ -19,13 +19,14 @@ entry, so a dart key that comes from outside this module is range- and
 type-checked (`_in_range`) before it indexes one.  `Diagram` accepts such
 a record in place of theta, so a surgery that has already read faces and
 islands off its new theta, or a re-rooting that keeps theta, hands the
-record on instead of deriving it again.  One surgery hands over a
-patched record instead: a plain dart curl (`surgery.ri_add` on
-("d", x)) gets its child's record from `curled`, which splices the four
-new darts into the parent's two faces, one strand and one island,
-shares every other tuple, and checks theta at the darts whose partner
-changed.  `structure` stays the one full derivation for every other
-theta.
+record on instead of deriving it again.  A dart curl, plain or wrap
+(`surgery.ri_add` on ("d", x) or ("wrap", x)), hands over a patched
+record instead: `curled` splices the four new darts into the parent's
+two faces, one strand and one island, shares every other tuple, and
+checks theta at the darts whose partner changed.  `structure` stays the
+one full derivation for every other theta, and `curled` the one patch.
+A face's darts are read from the record (`face_darts`), never walked
+again.
 
 This module is the bottom of the package and imports none of it;
 canonical codes, which compare diagrams up to isotopy, come from
@@ -72,8 +73,8 @@ class Loop(NamedTuple):
 class Structure(NamedTuple):
     """Everything a pairing involution determines on its own.
 
-    Built by `structure`, or for a plain dart curl patched from the
-    parent's record by `curled`; the fields are the `Diagram` attributes
+    Built by `structure`, or for a dart curl patched from the parent's
+    record by `curled`; the fields are the `Diagram` attributes
     of the same names.  A surgery computes it once for its new theta,
     reads faces and islands from it, and hands it to `Diagram` as the
     theta argument.  Both builders check theta: `structure` at every
@@ -90,7 +91,7 @@ class Structure(NamedTuple):
     island_of: tuple
 
     def face_darts(self, fkey):
-        return _face_darts(self.theta, self.face_of, fkey)
+        return _face_darts(self, fkey)
 
 
 def structure(theta) -> Structure:
@@ -182,6 +183,12 @@ def structure(theta) -> Structure:
     )
 
 
+def _face_index(faces, f):
+    "Index of the face keyed `f` in `faces`, which sort by key."
+    # (f,) sorts right before every orbit that starts with f
+    return bisect_left(faces, (f,))
+
+
 def _spliced(orb, x, new):
     "The tuple `orb` with the tuple `new` inserted right after dart `x`."
     i = orb.index(x) + 1
@@ -190,8 +197,9 @@ def _spliced(orb, x, new):
 
 def curled(s, x) -> Structure:
     """The record of `s` with the edge at dart `x` curled into the face on
-    x's right, as `surgery.ri_add` does for ("d", x): the new crossing n
-    makes x-n2, n1-theta[x] and n0-n3 edges, and 4n is the new petal.
+    x's right, as `surgery.ri_add` does for ("d", x) and ("wrap", x),
+    which differ only in hosts: the new crossing n makes x-n2,
+    n1-theta[x] and n0-n3 edges, and 4n is the new petal.
 
     `s` is a checked record (a `Structure`, or the `Diagram` made from
     one) and `x` one of its darts.  The curl changes two face tuples, one
@@ -220,11 +228,11 @@ def curled(s, x) -> Structure:
     face_of = s.face_of
     fx, ft = face_of[x], face_of[tx]
     faces = list(s.faces)
-    # faces sort by key, so (f,) bisects to the face keyed f; when both
-    # flanks are one face, the second splice goes into the first's result
-    i = bisect_left(faces, (fx,))
+    # when both flanks are one face, the second splice goes into the
+    # first's result
+    i = _face_index(faces, fx)
     faces[i] = _spliced(faces[i], x, (n3, n1))
-    i = bisect_left(faces, (ft,))
+    i = _face_index(faces, ft)
     faces[i] = _spliced(faces[i], tx, (n2,))
     faces.append((n0,))
 
@@ -268,22 +276,17 @@ def carried_labels(d, skel, dmap):
 
 def _in_range(x, n):
     """Whether `x`, a dart, face or loop key from a caller, is an int in
-    range(n); `surgery` checks the keys it is given with it too."""
+    range(n); `surgery` checks the keys it is given with it too, and
+    `resolution.verify_isotopy` the edge indices of a given path."""
     return isinstance(x, int) and 0 <= x < n
 
 
-def _face_darts(theta, face_of, fkey):
-    "The phi-orbit of face key `fkey`, walked from the key."
-    if not _in_range(fkey, len(theta)) or face_of[fkey] != fkey:
+def _face_darts(s, fkey):
+    """The orbit `s.faces` holds for face key `fkey`; `s` is a `Structure`
+    or a `Diagram`."""
+    if not _in_range(fkey, len(s.face_of)) or s.face_of[fkey] != fkey:
         raise DiagramError("no face with key %r" % (fkey,))
-    orb = [fkey]
-    t = theta[fkey]
-    x = (t & ~3) | ((t + 1) & 3)
-    while x != fkey:
-        orb.append(x)
-        t = theta[x]
-        x = (t & ~3) | ((t + 1) & 3)
-    return tuple(orb)
+    return s.faces[_face_index(s.faces, fkey)]
 
 
 class Diagram:
@@ -296,8 +299,8 @@ class Diagram:
         a `Structure` record of one; a sequence is checked and derived
         here by `structure`, a record is used as it is.  Surgeries hand
         over records: `curled`'s patch of the parent's record for a
-        plain dart curl (RI+ on ("d", x)), and a `structure` pass over
-        the new theta for every other move
+        dart curl (RI+ on ("d", x) or ("wrap", x)), and a `structure`
+        pass over the new theta for every other move
     over : per crossing, 0 if the strand through slots {0,2} passes over,
         1 if the strand through slots {1,3} does
     labels : per strand component (ordered by smallest dart), a name or None
@@ -328,22 +331,18 @@ class Diagram:
     region_children : map region key -> list of ("I", island_key) and
         ("L", loop_index) hosted there; a region that hosts nothing has no
         entry
-    numbering : None until `canon.canonical_code` codes a diagram with
-        one island and no loops; then the darts in the order of a walk
-        numbering that achieves the code (set once, like the fields above)
-    automorphisms : None until `numbering` is set; then one tuple per
-        other achieving numbering (in the plane, per other achiever with
-        the smallest up marker), mapping each dart x to the dart that
-        numbering gives x's number: the automorphisms of the state that
-        keep theta, decorations, labels and, in the plane, the up face,
-        identity left out.  Empty for an asymmetric state
+    numberings : None until `canon.canonical_code` codes a diagram with
+        one island and no loops; then one tuple per walk numbering that
+        achieves the code (in the plane, per achiever with the smallest
+        up marker), listing the darts in walk order, the recorded
+        numbering first (set once, like the fields above).  Any two
+        compose to an isomorphism (`search._carried`)
     """
 
     __slots__ = (
         "mode", "theta", "over", "labels", "loops", "hosts",
         "faces", "face_of", "components", "comp_of",
-        "islands", "island_of", "region_children",
-        "numbering", "automorphisms",
+        "islands", "island_of", "region_children", "numberings",
     )
 
     def __init__(self, mode, theta, over, labels=None, loops=(), hosts=None):
@@ -396,8 +395,7 @@ class Diagram:
         for i, lp in enumerate(loops):
             children.setdefault(lp.host, []).append(("L", i))
         put(self, "region_children", children)
-        put(self, "numbering", None)
-        put(self, "automorphisms", None)
+        put(self, "numberings", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Diagram is immutable")
@@ -418,7 +416,7 @@ class Diagram:
     # -- faces, components, islands ------------------------------------
 
     def face_darts(self, fkey):
-        return _face_darts(self.theta, self.face_of, fkey)
+        return _face_darts(self, fkey)
 
     def label_of_dart(self, d):
         return self.labels[self.comp_of[d]]

@@ -86,7 +86,8 @@ class MoveSite(NamedTuple):
     """One applicable move, pinned to the diagram it was enumerated on.
 
     spot payloads:
-        RI+   ("d", dart, over) or ("loop", index, side, over)
+        RI+   a `surgery.ri_add` element, then over: ("d", dart, over),
+              ("wrap", dart, over) or ("loop", index, side, over)
         RI-   (petal_dart,)
         RII+  (region, elem_a, elem_b, over, captured, engulfed)
         RII-  (bigon_face,)
@@ -216,11 +217,7 @@ def apply_move(d: Diagram, site) -> Diagram:
     "Apply one site; raises MoveError when the site is stale or illegal."
     kind, spot = site
     if kind == "RI+":
-        if spot[0] in ("d", "wrap"):
-            _k, x, ov = spot
-            return surgery.ri_add(d, (spot[0], x), ov)
-        _k, i, side, ov = spot
-        return surgery.ri_add(d, ("loop", i, side), ov)
+        return surgery.ri_add(d, spot[:-1], spot[-1])
     if kind == "RI-":
         return surgery.ri_remove(d, spot[0])
     if kind == "RII+":

@@ -52,7 +52,7 @@ from itertools import combinations, count, islice, product
 from typing import NamedTuple
 
 from . import moves, pdio, surgery
-from .maps import Diagram, DiagramError, MoveError, PLANE
+from .maps import Diagram, DiagramError, MoveError, PLANE, _in_range
 
 __all__ = [
     "TraceError",
@@ -658,16 +658,9 @@ class IsotopyPath(NamedTuple):
     edges: tuple  # indices into graph.edges, one per hop
 
 
-def find_isotopy_path(graph: ResolutionGraph) -> IsotopyPath:
-    """Shortest walk from the start resolution to the last layer.
-
-    The trace must open with a simple curve, so layer 0 holds exactly
-    one vertex, of degree one toward the rest of the graph.  Existence
-    of a path is the handshake argument over the parity rule; failing to
-    find one means the engine itself is broken.
-    """
-    trace = graph.trace
-    start_state = trace.layer_state(0)
+def _start(graph):
+    "The start resolution (0, 0), checked to be the one a simple start gives."
+    start_state = graph.trace.layer_state(0)
     if start_state.u_self_ids:
         raise TraceError(
             "the trace must start with a simple curve; the start has %d"
@@ -682,7 +675,18 @@ def find_isotopy_path(graph: ResolutionGraph) -> IsotopyPath:
         raise ResolutionError(
             "start resolution should have degree 1, has %d" % graph.degree(start)
         )
+    return start
 
+
+def find_isotopy_path(graph: ResolutionGraph) -> IsotopyPath:
+    """Shortest walk from the start resolution to the last layer.
+
+    The trace must open with a simple curve, so layer 0 holds exactly
+    one vertex, of degree one toward the rest of the graph.  Existence
+    of a path is the handshake argument over the parity rule; failing to
+    find one means the engine itself is broken.
+    """
+    start = _start(graph)
     last = graph.nlayers - 1
     prev = {start: None}
     goal = start if start[0] == last else None
@@ -727,11 +731,19 @@ def verify_isotopy(trace: Trace, path=None) -> VerifyResult:
 
     The graph is built here; `path` may come from an earlier build of it,
     since `build_resolution_graph` sorts its edges and so numbers them
-    the same way every time.
+    the same way every time.  A given path is checked too: it must start
+    at the start resolution and each hop must be the edge it names.
     """
     graph = build_resolution_graph(trace)
     if path is None:
         path = find_isotopy_path(graph)
+    verts, hops = path
+    if verts[:1] != (_start(graph),) or len(hops) != len(verts) - 1:
+        raise ResolutionError("path does not leave the start resolution")
+    for k, i in enumerate(hops):
+        ends = {graph.edges[i].a, graph.edges[i].b} if _in_range(i, len(graph.edges)) else None
+        if ends != set(verts[k : k + 2]):
+            raise ResolutionError("hop %d does not follow edge %r" % (k, i))
 
     m = max(st.mixed + st.m_self for st in trace.states)
     lines = [

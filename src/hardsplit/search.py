@@ -19,9 +19,10 @@ site that undoes the move that first reached the state
 (`moves.inverse_site`), whose child is the BFS parent.  When a state
 with one island and no loops is met again, as a duplicate, before it is
 expanded, the site that undoes that move as well is carried into the
-waiting state's numbering and added to its set (`_carried`; the argument
-is in `_expand_one`).  So each edge of the move graph between such
-states whose move has a tracked inverse is built from one end only.
+waiting state's numbering and added to its set (`_carried` composes
+the map; the argument is in `_expand_one`).  So each edge of the move
+graph between such states whose move has a tracked inverse is built
+from one end only.
 These are the "used operator" bits of frontier search (Korf, Zhang,
 Thayer and Hohwald, J. ACM 52(5), 2005).
 
@@ -39,13 +40,16 @@ changes no discovery.  A skipped site names a face key of theta as well,
 and is skipped in every rooting.
 
 A state with one island and no loops also builds one child per orbit
-of its symmetries.  `canon.canonical_code` records on it the
-automorphisms its achieving walk numberings compose to; a site that one
-of them maps onto a site already built from the state is skipped, since
-its child is that site's child renumbered.  Expansion adds those images
-to a copy of the state's skip set, so one set holds both kinds of site
-whose child is known.  On the sphere such a state skips every wrap curl
-too, which builds its plain dart curl's child.
+of its symmetries.  `canon.canonical_code` records on it the walk
+orders that achieve its code, and its expansion composes the first with
+each other one into its automorphisms; a site that one of them maps
+onto a site already built from the state is skipped, since its child is
+that site's child renumbered.  Expansion adds those images to a copy of
+the state's skip set, so one set holds both kinds of site whose child
+is known.  On the sphere such a state skips every wrap curl too, which
+builds its plain dart curl's child.  `_carried` is the one composition
+of walk orders, for both the automorphisms and the carry map of a
+duplicate, and only a state that is expanded or met again pays for it.
 This is the orderly-generation rule of McKay ("Isomorph-free exhaustive
 generation", J. Algorithms 26, 1998), with the automorphisms read off
 the plantri-style walk kernel.  Only a later twin of a child already
@@ -226,31 +230,31 @@ def _expand_one(d, cap, skips):
     - The others are carried from duplicates.  A site s of a state u (on
       its representative `rep`) builds a child v' whose digest is that of
       a state v still waiting.  When v has one island and no loops, so
-      does v', and `canon.canonical_code` has recorded on each a walk
-      numbering that achieves their common code.  Composed, the two
-      numberings give an isomorphism v' -> v.  It keeps theta, since
+      does v', and `canon.canonical_code` has recorded on each the walk
+      orders that achieve their common code.  Composed (`_carried`), the
+      two first orders give an isomorphism v' -> v.  It keeps theta, since
       equal walk codes describe the same rooted map.  It keeps the
       decorations and labels, which the walk code spells out.  In the
       plane it keeps the up face, since both numberings give the
       smallest up marker, so the dart with that number lies on the up
       face of each.
     - `inverse_site(rep, s, v')` names a site of v' that rebuilds u.  Its
-      image under the isomorphism (`_carried`) is a site of v with the
+      image under the isomorphism (`_image`) is a site of v with the
       same legality, and it builds a diagram isomorphic to that child,
       one with u's digest.  On the sphere the site is rooting-free, so
       the rooting v is expanded in does not matter.  u is in the table,
       so no discovery changes and the ordered parent table is the one a
       search that builds every site would make.
     - A state with more than one island or with a loop records no
-      numbering, and keeps the parent's site alone.
+      numberings, and keeps the parent's site alone.
 
     Why a twin's child needs no building: a state d with one island and
-    no loops records its automorphisms (`Diagram.automorphisms`), each
-    composed of two walk numberings that achieve its code.  Such a map
-    sigma keeps theta and the rotation, since equal walk codes describe
-    the same rooted map, and keeps decorations and labels, which the code
-    spells out.  In the plane both numberings give the smallest up
-    marker, so sigma also keeps the up face.  So sigma is a symmetry of
+    no loops records the walk orders that achieve its code
+    (`Diagram.numberings`), and `_carried` composes the first with each
+    other one into a map sigma.  It keeps theta and the rotation, since
+    equal walk codes describe the same rooted map, and keeps decorations
+    and labels, which the code spells out.  In the plane both orders give
+    the smallest up marker, so sigma also keeps the up face.  So sigma is a symmetry of
     the diagram, and `_image` carries each site s to a site sigma(s) of
     the same legality: a dart curl to the curl on sigma's dart with the
     same `over`, a face key to the key of the image face, an RII+ poke
@@ -270,7 +274,8 @@ def _expand_one(d, cap, skips):
         reps = ((r, d.rerooted(r)) for r in roots)
     # a lone sphere state's wrap curl builds its plain dart curl's child
     no_wraps = d.mode != PLANE and lone
-    autos = d.automorphisms or ()
+    nums = d.numberings or ()
+    autos = [_carried(nums[0], other) for other in nums[1:]]
     # the state's skips, then the images of each site built under every
     # automorphism
     skip = set(skips)
@@ -308,15 +313,14 @@ def _image(site, sigma, d):
     return MoveSite(kind, (d.face_of[sigma[f]],))
 
 
-def _carried(site, child, d):
-    """The site of `d` that `site` of `child` is carried to by the
-    isomorphism between their recorded walk numberings (see `_expand_one`),
-    which takes each dart to the dart with the same walk number in `d`.
-    """
-    sigma = [0] * len(child.numbering)
-    for x, y in zip(child.numbering, d.numbering):
+def _carried(src, dst):
+    """The isomorphism two walk orders that achieve one code compose to
+    (`Diagram.numberings`): the dart `src` lists at each walk number goes
+    to the dart `dst` lists at that number."""
+    sigma = [0] * len(src)
+    for x, y in zip(src, dst):
         sigma[x] = y
-    return _image(site, sigma, d)
+    return sigma
 
 
 def _witness(d0, parent, digest):
@@ -399,10 +403,12 @@ def _run(d0, goal, budget, limits, floor):
             for rkey, rep, site, child, digest in _expand_one(d, cap, skips):
                 if digest in parent:
                     entry = waiting.get(digest)
-                    if entry is not None and child.numbering is not None:
+                    if entry is not None and child.numberings is not None:
                         inv = inverse_site(rep, site, child)
                         if inv is not None:
-                            entry[1].add(_carried(inv, child, entry[0]))
+                            w = entry[0]
+                            sigma = _carried(child.numberings[0], w.numberings[0])
+                            entry[1].add(_image(inv, sigma, w))
                     continue
                 if len(parent) >= lim.max_states:
                     truncated = True

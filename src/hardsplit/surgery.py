@@ -18,9 +18,10 @@ the host, and every other piece the removal leaves is hosted in it
 
 An insertion (RI+, RII+) appends its crossings and threads new strand
 runs through its site elements (`_splice`): a dart's edge is cut and
-routed through them, a bare circle is closed through them.  A plain
-dart curl changes only two faces, one strand and one island, so its
-child's record is the parent's, patched by `maps.curled`; every other
+routed through them, a bare circle is closed through them.  A dart
+curl, plain or wrap, changes only two faces, one strand and one island,
+so its child's record is the parent's, patched by `maps.curled`; the
+two curls differ only in where the island's up face lies.  Every other
 surgery runs one `structure` pass over its new theta.  A circle so
 consumed becomes a strand; its side away from the poke becomes a named
 face, and the circles after it shift down (`_remap_circles`).  An RII+
@@ -161,6 +162,10 @@ def ri_add(d: Diagram, elem, over: int) -> Diagram:
            "in" on its far side.
     over : 0 or 1, the new crossing's decoration (0 puts the slot-{0,2} strand,
            which includes the petal-out end, on top).
+
+    Both dart curls build one theta, so both take `maps.curled`'s patch
+    of the parent's record; a wrap curl only moves its island's up face
+    to the petal.  A loop curl runs one `structure` pass.
     """
     if over not in (0, 1):
         raise MoveError("over must be 0 or 1, not %r" % (over,))
@@ -168,32 +173,28 @@ def ri_add(d: Diagram, elem, over: int) -> Diagram:
     n0, n1, n2, n3 = 4 * n, 4 * n + 1, 4 * n + 2, 4 * n + 3
     over_list = list(d.over) + [over]
     if len(elem) == 2 and elem[0] in ("d", "wrap"):
-        if not _in_range(elem[1], d.ndart):
-            raise MoveError("no dart %r" % (elem[1],))
-    elif len(elem) == 3 and elem[0] == "loop":
-        _kind, li, side = elem
-        if not _in_range(li, len(d.loops)):
-            raise MoveError("no loop %r" % (li,))
-        if side not in ("in", "out"):
-            raise MoveError("side must be 'in' or 'out'")
-        elem = ("loop", li)
-    else:
+        how, x = elem
+        if not _in_range(x, d.ndart):
+            raise MoveError("no dart %r" % (x,))
+        hosts = d.hosts
+        if how == "wrap":
+            isl = d.island_of[x]
+            if hosts[isl][1] != d.face_of[x]:
+                raise MoveError("wrap curl needs the arc on its island's outer face")
+            hosts = dict(hosts)
+            hosts[isl] = (hosts[isl][0], n0)
+        # every old face and island keeps its key: new darts sort last
+        return Diagram(d.mode, curled(d, x), over_list, d.labels, d.loops, hosts)
+    if len(elem) != 3 or elem[0] != "loop":
         raise MoveError("no curl element %r" % (elem,))
-    if elem[0] == "d":
-        # every old face and island keeps its key: new darts sort last; the
-        # record is the parent's with the curl patched in (`maps.curled`)
-        return Diagram(d.mode, curled(d, elem[1]), over_list, d.labels, d.loops, d.hosts)
+    _kind, li, side = elem
+    if not _in_range(li, len(d.loops)):
+        raise MoveError("no loop %r" % (li,))
+    if side not in ("in", "out"):
+        raise MoveError("side must be 'in' or 'out'")
     theta = list(d.theta) + [0] * 4
     theta[n0], theta[n3] = n3, n0  # the petal
-    _splice(theta, d, elem, ((n2, n1),))
-
-    if elem[0] == "wrap":
-        isl = d.island_of[elem[1]]
-        if d.hosts[isl][1] != d.face_of[elem[1]]:
-            raise MoveError("wrap curl needs the arc on its island's outer face")
-        hosts = dict(d.hosts)
-        hosts[isl] = (hosts[isl][0], n0)
-        return Diagram(d.mode, theta, over_list, d.labels, d.loops, hosts)
+    _splice(theta, d, ("loop", li), ((n2, n1),))
 
     # the kinked circle: monogon (n0) is the petal, monogon (n2) and the
     # 2-face (n1,n3) are the two sides of the old circle, the petal lying

@@ -493,6 +493,15 @@ def assert_matches_rebuild(c):
         assert getattr(c, slot) == getattr(r, slot), slot
 
 
+def assert_faces_walk(c):
+    "Every face key of `c` gives the orbit a phi walk from the key traces."
+    for f in set(c.face_of):
+        orb = [f]
+        while rot(c.theta[orb[-1]]) != f:
+            orb.append(rot(c.theta[orb[-1]]))
+        assert c.face_darts(f) == tuple(orb), f
+
+
 CURL_WALK_STARTS = {
     "trefoil": lambda: torus_knot_diagram(2, 3),
     "hopf": _hopf,
@@ -508,7 +517,8 @@ CURL_WALK_STARTS = {
 def test_walked_children_match_rebuild(name, mode, data):
     # a walk of up to four moves under a cap of two added crossings; each
     # child, and the plain dart curl of every dart of the state reached,
-    # is the diagram a full structure pass derives (curls patch theirs)
+    # is the diagram a full structure pass derives (curls patch theirs),
+    # and reads each face's darts as a phi walk traces them
     d = CURL_WALK_STARTS[name]().with_mode(mode)
     cap = d.ncross + 2
     for _ in range(data.draw(st.integers(0, 4), label="moves")):
@@ -517,9 +527,12 @@ def test_walked_children_match_rebuild(name, mode, data):
             break
         d = apply_move(d, data.draw(st.sampled_from(sites), label="site"))
         assert_matches_rebuild(d)
+        assert_faces_walk(d)
     if d.ncross < cap:
         for x in d.darts():
-            assert_matches_rebuild(ri_add(d, ("d", x), x & 1))
+            c = ri_add(d, ("d", x), x & 1)
+            assert_matches_rebuild(c)
+            assert_faces_walk(c)
 
 
 @pytest.mark.parametrize(
@@ -546,15 +559,17 @@ def test_curl_patch_on_a_one_faced_edge_and_a_petal(theta, over, x):
 @pytest.mark.parametrize("make", STARTS, ids=START_IDS)
 def test_one_structure_pass_per_child(make, structure_calls):
     d0 = make()
-    curls = 0
+    curls = set()
     for site in enumerate_moves(d0):
         del structure_calls[:]
         apply_move(d0, site)
-        # a plain dart curl patches its parent's record (`maps.curled`)
-        curl = site.kind == "RI+" and site.spot[0] == "d"
-        curls += curl
+        # a dart curl, plain or wrap, patches its parent's record
+        # (`maps.curled`); a loop curl runs one pass, as every other site
+        curl = site.kind == "RI+" and site.spot[0] in ("d", "wrap")
+        if curl:
+            curls.add(site.spot[0])
         assert len(structure_calls) == (0 if curl else 1), site
-    assert curls
+    assert curls == {"d", "wrap"}
     s = d0.with_mode(SPHERE)
     del structure_calls[:]
     for rkey in s.region_keys:

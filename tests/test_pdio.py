@@ -126,13 +126,17 @@ def test_parse_hosting_cycle():
 
 def test_parent_hint_on_an_up_face_names_that_pieces_host():
     # a hint naming another piece's up face means the region that face
-    # opens toward: the root for a piece placed by F, its H host else
+    # opens toward: the root for a piece placed by F or by no record, its
+    # H host else
     two = "X a E1 E2 E2 E1\nX b E3 E4 E4 E3\nF E1:L\n"
     d = parse_pd(two + "H E3 E1:L E3:L\n")
     assert d.hosts == {0: (ROOT, 1), 4: (ROOT, 5)}
     three = two + "X c E5 E6 E6 E5\nH E3 E1:R E3:L\nH E5 E3:L E5:L\n"
     d = parse_pd(three)
     assert d.hosts == {0: (ROOT, 1), 4: (("f", 0), 5), 8: (("f", 0), 9)}
+    # a piece with no H or F record opens its default face to the root
+    d = parse_pd("X a E1 E2 E2 E1\nX b E3 E4 E4 E3\nH E3 E1:R E3:L\n")
+    assert d.hosts == {0: (ROOT, 0), 4: (ROOT, 5)}
     # each piece hinted at the other's up face: neither has a host
     with pytest.raises(PDError, match="line 4: H records form a hosting cycle"):
         parse_pd("X a E1 E2 E2 E1\nX b E3 E4 E4 E3\nH E1 E3:L E1:L\nH E3 E1:L E3:L\n")

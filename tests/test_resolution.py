@@ -16,6 +16,7 @@ import pytest
 from hardsplit import moves
 from hardsplit.resolution import (
     IsotopyPath,
+    ResolutionError,
     TraceError,
     build_resolution_graph,
     find_isotopy_path,
@@ -459,6 +460,41 @@ def test_down_hop_undoes_the_events_after_its_curve_event():
     res = verify_isotopy(trace, _walk(trace, graph, POKED_CURL_BACK))
     assert (res.m, res.steps) == (4, 4)
     assert res.report == POKED_CURL_BACK_REPORT
+
+
+@pytest.mark.parametrize(
+    "vertices, edges",
+    [
+        (((0, 0), (2, 0)), (0,)),
+        (((0, 0), (1, 0), (2, 0)), (0, 0)),
+        (((1, 0), (2, 0)), (1,)),
+        (((0, 0), (1, 0), (2, 0)), (0, 2)),
+        (((0, 0), (1, 0), (2, 0)), (0, -1)),
+        (((0, 0), (1, 0), (2, 0)), (0, "1")),
+        (((0, 0), (1, 0), (2, 0)), (0,)),
+        ((), ()),
+    ],
+    ids=[
+        "skips-layer-1", "reuses-edge-0", "self-touching-start", "no-edge-2",
+        "edge-minus-1", "edge-not-an-int", "one-hop-short", "empty",
+    ],
+)
+def test_forged_paths_are_refused(vertices, edges):
+    # the only edges: 0 joins (0, 0)-(1, 0) and 1 joins (1, 0)-(2, 0); a
+    # path must leave the start resolution and follow each edge it names
+    trace = parse_trace(HOPF_OVERLAY + "\n" + POKED_CURL)
+    graph = build_resolution_graph(trace)
+    assert [(e.a, e.b) for e in graph.edges] == [((0, 0), (1, 0)), ((1, 0), (2, 0))]
+    with pytest.raises(ResolutionError):
+        verify_isotopy(trace, IsotopyPath(vertices, edges))
+
+
+def test_a_given_path_needs_a_simple_start():
+    # the curled start's one-vertex path would certify a motion that
+    # never starts from a simple curve
+    trace = parse_trace(CURLED_OVERLAY)
+    with pytest.raises(TraceError, match="must start with a simple curve"):
+        verify_isotopy(trace, IsotopyPath(((0, 0),), ()))
 
 
 def test_trace_with_no_curve_event_stays_on_its_one_layer():
