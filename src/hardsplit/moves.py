@@ -44,7 +44,7 @@ of its triangle.  These two are the only readers of how `surgery.ri_add`,
 `surgery.rii_add` and `surgery.riii` number the darts they create or
 move; a change to that numbering must change them too.  Two readers build
 on `inverse_face`: `inverse_site` here, the site that undoes the move
-(the search skips it), and `resolution._event_site`, which reads the
+(the search skips it), and `resolution._apply_event`, which reads the
 site of every event of a swept-curve trace; `resolution` also carries a
 slide's legs by `slide_legs`.  `tests/test_search.py` checks
 `inverse_face` against every discovery of the search corpus, and

@@ -1,37 +1,39 @@
 """Trace replay and resolution graphs for a curve swept over a tangle.
 
-A trace holds a marked overlay -- one diagram containing a closed shadow
-curve labelled ``U`` together with a decorated background tangle -- and a
-sequence of move events tagged by whose strands they touch: ``C`` events
-move the curve across itself, ``M`` events move the background only, and
-``X`` events slide the curve over background strands.  Replaying the
-events yields the layer states; smoothing every curve self-crossing in
-each of its two planar ways and keeping the connected outcomes gives the
-resolution vertices, each one the tuple of its ``(crossing, mask)``
-smoothings.  Consecutive layers are joined by the local moves M1, M2a,
-M3a, M3b at the event site, and M2b pairs rival smoothings inside a
-layer next to an R2 event.  A walk through that graph trades the
+A trace is a marked overlay -- one diagram containing a closed shadow
+curve labelled ``U`` together with a decorated background tangle --
+followed by a move script.  Each event is tagged by whose strands its
+site touches, read off the site's face: ``C`` events move the curve
+across itself, ``M`` events move the background only, and ``X`` events
+slide the curve over background strands.  Replaying the events yields
+the layer states; smoothing every curve self-crossing in each of its two
+planar ways and keeping the connected outcomes gives the resolution
+vertices, each one the tuple of its ``(crossing, mask)`` smoothings.
+Consecutive layers are joined by the local moves M1, M2a, M3a, M3b at
+the event site, and M2b pairs rival smoothings inside a layer next to
+an R2 event.  A walk through that graph trades the
 self-touching sweep for a motion of simple curves whose crossing
 count against the background never exceeds the trace's own peak.
 
-Every event's site is read once, at parse, by `_event_site`: the face
+Every event's site is read once, at parse, by `_apply_event`: the face
 the event acts on and the face it leaves, the latter named by
 `moves.inverse_face` from the surgeries' dart numbering, which only
 `moves` knows; both are kept on the `TraceEvent`.  A slide's legs are
 carried across it by `moves.slide_legs`, the one other reader of that
-numbering.  The tag check reads the strands of those faces, the
+numbering.  The tag is read off the strands of those faces, the
 crossing names drop the crossings they lose, and the graph reads the
 crossings they hold.
 
 Each crossing has one name for the whole trace (`Trace.names`): the
 start's crossings are 0..n-1, each appended crossing takes a fresh name,
 a removal drops the names of its crossings and a slide keeps them.
-`parse_trace` checks that only a curve event removes curve
-self-crossings, so a smoothing off a curve event's site has one name on
-both sides of it.  Each layer gap is read once, by `_transition_edges`:
-its curve event is `Trace.c_events[j]`, since every gap holds exactly
-one, and `_bucket` keys the vertices on both sides by the names of their
-off-site smoothings.  Both sides of the event disk are matched by
+The edges of a petal or bigon are the strands that cross at its
+corners, so only a curve event removes curve self-crossings, and a
+smoothing off a curve event's site has one name on both sides of it.
+Each layer gap is read once, by `_transition_edges`: its curve event is
+`Trace.c_events[j]`, since every gap holds exactly one, and `_bucket`
+keys the vertices on both sides by the names of their off-site
+smoothings.  Both sides of the event disk are matched by
 `_site_matchings`, one dict per side for a slide, whose new legs are
 renamed by `moves.slide_legs`, and one dict for both sides of an
 insertion or removal, whose crossing-free side reads the
@@ -52,7 +54,7 @@ from itertools import combinations, count, islice, product
 from typing import NamedTuple
 
 from . import moves, pdio, surgery
-from .maps import Diagram, DiagramError, MoveError, PLANE, _in_range
+from .maps import Diagram, DiagramError, MoveError, _in_range
 
 __all__ = [
     "TraceError",
@@ -142,31 +144,25 @@ class ShadowOverlay:
 # -- trace text ------------------------------------------------------
 #
 #   OVERLAY X c0 E0 E1 E2 E3; C U E0 E1 E2 E3; F E0:E3
-#   C R2+ dartA=0 dartB=2          # curve-only event: site strands all U
-#   M RII- face=5                  # tangle-only event
-#   X RIII face=2                  # the curve slides over tangle strands
+#   RI+ dart=0 side=R over=1       # a C event: its face has only U strands
+#   RII- face=5                    # an M event: its face has no U strand
+#   RIII face=2                    # an X event: the curve meets the tangle
 #
-# The OVERLAY payload is the PD text of `pdio` with ";" standing in for
-# line breaks; exactly one component must be labelled U.  C events use
-# the move-script site spellings of `moves` with the curve's shadow
-# names R1+/R1-/R2+/R2-/R3 and no decoration tokens (heights are
-# implied).  M and X events carry full script lines.  Every line sees
-# the numbering of the diagram produced by the lines before it, and
-# "#" starts a comment.
-
-_C_KINDS = {
-    "R1+": "RI+",
-    "R1-": "RI-",
-    "R2+": "RII+",
-    "R2-": "RII-",
-    "R3": "RIII",
-}
+# A trace is an OVERLAY line and then a move script.  The OVERLAY payload
+# is the PD text of `pdio` with ";" standing in for line breaks; exactly
+# one component must be labelled U.  The script lines are those of
+# `moves` (as `moves.format_move` prints them), each seeing the
+# numbering of the diagram produced by the lines before it, and "#"
+# starts a comment.  A trace lives in the plane, so a ROOT line is
+# refused.  No line states whose strands it moves: `parse_trace` reads
+# each event's tag off the face its site acts on or leaves.  The curve
+# has no heights, so an over= at a curve crossing is read and dropped.
 
 
 class TraceEvent(NamedTuple):
-    tag: str  # C, M, or X
+    tag: str  # C, M or X, read off the strands of the face in `before` or `after`
     site: moves.MoveSite
-    text: str  # source line, kept verbatim for replay reports
+    text: str  # the move line, kept verbatim for replay reports
     before: tuple  # darts of the face it acts on, on the state before it
     after: tuple  # darts of the face it leaves, on the state after it
 
@@ -208,80 +204,69 @@ class Trace:
         return self.states[self.layer_pos[j]]
 
 
-def _event_site(pre, site, post):
-    """The darts of the face an event acts on at its time, and of the
-    face it leaves after it; () on the crossing-free side of an
-    insertion or removal, and on both sides of a re-rooting.
-
-    A removal or slide names its face on `pre`; the face an insertion
-    or slide leaves on `post` is named by `moves.inverse_face`, which
-    owns the surgeries' dart numbering.  A curl is read by one petal on
-    either side: the one an RI- names, or the one an RI+ makes.  The
-    site crossings are those of the two faces, so the crossings an event
-    removes are the first face's less the second's.
-    """
-    before = after = ()
-    if site.kind in ("RI-", "RII-", "RIII"):
-        before = pre.face_darts(pre.face_of[site.spot[0]])
-    f = moves.inverse_face(pre, site, post)
-    if f is not None:
-        after = post.face_darts(post.face_of[f])
-    return before, after
+_SWEPT_SIZE = {"RI-": 1, "RII-": 2, "RIII": 3}
 
 
 def _crossings(face):
     return tuple(sorted({x >> 2 for x in face}))
 
 
-def _check_tag(tag, labels):
-    if tag == "C":
-        if not labels or any(lab != U_LABEL for lab in labels):
-            raise TraceError(
-                "a C event may only touch the sweep curve; site strands are %r"
-                % (labels,)
-            )
-    elif tag == "M":
-        if U_LABEL in labels:
-            raise TraceError("an M event may not touch the sweep curve")
+def _tag(labels):
+    "C when every strand at an event's face is the curve, M when none is, X otherwise."
+    if U_LABEL not in labels:
+        return "M"
+    return "C" if all(lab == U_LABEL for lab in labels) else "X"
+
+
+def _apply_event(d, site):
+    """The state after `site` on `d`, the event's tag, and the darts of the
+    face the event acts on and of the face it leaves; () on the
+    crossing-free side of an insertion or removal.
+
+    A removal or slide names its face on `d`; the face an insertion or
+    slide leaves on the new state is named by `moves.inverse_face`, which
+    owns the surgeries' dart numbering.  A curl is read by one petal on
+    either side: the one an RI- names, or the one an RI+ makes.  The
+    site crossings are those of the two faces, so the crossings an event
+    removes are the first face's less the second's, and the tag is read
+    off the strands of the first face, or of the second when there is no
+    first.
+    """
+    kind, spot = site
+    before = after = ()
+    if kind in _SWEPT_SIZE:
+        before = surgery.site_face(d, spot[0], _SWEPT_SIZE[kind])
+    if kind in ("RII-", "RIII") and U_LABEL in map(d.label_of_dart, before):
+        # the curve's crossings carry no heights, so neither the clasp veto
+        # of RII- nor the height-order veto of RIII applies at its faces
+        new = (surgery.rii_remove if kind == "RII-" else surgery.riii)(d, spot[0])
     else:
-        if U_LABEL not in labels or all(lab == U_LABEL for lab in labels):
-            raise TraceError(
-                "an X event must touch both the sweep curve and the tangle;"
-                " site strands are %r" % (labels,)
-            )
+        new = moves.apply_move(d, site)
+    f = moves.inverse_face(d, site, new)
+    if f is not None:
+        after = new.face_darts(new.face_of[f])
+    holder, face = (d, before) if before else (new, after)
+    return new, _tag(tuple(map(holder.label_of_dart, face))), before, after
 
 
-def _apply_event(d, tag, site):
-    kind = site.kind
-    if tag != "M" and kind == "RII-":
-        # curve bigons carry no heights, so the clasp veto of the
-        # decorated calculus does not apply
-        return surgery.rii_remove(d, site.spot[0])
-    if tag != "M" and kind == "RIII":
-        # likewise the height-order veto: the curve slides freely
-        return surgery.riii(d, site.spot[0])
-    return moves.apply_move(d, site)
-
-
-def parse_trace(text, mode=PLANE) -> Trace:
+def parse_trace(text) -> Trace:
     """Parse trace text and eagerly replay every event.
 
     Raises TraceError for grammar problems and for events the diagram at
     that point cannot absorb; the message carries the line number.
-    Layer times are derived from the event tags, never read from the
-    text, so they cannot be inconsistent.
+    Event tags, and so the layer times, are read off the replayed sites,
+    never from the text, so they cannot be inconsistent.
     """
     overlay = None
     events, states, names = [], [], []
     fresh = count()
     for ln, line in pdio.text_lines(text):
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
         if overlay is None:
+            head, _, rest = line.partition(" ")
             if head != "OVERLAY":
                 raise TraceError("line %d: trace must open with an OVERLAY line" % ln)
             try:
-                overlay = ShadowOverlay(pdio.parse_pd(rest.replace(";", "\n"), mode=mode))
+                overlay = ShadowOverlay(pdio.parse_pd(rest.replace(";", "\n")))
             except (DiagramError, TraceError) as e:
                 # parse_pd numbers the overlay's ";"-records as lines
                 why = re.sub(r"^line (\d+):", r"overlay record \1:", str(e))
@@ -289,51 +274,21 @@ def parse_trace(text, mode=PLANE) -> Trace:
             states.append(overlay)
             names.append(tuple(islice(fresh, overlay.diagram.ncross)))
             continue
-        if head not in ("C", "M", "X"):
-            raise TraceError(
-                "line %d: events are tagged C, M, or X, not %r" % (ln, head)
-            )
         d = states[-1].diagram
         try:
-            site = _parse_event_site(d, head, rest)
-            new = _apply_event(d, head, site)
-            before, after = _event_site(d, site, new)
-            holder, face = (d, before) if before else (new, after)
-            _check_tag(head, tuple(map(holder.label_of_dart, face)))
+            site = moves.parse_move(d, line)
+            new, tag, before, after = _apply_event(d, site)
             state = ShadowOverlay(new)
         except (MoveError, DiagramError, TraceError) as e:
             raise TraceError("line %d: %s" % (ln, e)) from e
         removed = set(_crossings(before)) - set(_crossings(after))
-        if head != "C" and not removed.isdisjoint(states[-1].u_self_ids):
-            raise ResolutionError(
-                "line %d: a curve self-crossing vanished outside a C event" % ln
-            )
         kept = tuple(name for c, name in enumerate(names[-1]) if c not in removed)
         names.append(kept + tuple(islice(fresh, new.ncross - len(kept))))
-        events.append(TraceEvent(head, site, line, before, after))
+        events.append(TraceEvent(tag, site, line, before, after))
         states.append(state)
     if overlay is None:
         raise TraceError("empty trace: an OVERLAY line is required")
     return Trace(events, states, names)
-
-
-def _parse_event_site(d, tag, rest):
-    if tag != "C":
-        return moves.parse_move(d, rest)
-    kind, _, body = rest.partition(" ")
-    if kind not in _C_KINDS:
-        raise TraceError(
-            "C events are R1+, R1-, R2+, R2-, or R3, not %r" % (kind,)
-        )
-    toks = body.split()
-    if any(t.partition("=")[0] == "over" for t in toks):
-        raise TraceError("the sweep curve carries no over/under; drop over=")
-    toks.insert(0, _C_KINDS[kind])
-    if kind == "R1+":
-        toks.append("over=0")
-    elif kind == "R2+":
-        toks.append("over=A")
-    return moves.parse_move(d, " ".join(toks))
 
 
 # -- resolutions -----------------------------------------------------
@@ -554,8 +509,6 @@ def _transition_edges(trace, j, layers):
     pre = trace.states[g].diagram  # at event time
     post = trace.states[g + 1].diagram
     before, after = ev.before, ev.after
-    if not (before or after):
-        raise ResolutionError("curve event of kind %r acts on no face" % (ev.site.kind,))
     site_pre, site_post = _crossings(before), _crossings(after)
 
     if before and after:
@@ -722,8 +675,8 @@ def verify_isotopy(trace: Trace, path=None) -> VerifyResult:
     curves and certify the crossing bound.
 
     The bound m is the largest overlay crossing count (curve-tangle plus
-    tangle-self) over all trace states.  Every path step must stay at or
-    under m; tangle and mixed events are replayed at the layer
+    tangle-self) over all trace states, so every path step, which sits on
+    a layer state, stays at or under it; tangle and mixed events are replayed at the layer
     transitions where they happen, in reverse when the path walks down a
     layer.  Any failed check raises ResolutionError: the construction
     guarantees these hold, so a failure is an engine bug, not a property
@@ -731,12 +684,14 @@ def verify_isotopy(trace: Trace, path=None) -> VerifyResult:
 
     The graph is built here; `path` may come from an earlier build of it,
     since `build_resolution_graph` sorts its edges and so numbers them
-    the same way every time.  A given path is checked too: it must start
-    at the start resolution and each hop must be the edge it names.
+    the same way every time.  A given path, whose vertices may be tuples
+    or lists, is checked too: it must start at the start resolution and
+    each hop must be the edge it names.
     """
     graph = build_resolution_graph(trace)
     if path is None:
         path = find_isotopy_path(graph)
+    path = IsotopyPath(tuple(map(tuple, path[0])), tuple(path[1]))
     verts, hops = path
     if verts[:1] != (_start(graph),) or len(hops) != len(verts) - 1:
         raise ResolutionError("path does not leave the start resolution")
@@ -755,15 +710,6 @@ def verify_isotopy(trace: Trace, path=None) -> VerifyResult:
             lines.extend(_hop_lines(trace, graph, path, k))
         asg = graph.vertex(ref)
         st = trace.layer_state(ref[0])
-        if tuple(c for c, _ in asg) != st.u_self_ids:
-            raise ResolutionError(
-                "resolution at %r does not cover the layer's self-crossings" % (ref,)
-            )
-        if st.mixed + st.m_self > m:
-            raise ResolutionError(
-                "step %d exceeds the bound: %d+%d > %d"
-                % (k, st.mixed, st.m_self, m)
-            )
         lines.append(
             "step %d: layer %d  smoothing %s  overlay %d+%d <= %d"
             % (k, ref[0], list(asg), st.mixed, st.m_self, m)
@@ -774,8 +720,6 @@ def verify_isotopy(trace: Trace, path=None) -> VerifyResult:
         raise ResolutionError("path does not end in the last layer")
     final_state = trace.layer_state(final_ref[0])
     if not final_state.u_self_ids:
-        if graph.vertex(final_ref):
-            raise ResolutionError("simple final curve paired with smoothings")
         lines.append("final: the ending curve is simple and the path ends on it exactly")
     else:
         lines.append(
@@ -797,14 +741,14 @@ def _hop_lines(trace, graph, path, k):
     out = []
     if vb[0] > va[0]:
         for ev in trace.events[p0:g]:
-            out.append("  replay: " + ev.text)
+            out.append("  replay: %s %s" % (ev.tag, ev.text))
         out.append("  move: %s (up)" % edge.move)
         for ev in trace.events[g + 1 : p1]:
-            out.append("  replay: " + ev.text)
+            out.append("  replay: %s %s" % (ev.tag, ev.text))
     else:
         for ev in reversed(trace.events[g + 1 : p1]):
-            out.append("  undo: " + ev.text)
+            out.append("  undo: %s %s" % (ev.tag, ev.text))
         out.append("  move: %s (down)" % edge.move)
         for ev in reversed(trace.events[p0:g]):
-            out.append("  undo: " + ev.text)
+            out.append("  undo: %s %s" % (ev.tag, ev.text))
     return out

@@ -71,7 +71,7 @@ from typing import NamedTuple, Optional
 
 from .canon import canonical_code, state_digest
 from .invariants import is_split_diagram, partition_sides
-from .maps import PLANE, ROOT, Diagram, DiagramError
+from .maps import PLANE, ROOT, DiagramError
 from .moves import (
     MoveSequence,
     MoveSite,
@@ -103,7 +103,8 @@ class Goal(NamedTuple):
 
     kinds: "unknot" (no crossings left), "split" (shadow falls apart),
     "split-partition" (falls apart the requested way), "target" (a
-    specific diagram up to the ambient equality).
+    specific diagram up to the ambient equality; the payload is its mode
+    and digest, and only a search in that mode may look for it).
     """
 
     kind: str
@@ -124,7 +125,7 @@ class Goal(NamedTuple):
     @classmethod
     def target(cls, d):
         """Reach a given diagram; mode of `d` decides the equality used."""
-        return cls("target", _digest(d) if isinstance(d, Diagram) else bytes(d))
+        return cls("target", (d.mode, _digest(d)))
 
     def met(self, d) -> bool:
         if self.kind == "unknot":
@@ -134,7 +135,7 @@ class Goal(NamedTuple):
         if self.kind == "split-partition":
             return is_split_diagram(d, self.payload)
         if self.kind == "target":
-            return _digest(d) == self.payload
+            return _digest(d) == self.payload[1]
         raise ValueError("unknown goal kind %r" % (self.kind,))
 
     def describe(self) -> str:
@@ -142,7 +143,7 @@ class Goal(NamedTuple):
             sides = partition_sides(self.payload)
             return "split-partition=" + "|".join(",".join(sorted(map(str, s))) for s in sides)
         if self.kind == "target":
-            return "target=%s" % self.payload.hex()
+            return "target=%s" % self.payload[1].hex()
         return self.kind
 
 
@@ -374,6 +375,10 @@ def _run(d0, goal, budget, limits, floor):
     # (parent digest, root region or None, site), or to None at the start
     if budget < 0:
         raise ValueError("budget must be >= 0")
+    if goal is not None and goal.kind == "target" and goal.payload[0] != d0.mode:
+        raise ValueError(
+            "a %s target is never met by a %s search" % (goal.payload[0], d0.mode)
+        )
     lim = limits if limits is not None else Limits()
     cap = d0.ncross + budget
     deadline = monotonic() + lim.max_seconds

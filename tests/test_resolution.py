@@ -1,11 +1,12 @@
 """Resolution-calculus tests: trace parsing, replay and the crossing bound.
 
 The overlay is the Hopf link with one circle as the sweep curve U and
-the other as the tangle.  The peak is recounted here from the replayed
-diagrams' crossing labels, without `ShadowOverlay`'s `mixed` and
-`m_self`.  Pinned traces cover each curve event kind; seeded random
-traces, tagged by the strands of their own sites, check the whole engine
-end to end.
+the other as the tangle; a trace is that overlay and a move script.  The
+peak is recounted here from the replayed diagrams' crossing labels,
+without `ShadowOverlay`'s `mixed` and `m_self`.  Pinned traces cover
+each curve event kind; seeded random traces check the whole engine end
+to end.  `parse_trace` reads each event's tag off its site, and
+`site_tag` reads it again, by its own walk to the site's face.
 """
 
 import random
@@ -14,6 +15,7 @@ from collections import Counter
 import pytest
 
 from hardsplit import moves
+from hardsplit.moves import apply_script
 from hardsplit.resolution import (
     IsotopyPath,
     ResolutionError,
@@ -23,6 +25,7 @@ from hardsplit.resolution import (
     parse_trace,
     verify_isotopy,
 )
+from hardsplit.search import Goal, bfs_reachable
 
 HOPF_OVERLAY = "OVERLAY X c0 E1 E2 E3 E4; X c1 E2 E1 E4 E3; C U E1 E3; C T E2 E4; F E1:R"
 
@@ -31,15 +34,16 @@ BARE_LOOP_OVERLAY = (
     "OVERLAY X c0 E1 E2 E3 E4; X c1 E2 E1 E4 E3; C T E1 E3; C V E2 E4; O U outer"
 )
 
-CURL = "C R1+ dart=0 side=R\nC R1- crossing=2\n"
+# the curve curls and uncurls
+CURL = "RI+ dart=0 side=R over=0\nRI- crossing=2\n"
 
 # the curve first pokes over the tangle (two more mixed crossings), then
 # curls and uncurls, then pulls back
 POKED_CURL = (
-    "X RII+ dartA=0 dartB=6 over=A\n"
-    "C R1+ dart=0 side=R\n"
-    "C R1- crossing=4\n"
-    "X RII- face=6\n"
+    "RII+ dartA=0 dartB=6 over=A\n"
+    "RI+ dart=0 side=R over=0\n"
+    "RI- crossing=4\n"
+    "RII- face=6\n"
 )
 
 
@@ -54,13 +58,11 @@ def peak_overlay_crossings(trace):
 
 
 @pytest.mark.parametrize(
-    "events, m", [(CURL, 2), (POKED_CURL, 4)], ids=["curl", "poked-curl"]
+    "events, tags, m", [(CURL, "CC", 2), (POKED_CURL, "XCCX", 4)], ids=["curl", "poked-curl"]
 )
-def test_curl_then_uncurl_verifies_at_the_peak(events, m):
+def test_curl_then_uncurl_verifies_at_the_peak(events, tags, m):
     trace = parse_trace(HOPF_OVERLAY + "\n" + events)
-    assert [ev.tag for ev in trace.events] == [
-        line[0] for line in events.splitlines()
-    ]
+    assert "".join(ev.tag for ev in trace.events) == tags
     assert trace.nlayers == 3  # start, after the curl, after the uncurl
     assert not trace.states[0].u_self_ids and not trace.states[-1].u_self_ids
     assert trace.layer_state(1).u_self_ids
@@ -81,24 +83,29 @@ def test_trace_without_overlay_line_raises():
 
 
 def test_unknown_event_tag_raises():
-    with pytest.raises(TraceError, match="line 2: events are tagged C, M, or X"):
-        parse_trace(HOPF_OVERLAY + "\nZ R1+ dart=0 side=R\n")
+    # a tag is read off the site, never written: a tagged line is no move
+    with pytest.raises(TraceError, match="line 2: bad token 'RI\\+'"):
+        parse_trace(HOPF_OVERLAY + "\nZ RI+ dart=0 side=R over=0\n")
 
 
 def test_event_tags_must_match_the_strands_touched():
-    # a curve curl tagged as a tangle move, and a tangle curl tagged C
-    for line in ("M RI+ dart=0 side=R over=0", "C R1+ dart=1 side=R"):
-        with pytest.raises(TraceError, match="line 2"):
-            parse_trace(HOPF_OVERLAY + "\n" + line + "\n")
+    # a curl of the curve, a curl of the tangle, and the curve poked over
+    # the tangle
+    for line, tag in (
+        ("RI+ dart=0 side=R over=0", "C"),
+        ("RI+ dart=1 side=R over=0", "M"),
+        ("RII+ dartA=0 dartB=6 over=A", "X"),
+    ):
+        assert [ev.tag for ev in parse_trace(HOPF_OVERLAY + "\n" + line).events] == [tag]
 
 
 @pytest.mark.parametrize(
     "line",
     [
-        "X RI- crossing=--1",
-        "X RII- face=²",
-        "X RII- face=+1",
-        "X RII+ dartA=0 loopB=x over=A",
+        "RI- crossing=--1",
+        "RII- face=²",
+        "RII- face=+1",
+        "RII+ dartA=0 loopB=x over=A",
     ],
 )
 def test_bad_numbers_are_trace_errors(line):
@@ -106,7 +113,7 @@ def test_bad_numbers_are_trace_errors(line):
         parse_trace(HOPF_OVERLAY + "\n" + line + "\n")
 
 
-# the Hopf overlay after `C R1+ dart=0 side=R`: the curve has a curl
+# the Hopf overlay after `RI+ dart=0 side=R over=0`: the curve has a curl
 CURLED_OVERLAY = (
     "OVERLAY X c0 E1 E2 E3 E4; X c1 E4 E3 E5 E1; X c2 E6 E6 E5 E2;"
     " C T E1 E3; C U E2 E6 E5 E4; F E2:R"
@@ -126,14 +133,16 @@ CURLED_OVERLAY = (
         ),
         (HOPF_OVERLAY.replace("C U", "C W"), "exactly one component .* found 0"),
         (HOPF_OVERLAY.replace("C T", "C U"), "exactly one component .* found 2"),
-        (HOPF_OVERLAY + "\nC RI+ dart=0 side=R", "line 2: C events are R1\\+"),
-        (HOPF_OVERLAY + "\nC R1+ dart=0 side=R over=0", "line 2: .* drop over="),
-        (HOPF_OVERLAY + "\nX RI+ dart=1 side=R over=0", "line 2: an X event must touch both"),
+        # a curve event is spelled as any move line: no shadow kind, and over=
+        # is written, though the curve drops it
+        (HOPF_OVERLAY + "\nR1+ dart=0 side=R over=0", "line 2: unknown move kind 'R1\\+'"),
+        (HOPF_OVERLAY + "\nRI+ dart=0 side=R", "line 2: missing or bad over="),
+        (HOPF_OVERLAY + "\nROOT region=root", "line 2: re-rooting is a move only on the sphere"),
         (CURLED_OVERLAY, "must start with a simple curve"),
     ],
     ids=[
         "overlay-pd", "overlay-pd-record-2", "no-curve", "two-curves", "c-kind", "c-over",
-        "x-tangle-only", "curled-start",
+        "root-hop", "curled-start",
     ],
 )
 def test_bad_input_is_a_trace_error(text, match):
@@ -144,8 +153,8 @@ def test_bad_input_is_a_trace_error(text, match):
 
 # curve-only traces with RII+, RII- and RIII events: a self-poke pulled
 # back, and a curl poked and then slid
-SELF_POKE = "C R2+ dartA=0 dartB=0\nC R2- face=9\n"
-CURL_POKE_SLIDE = "C R1+ dart=0 side=R\nC R2+ dartA=0 dartB=11\nC R3 face=8\n"
+SELF_POKE = "RII+ dartA=0 dartB=0 over=A\nRII- face=9\n"
+CURL_POKE_SLIDE = "RI+ dart=0 side=R over=0\nRII+ dartA=0 dartB=11 over=A\nRIII face=8\n"
 
 # tangle events inside the layer gaps, so crossing ids are packed down
 # between a curve event and its layer: a tangle curl made before a curve
@@ -153,23 +162,23 @@ CURL_POKE_SLIDE = "C R1+ dart=0 side=R\nC R2+ dartA=0 dartB=11\nC R3 face=8\n"
 # down to 2), and one made after a curve curl and undone between the
 # poke and the slide (4 -> 3, 5 -> 4)
 TANGLE_CURL_AROUND_CURL = (
-    "M RI+ dart=1 side=R over=0\n"
-    "C R1+ dart=0 side=R\n"
-    "M RI- crossing=2\n"
-    "C R1- crossing=2\n"
+    "RI+ dart=1 side=R over=0\n"  # tangle
+    "RI+ dart=0 side=R over=0\n"  # curve
+    "RI- crossing=2\n"  # tangle
+    "RI- crossing=2\n"  # curve
 )
 TANGLE_CURL_IN_SLIDE = (
-    "C R1+ dart=0 side=R\n"
-    "M RI+ dart=1 side=R over=0\n"
-    "C R2+ dartA=0 dartB=11\n"
-    "M RI- crossing=3\n"
-    "C R3 face=8\n"
+    "RI+ dart=0 side=R over=0\n"  # curve
+    "RI+ dart=1 side=R over=0\n"  # tangle
+    "RII+ dartA=0 dartB=11 over=A\n"  # curve
+    "RI- crossing=3\n"  # tangle
+    "RIII face=8\n"  # curve
 )
 # a curl of the bare curve: its lone crossing has two petals
-LOOP_CURL = "C R1+ loop=0 side=out\nC R1- crossing=2\n"
+LOOP_CURL = "RI+ loop=0 side=out over=0\nRI- crossing=2\n"
 # two self-pokes, then a slide of the triangle they make: the layer-2
 # resolutions pair up by M2b and two of them reach layer 3 by M3a
-DOUBLE_POKE_SLIDE = "C R2+ dartA=7 dartB=7\nC R2+ dartA=13 dartB=2\nC R3 face=8\n"
+DOUBLE_POKE_SLIDE = "RII+ dartA=7 dartB=7 over=A\nRII+ dartA=13 dartB=2 over=A\nRIII face=8\n"
 
 SELF_POKE_REPORT = """\
 trace: 2 events over 3 layers
@@ -376,11 +385,13 @@ def test_pinned_curve_traces(overlay, events, names, edges, degrees, m, steps, r
 )
 def test_verify_builds_its_own_graph_and_path(events):
     # without a path verify_isotopy finds one itself; the report must
-    # match the one for a path found on a graph built beforehand
+    # match the one for a path found on a graph built beforehand, given
+    # as tuples or as lists
     trace = parse_trace(HOPF_OVERLAY + "\n" + events)
     graph = build_resolution_graph(trace)
     path = find_isotopy_path(graph)
-    assert verify_isotopy(trace) == verify_isotopy(trace, path)
+    listed = IsotopyPath([list(v) for v in path.vertices], list(path.edges))
+    assert verify_isotopy(trace) == verify_isotopy(trace, path) == verify_isotopy(trace, listed)
     for st in trace.states:
         assert len(st.u_self_ids) + st.mixed + st.m_self == st.diagram.ncross
 
@@ -473,10 +484,11 @@ def test_down_hop_undoes_the_events_after_its_curve_event():
         (((0, 0), (1, 0), (2, 0)), (0, "1")),
         (((0, 0), (1, 0), (2, 0)), (0,)),
         ((), ()),
+        (((0, 0), (1, 0)), (0,)),
     ],
     ids=[
         "skips-layer-1", "reuses-edge-0", "self-touching-start", "no-edge-2",
-        "edge-minus-1", "edge-not-an-int", "one-hop-short", "empty",
+        "edge-minus-1", "edge-not-an-int", "one-hop-short", "empty", "stops-in-layer-1",
     ],
 )
 def test_forged_paths_are_refused(vertices, edges):
@@ -500,9 +512,7 @@ def test_a_given_path_needs_a_simple_start():
 def test_trace_with_no_curve_event_stays_on_its_one_layer():
     # tangle events only: the curve never moves, so there is one layer,
     # one vertex and an empty path, but m still counts the tangle curl
-    trace = parse_trace(
-        HOPF_OVERLAY + "\nM RI+ dart=1 side=R over=0\nM RI- crossing=2\n"
-    )
+    trace = parse_trace(HOPF_OVERLAY + "\nRI+ dart=1 side=R over=0\nRI- crossing=2\n")
     assert trace.nlayers == 1
     graph = build_resolution_graph(trace)
     assert list(graph.edges) == [] and graph.degree_sequences() == ((0,),)
@@ -520,12 +530,11 @@ def test_trace_with_no_curve_event_stays_on_its_one_layer():
 # -- seeded traces -----------------------------------------------------
 #
 # Random walks through `moves.enumerate_moves` under a cap of four added
-# crossings.  Each site is tagged by the labels of its own face - the
-# face a removal or slide names on the state, or the one
-# `moves.inverse_face` names on the child - and curve events are written
-# in the shadow spelling; a line stays only if `parse_trace` accepts it.
-
-SHADOW_KINDS = {"RI+": "R1+", "RI-": "R1-", "RII+": "R2+", "RII-": "R2-", "RIII": "R3"}
+# crossings, each site written as `moves.format_move` prints it;
+# `scripts/trace_tables.py` hashes what seeds 0-199 give.  The oracle
+# `site_tag` tags each site by the labels of its own face - the face a
+# removal or slide names on the state, or the one `moves.inverse_face`
+# names on the child.
 
 
 def site_tag(d, site):
@@ -541,19 +550,11 @@ def site_tag(d, site):
     return "X" if "U" in labels else "M"
 
 
-def event_line(d, site):
-    tag = site_tag(d, site)
-    kind, *toks = moves.format_move(site).split()
-    if tag == "C":
-        kind = SHADOW_KINDS[kind]
-        toks = [t for t in toks if not t.startswith("over=")]
-    return " ".join([tag, kind] + toks)
-
-
-def random_trace(seed, overlay):
-    "A trace of 1 to 8 events from `overlay`, fixed by `seed`."
+def random_trace(seed):
+    """A trace of 1 to 8 events, fixed by `seed`: from the bare-loop
+    overlay when seed % 4 == 0, and from the Hopf overlay otherwise."""
     rng = random.Random(seed)
-    text = overlay + "\n"
+    text = (BARE_LOOP_OVERLAY if seed % 4 == 0 else HOPF_OVERLAY) + "\n"
     trace = parse_trace(text)
     cap = trace.states[0].diagram.ncross + 4
     for _ in range(rng.randint(1, 8)):
@@ -563,19 +564,10 @@ def random_trace(seed, overlay):
         pools = {}
         for site in moves.enumerate_moves(d, cap):
             pools.setdefault(site.kind, []).append(site)
-        while pools:
-            kind = rng.choice(sorted(pools))
-            pool = pools[kind]
-            site = pool.pop(rng.randrange(len(pool)))
-            if not pool:
-                del pools[kind]
-            line = event_line(d, site) + "\n"
-            try:
-                trace = parse_trace(text + line)
-            except TraceError:
-                continue
-            text += line
-            break
+        if pools:
+            pool = pools[rng.choice(sorted(pools))]
+            text += moves.format_move(pool[rng.randrange(len(pool))]) + "\n"
+            trace = parse_trace(text)
     return trace
 
 
@@ -586,8 +578,9 @@ def test_seeded_traces_verify_at_their_peak():
     # case of test_pinned_curve_traces also pins M3a
     kinds = Counter()
     for seed in range(65):
-        overlay = BARE_LOOP_OVERLAY if seed % 4 == 0 else HOPF_OVERLAY
-        trace = random_trace(seed, overlay)
+        trace = random_trace(seed)
+        for st, ev in zip(trace.states, trace.events):
+            assert ev.tag == site_tag(st.diagram, ev.site)
         graph = build_resolution_graph(trace)
         path = find_isotopy_path(graph)
         assert verify_isotopy(trace, path).m == peak_overlay_crossings(trace)
@@ -599,14 +592,14 @@ def test_seeded_traces_verify_at_their_peak():
 # seed 64's walk, the first seed to reach M3a and M3b; its path goes along
 # an M2b edge and down an M3b edge
 SEED_64_EVENTS = [
-    "C R1+ loop=0 side=out",
-    "M RII+ dartA=1 dartB=5 over=A engulfed=I8",
-    "M RII- face=1",
-    "C R1+ dart=6 side=R",
-    "C R2+ dartA=15 dartB=13",
-    "C R3 face=6",
-    "C R2- face=6",
-    "C R1- crossing=3 petal=2",
+    "RI+ loop=0 side=out over=0",
+    "RII+ dartA=1 dartB=5 over=A engulfed=I8",
+    "RII- face=1",
+    "RI+ dart=6 side=R over=1",
+    "RII+ dartA=15 dartB=13 over=A",
+    "RIII face=6",
+    "RII- face=6",
+    "RI- crossing=3 petal=2",
 ]
 SEED_64_REPORT = """\
 trace: 8 events over 7 layers
@@ -638,6 +631,21 @@ verified: 9 steps, overlay bound m = 4 holds throughout
 
 
 def test_seeded_trace_report_is_pinned():
-    trace = random_trace(64, BARE_LOOP_OVERLAY)
+    trace = random_trace(64)
     assert [ev.text for ev in trace.events] == SEED_64_EVENTS
+    assert "".join(ev.tag for ev in trace.events) == "CMMCCCCC"
     assert verify_isotopy(trace).report == SEED_64_REPORT
+
+
+def test_a_search_witness_is_a_trace():
+    # a plane search from the overlay's diagram to a curled and poked
+    # curve: its witness, as the search prints it, is the trace's script
+    d0 = parse_trace(HOPF_OVERLAY).states[0].diagram
+    script = ["RI+ dart=0 side=R over=1", "RII+ dartA=9 dartB=6 over=A"]
+    r = bfs_reachable(d0, Goal.target(apply_script(d0, "\n".join(script))), 3)
+    assert [moves.format_move(s) for s in r.witness.steps] == script
+    trace = parse_trace("\n".join([HOPF_OVERLAY] + script))
+    assert [ev.tag for ev in trace.events] == ["C", "X"]
+    res = verify_isotopy(trace)
+    assert res.m == peak_overlay_crossings(trace) == 4
+    assert res.report.endswith("overlay bound m = 4 holds throughout\n")

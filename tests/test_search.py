@@ -166,6 +166,17 @@ def test_hopf_never_splits_within_budget():
     assert cert.report.endswith("verdict: hard (added > 1)\n")
 
 
+def test_a_target_keeps_its_mode():
+    # a target one curl away, built in the plane: a sphere search refuses
+    # it, since it could never meet it; built on the sphere, it is met
+    t = torus_knot_diagram(2, 3)
+    target = apply_move(t, MoveSite("RI+", ("d", 0, 0)))
+    with pytest.raises(ValueError, match="a plane target is never met by a sphere search"):
+        verify_hard(t.with_mode(SPHERE), Goal.target(target), 1)
+    cert = verify_hard(t.with_mode(SPHERE), Goal.target(target.with_mode(SPHERE)), 1)
+    assert cert.report.endswith("verdict: hard (added = 1)\n")
+
+
 def test_reached_budgets_give_hard_or_inconclusive_by_the_runs_below():
     # budget 0 exhausted, budget 1 reaches a target one curl away: hard
     t = torus_knot_diagram(2, 3)
