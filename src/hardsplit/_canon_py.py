@@ -14,18 +14,22 @@ numbering without walking again.
 `best_walk` does not root a walk at every dart.  Each dart gets an
 isomorphism-invariant signature: the length of its face, the length of
 the face across its edge (faces traced by phi = rot o theta), and its
-decoration byte; the caller passes the face lengths, read once per
-diagram from its faces.  Walks start only from the darts whose signature
-is smallest, as the canonical codes of plantri do (Brinkmann–McKay,
-"Fast generation of planar graphs").  An isomorphism of decorated
-pieces keeps faces and decorations, so it maps that start set onto the
-start set of the image, and the two sets produce the same codes.  The
-minimum over them is therefore still a complete invariant, and the
-achievers' numberings still correspond under every isomorphism, which
-keeps the face markers built from them canonical.
+decoration byte.  The kernel reads both lengths off the piece's face
+orbits, which the caller passes sorted by key as `maps.structure` leaves
+them: the smallest face length picks the candidate darts, and the face
+across each candidate takes one bisect.  Walks start only from the darts
+whose signature is smallest, as the canonical codes of plantri do
+(Brinkmann–McKay, "Fast generation of planar graphs").  An isomorphism
+of decorated pieces keeps faces and decorations, so it maps that start
+set onto the start set of the image, and the two sets produce the same
+codes.  The minimum over them is therefore still a complete invariant,
+and the achievers' numberings still correspond under every isomorphism,
+which keeps the face markers built from them canonical.
 """
 
 from __future__ import annotations
+
+from .maps import _face_index
 
 __all__ = ["walk", "best_walk"]
 
@@ -64,32 +68,35 @@ def walk(theta, deco, start, wide):
     return bytes(out), lab, order
 
 
-def _start_darts(theta, deco, darts, flen):
-    "The darts of smallest signature (face length, face across, decoration)."
+def _start_darts(theta, deco, faces, face_of):
+    """The darts of smallest signature (face length, face across,
+    decoration), in ascending order."""
     # the face length alone leaves few darts; only those compare the rest
-    m = min([flen[d] for d in darts])
-    cand = [d for d in darts if flen[d] == m]
-    sig = [(flen[theta[d]], deco[d]) for d in cand]
+    m = min(map(len, faces))
+    cand = sorted([x for orb in faces if len(orb) == m for x in orb])
+    sig = [(len(faces[_face_index(faces, face_of[theta[x]])]), deco[x]) for x in cand]
     low = min(sig)
-    return [d for d, s in zip(cand, sig) if s == low]
+    return [x for x, s in zip(cand, sig) if s == low]
 
 
-def best_walk(theta, deco, darts, flen):
+def best_walk(theta, deco, darts, faces, face_of):
     """Smallest walk code over the piece's start darts, and the numberings
     of all the starts that achieve it, each a (lab, order) pair of `walk`.
 
-    `darts` must be exactly the dart set of one connected piece, and
-    `flen[x]` the length of dart x's face; walks start only from the
-    darts of smallest invariant signature.  Pieces of more than 252 darts
-    switch to a two-byte encoding; the two widths can never produce codes
-    of equal length, so codes stay unambiguous.
+    `darts` must be exactly the dart set of one connected piece, `faces`
+    the piece's face orbits sorted by key (each orbit starts at its key,
+    its smallest dart) and `face_of[x]` the key of dart x's face; walks
+    start only from the darts of smallest invariant signature.  Pieces of
+    more than 252 darts switch to a two-byte encoding; the two widths can
+    never produce codes of equal length, so codes stay unambiguous.
     """
     wide = len(darts) > 252
-    starts = _start_darts(theta, deco, darts, flen)
+    starts = _start_darts(theta, deco, faces, face_of)
     best, lab, order = walk(theta, deco, starts[0], wide)
-    # the first walk reaches the whole piece of its start; every other
-    # start lies in it, so one check covers all of them
-    if len(order) != len(darts) or set(order) != set(darts):
+    # the first walk reaches the whole piece of its start, each dart once;
+    # as many darts as it holds, each of its darts among them, are exactly
+    # its darts, and every other start lies in it, so one check covers all
+    if len(order) != len(darts) or not set(darts).issuperset(order):
         raise ValueError("darts must be the dart set of one connected piece")
     argmin = [(lab, order)]
     for s in starts[1:]:

@@ -22,23 +22,27 @@ numberings that achieve the minimal walk bytes.
 Every island is coded by one kernel, `_canon_py.best_walk`: the smallest
 breadth-first walk code over the island's start darts.  Only the darts of
 smallest isomorphism-invariant signature (face lengths on both sides and
-decoration) are tried as starts; because the start set is invariant, the
-minimum over it, and the set of starts achieving it, are canonical (see
-`_canon_py`).
+decoration) are tried as starts; the kernel reads the lengths off the
+island's face orbits in the diagram's record, so a code builds no
+per-dart table but the decoration bytes.  Because the start set is
+invariant, the minimum over it, and the set of starts achieving it, are
+canonical (see `_canon_py`).
 
 Each achiever comes from the kernel as a pair of lists: the numbering,
 indexed by dart (-1 off the island), which face markers read, and the
 discovery order, which lists the darts by number.
 
 A diagram with one island and no loops has no content, so its code is
-the island's alone, read without the region recursion.  `canonical_code`
-records on such a diagram (`Diagram.numberings`) the discovery orders
-of the walk numberings that achieve the code: on the sphere every
-achiever, in the plane every achiever that also gives the smallest
-up-face marker, the first of them first.  Any two such orders, of one
-diagram or of two with equal codes, compose to an isomorphism that
-keeps theta, decorations, labels and, in the plane, the up face: dart x
-goes to the dart the second order holds at x's number in the first.
+the island's alone, read without the region recursion and without the
+per-theta cache (`_Ctx`): the island's faces are the diagram's faces.
+`canonical_code` records on such a diagram (`Diagram.numberings`) the
+discovery orders of the walk numberings that achieve the code: on the
+sphere every achiever, in the plane every achiever that also gives the
+smallest up-face marker, the first of them first.  Any two such
+orders, of one diagram or of two with equal codes, compose to an
+isomorphism that keeps theta, decorations, labels and, in the plane, the
+up face: dart x goes to the dart the second order holds at x's number in
+the first.
 `search` composes them, and only for the states it uses them on: the
 recorded first orders of two diagrams carry a move site from one to the
 other, and the first order with each other order of one diagram gives
@@ -61,43 +65,42 @@ __all__ = ["backend", "canonical_code", "state_digest"]
 _OVER = (b"\x10\x00\x10\x00", b"\x00\x10\x00\x10")
 
 
+def _decorations(d):
+    """(label table, label symbols, decoration bytes) of diagram `d`.
+
+    Symbols number the table's labels from 1 (0 = unlabeled).  A dart's
+    decoration byte is 16 if it is on its crossing's over strand (slots 0
+    and 2 when over is 0), plus its label's symbol when any are in use.
+    """
+    labs = set(d.labels) | {lp.label for lp in d.loops}
+    labs.discard(None)
+    table = tuple(sorted(labs))
+    if len(table) > 15:
+        raise DiagramError("too many distinct component labels to code")
+    sym = {None: 0}
+    for i, lab in enumerate(table):
+        sym[lab] = i + 1
+    deco = b"".join([_OVER[o] for o in d.over])
+    if table:
+        lsym = [sym[lab] for lab in d.labels]
+        deco = bytes([b | lsym[c] for b, c in zip(deco, d.comp_of)])
+    return table, sym, deco
+
+
 class _Ctx:
     """Per-theta scratch shared across re-rootings of the same diagram."""
 
     def __init__(self, d):
-        labs = {lab for lab in d.labels} | {lp.label for lp in d.loops}
-        labs.discard(None)
-        self.table = tuple(sorted(labs))
-        if len(self.table) > 15:
-            raise DiagramError("too many distinct component labels to code")
-        sym = {None: 0}
-        for i, lab in enumerate(self.table):
-            sym[lab] = i + 1
-        self.sym = sym
-        self.theta = d.theta
-        # per dart: 16 if it is on its crossing's over strand (slots 0 and
-        # 2 when over is 0), plus its label's symbol when any are in use
-        deco = b"".join([_OVER[o] for o in d.over])
-        if self.table:
-            lsym = [sym[lab] for lab in d.labels]
-            deco = bytes([b | lsym[c] for b, c in zip(deco, d.comp_of)])
-        self.deco = deco
-        # per dart: the length of its face, read off the faces
-        # `maps.structure` traced; re-rootings keep theta, so every island
-        # and rooting shares it
-        flen = [0] * len(d.theta)
-        for orb in d.faces:
-            k = len(orb)
-            for x in orb:
-                flen[x] = k
-        self.flen = flen
+        self.table, self.sym, self.deco = _decorations(d)
         self._best = {}
 
     def island_best(self, d, key):
         "(smallest walk code, numberings of its achievers) of island `key`."
+        # re-rootings keep theta, so every rooting shares each island's walks
         if key not in self._best:
+            faces = [orb for orb in d.faces if d.island_of[orb[0]] == key]
             self._best[key] = _canon_py.best_walk(
-                self.theta, self.deco, d.islands[key], self.flen
+                d.theta, self.deco, d.islands[key], faces, d.face_of
             )
         return self._best[key]
 
@@ -135,26 +138,29 @@ def _region_code(ctx, d, rkey):
 
 
 def canonical_code(d):
-    ctx = _Ctx(d)
     if len(d.islands) == 1 and not d.loops:
         (key,) = d.islands
         # no content: the code is the island's, and the diagram records the
         # orders of the numberings that achieve it (`search` maps sites
         # between states and within one)
-        best, numberings = ctx.island_best(d, key)
+        table, _sym, deco = _decorations(d)
+        best, numberings = _canon_py.best_walk(
+            d.theta, deco, d.islands[key], d.faces, d.face_of
+        )
         if d.mode == SPHERE:
             # any face can be made outer, so the up marker bottoms out at 0;
             # search._expand_one enumerates such a state in one rooting only
             marker, achievers = 0, numberings
         else:
             up = d.face_darts(d.hosts[key][1])
-            marks = [min([lab[x] for x in up]) for lab, _order in numberings]
+            marks = [min(map(lab.__getitem__, up)) for lab, _order in numberings]
             marker = min(marks)
             achievers = [w for w, m in zip(numberings, marks) if m == marker]
         # the one island holds every dart, so each order lists them all
         object.__setattr__(d, "numberings", tuple([tuple(o) for _lab, o in achievers]))
         tag = "S" if d.mode == SPHERE else "P"
-        return (tag, ctx.table, (("I", (best, marker, ())),))
+        return (tag, table, (("I", (best, marker, ())),))
+    ctx = _Ctx(d)
     if d.mode == SPHERE:
         body = min(
             (_region_code(ctx, d.rerooted(r), ROOT)) for r in d.region_keys

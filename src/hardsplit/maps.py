@@ -353,14 +353,16 @@ class Diagram:
         s = theta if isinstance(theta, Structure) else structure(theta)
         for name, value in zip(Structure._fields, s):
             put(self, name, value)
-        if any(o not in (0, 1) for o in over):
-            raise DiagramError("over entries must be 0 or 1, not %r" % (tuple(over),))
-        over = tuple([int(o) for o in over])
+        over = tuple(over)
+        if over.count(0) + over.count(1) != len(over):
+            raise DiagramError("over entries must be 0 or 1, not %r" % (over,))
         if len(over) * 4 != len(s.theta):
             raise DiagramError(
                 "over has %d entries for %d crossings" % (len(over), len(s.theta) // 4)
             )
-        put(self, "over", over)
+        # through a list: tuple() of a map resizes, as of a generator (see
+        # `structure`), and raises peak RSS
+        put(self, "over", tuple([*map(int, over)]))
         face_of = s.face_of
 
         ncomp = len(s.components)
@@ -371,7 +373,7 @@ class Diagram:
             raise DiagramError("%d labels for %d strand components" % (len(labels), ncomp))
         put(self, "labels", labels)
 
-        loops = tuple(Loop(lab, self._norm_region(host)) for lab, host in loops)
+        loops = tuple([Loop(lab, self._norm_region(h)) for lab, h in loops]) if loops else ()
         put(self, "loops", loops)
 
         norm_hosts = {}

@@ -127,7 +127,8 @@ class Goal(NamedTuple):
         """Reach a given diagram; mode of `d` decides the equality used."""
         return cls("target", (d.mode, _digest(d)))
 
-    def met(self, d) -> bool:
+    def met(self, d, digest=None) -> bool:
+        "Whether `d` meets the goal; a target compares `digest`, d's if given."
         if self.kind == "unknot":
             return d.ncross == 0
         if self.kind == "split":
@@ -135,7 +136,7 @@ class Goal(NamedTuple):
         if self.kind == "split-partition":
             return is_split_diagram(d, self.payload)
         if self.kind == "target":
-            return _digest(d) == self.payload[1]
+            return (_digest(d) if digest is None else digest) == self.payload[1]
         raise ValueError("unknown goal kind %r" % (self.kind,))
 
     def describe(self) -> str:
@@ -394,7 +395,7 @@ def _run(d0, goal, budget, limits, floor):
     start = _digest(d0)
     parent = {start: None}
     maxcr = mincr = d0.ncross
-    found = start if goal is not None and goal.met(d0) else None
+    found = start if goal is not None and goal.met(d0, start) else None
     # the states not yet expanded, by digest: (diagram, sites to skip), in
     # discovery order; once a level is expanded it holds the next level
     waiting = {start: (d0, set())}
@@ -422,7 +423,7 @@ def _run(d0, goal, budget, limits, floor):
                 parent[digest] = (pdigest, rkey, site)
                 maxcr = max(maxcr, child.ncross)
                 mincr = min(mincr, child.ncross)
-                if goal is not None and goal.met(child):
+                if goal is not None and goal.met(child, digest):
                     found = digest
                     break
                 inv = inverse_site(rep, site, child)

@@ -1,4 +1,5 @@
 import random
+from hashlib import sha256
 
 import pytest
 from hypothesis import given, settings
@@ -94,7 +95,7 @@ def test_label_table_limit():
         canonical_code(d)
 
 
-def exhaustive_best_walk(theta, deco, darts, flen):
+def exhaustive_best_walk(theta, deco, darts, faces, face_of):
     "Reference kernel: the smallest walk code over every dart as a start."
     wide = len(darts) > 252
     best = None
@@ -187,31 +188,94 @@ def test_one_island_code_records_an_achieving_numbering():
     assert single
 
 
+def island_faces(d, key):
+    "The face orbits of island `key`, sorted by key as `d.faces` is."
+    return [orb for orb in d.faces if d.island_of[orb[0]] == key]
+
+
 def test_walk_numbers_one_island_of_two():
     # the numbering is indexed by dart: the other island's darts read -1,
     # and the discovery order lists the walked island's darts by number
     d = Diagram(PLANE, KINK + [x + 4 for x in KINK], [0, 1])
-    ctx = canon._Ctx(d)
-    _code, lab, order = _canon_py.walk(ctx.theta, ctx.deco, 5, False)
+    _table, _sym, deco = canon._decorations(d)
+    _code, lab, order = _canon_py.walk(d.theta, deco, 5, False)
     assert len(lab) == d.ndart and lab[:4] == [-1] * 4
     assert order[0] == 5 and sorted(order) == [4, 5, 6, 7]
     assert [lab[x] for x in order] == [0, 1, 2, 3]
-    _best, achievers = _canon_py.best_walk(ctx.theta, ctx.deco, d.islands[4], ctx.flen)
+    faces = island_faces(d, 4)
+    _best, achievers = _canon_py.best_walk(d.theta, deco, d.islands[4], faces, d.face_of)
     for lab, order in achievers:
         assert lab[:4] == [-1] * 4 and sorted(order) == [4, 5, 6, 7]
 
 
 def test_disconnected_darts_rejected():
     d = Diagram(PLANE, KINK + [x + 4 for x in KINK], [0, 1])
-    ctx = canon._Ctx(d)
+    _table, _sym, deco = canon._decorations(d)
+
+    def walk(darts, faces):
+        return _canon_py.best_walk(d.theta, deco, darts, faces, d.face_of)
+
+    assert walk((0, 1, 2, 3), island_faces(d, 0))
+    # the darts are the piece's in any order
+    assert walk([3, 1, 0, 2], island_faces(d, 0))
     with pytest.raises(ValueError):
-        _canon_py.best_walk(ctx.theta, ctx.deco, list(range(8)), ctx.flen)
+        walk(list(range(8)), d.faces)
     with pytest.raises(ValueError):
-        _canon_py.best_walk(ctx.theta, ctx.deco, [0, 1, 2], ctx.flen)
-    # as many darts as one piece holds, but not that piece's darts
-    for darts in ([0, 1, 2, 4], [0, 1, 2, 2], [4, 0, 1, 2]):
+        walk([0, 1, 2], island_faces(d, 0))
+    # as many darts as the faces' piece holds, but not that piece's darts:
+    # a negative dart (which would index from the end), a repeated dart,
+    # a dart of the other piece, and the other piece whole
+    for darts in ([-1, 0, 1, 2], [0, 1, 2, 2], [0, 1, 2, 4], [4, 0, 1, 2], [4, 5, 6, 7]):
         with pytest.raises(ValueError):
-            _canon_py.best_walk(ctx.theta, ctx.deco, darts, ctx.flen)
+            walk(darts, island_faces(d, 0))
+
+
+def flen_start_darts(theta, deco, darts, flen):
+    """The start set by the earlier rule: `flen[x]` is the length of dart
+    x's face, read into a per-dart list before every code."""
+    m = min([flen[x] for x in darts])
+    cand = [x for x in darts if flen[x] == m]
+    sig = [(flen[theta[x]], deco[x]) for x in cand]
+    low = min(sig)
+    return [x for x, s in zip(cand, sig) if s == low]
+
+
+def test_face_start_set_matches_the_per_dart_rule():
+    # the kernel reads face lengths off the face orbits; its start set,
+    # in order, must be the one the per-dart length list picked.  The
+    # corpus holds split_d_pq(2,3), with several islands and loops; the
+    # children of T(2,65) (about 18,000 sites) are left out for time
+    ds = partition_corpus()
+    for name, make in CORPUS.items():
+        if name != "T(2,65)":
+            d = make()
+            ds += [apply_move(d, site) for site in enumerate_moves(d)]
+    pieces = 0
+    for d in ds:
+        _table, _sym, deco = canon._decorations(d)
+        flen = [0] * d.ndart
+        for orb in d.faces:
+            for x in orb:
+                flen[x] = len(orb)
+        for key, darts in d.islands.items():
+            got = _canon_py._start_darts(d.theta, deco, island_faces(d, key), d.face_of)
+            assert got == flen_start_darts(d.theta, deco, darts, flen)
+            pieces += 1
+    assert pieces > len(ds)  # some diagrams have several islands
+
+
+# sha256 of repr((state_digest, numberings)) over the children of every
+# enumerated site of the trefoil, the Hopf link and d_pq(2,3), in order
+CHILDREN_PIN = "e96b38fb05146485514d783640cefcceb88c8bc70960d474686a0f85915d8e66"
+
+
+def test_children_digests_and_numberings_are_pinned():
+    h = sha256()
+    for d in (torus_knot_diagram(2, 3), hopf(), d_pq(2, 3)):
+        for site in enumerate_moves(d):
+            child = apply_move(d, site)
+            h.update(repr((state_digest(canonical_code(child)), child.numberings)).encode())
+    assert h.hexdigest() == CHILDREN_PIN
 
 
 @st.composite

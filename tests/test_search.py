@@ -434,6 +434,27 @@ def test_capped_search_stops_building_children(monkeypatch):
     assert len(built) <= 4
 
 
+def test_a_target_search_codes_each_state_once(monkeypatch):
+    # a target goal compares the digest the search holds for a new state,
+    # so the only codes are the start's and one per built child
+    goal = Goal.target(hopf())  # never met from the trefoil
+    built, coded = [], []
+
+    def counting_apply_move(d, site):
+        built.append(site)
+        return apply_move(d, site)
+
+    def counting_code(d):
+        coded.append(d)
+        return canonical_code(d)
+
+    monkeypatch.setattr(search, "apply_move", counting_apply_move)
+    monkeypatch.setattr(search, "canonical_code", counting_code)
+    r = bfs_reachable(torus_knot_diagram(2, 3), goal, 1)
+    assert not r.reached and r.frontier_exhausted and r.states_explored > 1
+    assert len(coded) == len(built) + 1
+
+
 def test_every_enumerated_site_but_the_parent_is_built(monkeypatch):
     # the cap is applied at enumeration, and a state never builds a site
     # whose child is known to be in the table already: the site that
