@@ -1,4 +1,4 @@
-"""Print the size and a hash of the ordered `parent` table of 35 closures.
+"""Print the size and a hash of the ordered `parent` table of 41 closures.
 
 `search._run` with no goal walks each closure to the end and returns its
 `parent` table: each state's digest, in discovery order, with how it was
@@ -11,9 +11,11 @@ fails when the output differs from it; the output does not depend on
 `PYTHONHASHSEED`.
 
 Closures, each in plane and sphere mode: the trefoil, the Hopf link,
-`unknot_diagram(1)`, `unknot_diagram(2)` and T(2,5) at budgets 0-2,
-`split_d_pq(2,3)` at budgets 0-1; and `d_pq(3,4)` in the plane at
-budget 0.  About 5 s on one core.
+`unknot_diagram(1)`, `unknot_diagram(2)`, T(2,5) and three bare circles
+at budgets 0-2, `split_d_pq(2,3)` at budgets 0-1; and `d_pq(3,4)` in the
+plane at budget 0.  The circles and `split_d_pq(2,3)` have several
+pieces in one region tree, so they reach the multi-piece coder.  About
+5 s on one core.
 
 Usage: PYTHONPATH=src python scripts/closure_tables.py | diff scripts/closure_tables.txt -
 """
@@ -21,7 +23,7 @@ Usage: PYTHONPATH=src python scripts/closure_tables.py | diff scripts/closure_ta
 from hashlib import sha256
 
 from hardsplit.generators import d_pq, split_d_pq, torus_knot_diagram, unknot_diagram
-from hardsplit.maps import PLANE, SPHERE, Diagram
+from hardsplit.maps import PLANE, ROOT, SPHERE, Diagram
 from hardsplit.search import _run
 
 
@@ -35,6 +37,7 @@ def closures():
         ("unknot2", unknot_diagram(2), 2),
         ("T(2,5)", torus_knot_diagram(2, 5), 2),
         ("split_d_pq(2,3)", split_d_pq(2, 3), 1),
+        ("circles3", Diagram(PLANE, (), (), (), ((None, ROOT),) * 3, {}), 2),
     ]
     for name, d, top in starts:
         for mode in (PLANE, SPHERE):

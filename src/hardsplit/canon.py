@@ -32,9 +32,16 @@ Each achiever comes from the kernel as a pair of lists: the numbering,
 indexed by dart (-1 off the island), which face markers read, and the
 discovery order, which lists the darts by number.
 
+An island's content is read off the region tree: the faces of the island
+that host something are exactly the keys ("f", face) of
+`Diagram.region_children` that lie on it, so no other face is coded.
+Each island is walked once per code, before any re-rooting: a re-rooting
+keeps theta, so every rooting of a sphere diagram shares one dict of
+island walks, and only the up markers and parts read from them differ.
+
 A diagram with one island and no loops has no content, so its code is
-the island's alone, read without the region recursion and without the
-per-theta cache (`_Ctx`): the island's faces are the diagram's faces.
+the island's alone, read without the region recursion: the island's
+faces are the diagram's faces.
 `canonical_code` records on such a diagram (`Diagram.numberings`) the
 discovery orders of the walk numberings that achieve the code: on the
 sphere every achiever, in the plane every achiever that also gives the
@@ -87,53 +94,32 @@ def _decorations(d):
     return table, sym, deco
 
 
-class _Ctx:
-    """Per-theta scratch shared across re-rootings of the same diagram."""
-
-    def __init__(self, d):
-        self.table, self.sym, self.deco = _decorations(d)
-        self._best = {}
-
-    def island_best(self, d, key):
-        "(smallest walk code, numberings of its achievers) of island `key`."
-        # re-rootings keep theta, so every rooting shares each island's walks
-        if key not in self._best:
-            faces = [orb for orb in d.faces if d.island_of[orb[0]] == key]
-            self._best[key] = _canon_py.best_walk(
-                d.theta, self.deco, d.islands[key], faces, d.face_of
-            )
-        return self._best[key]
-
-
-def _island_code(ctx, d, key):
-    best, numberings = ctx.island_best(d, key)
-    _host, up = d.hosts[key]
-    content = []
-    for f in d.island_faces(key):
-        if f == up:
-            continue
-        code = _region_code(ctx, d, ("f", f))
-        if code:
-            content.append((f, code))
+def _island_code(d, sym, walks, key):
+    best, numberings = walks[key]
+    # the island's faces that hold content are the region tree's keys on it
+    content = [
+        (d.face_darts(r[1]), _region_code(d, sym, walks, r))
+        for r in d.region_children
+        if r[0] == "f" and d.island_of[r[1]] == key
+    ]
+    up = d.face_darts(d.hosts[key][1])
     cands = []
     for lab, _order in numberings:
-        marker = min(lab[x] for x in d.face_darts(up))
-        parts = tuple(
-            sorted((min(lab[x] for x in d.face_darts(f)), code) for f, code in content)
-        )
+        marker = min(lab[x] for x in up)
+        parts = tuple(sorted((min(lab[x] for x in f), code) for f, code in content))
         cands.append((marker, parts))
     marker, parts = min(cands)
     return (best, marker, parts)
 
 
-def _region_code(ctx, d, rkey):
+def _region_code(d, sym, walks, rkey):
     kids = []
     for kind, ref in d.region_children.get(rkey, ()):
         if kind == "I":
-            kids.append(("I", _island_code(ctx, d, ref)))
+            kids.append(("I", _island_code(d, sym, walks, ref)))
         else:
             lp = d.loops[ref]
-            kids.append(("L", ctx.sym[lp.label], _region_code(ctx, d, ("l", ref))))
+            kids.append(("L", sym[lp.label], _region_code(d, sym, walks, ("l", ref))))
     return tuple(sorted(kids))
 
 
@@ -160,13 +146,18 @@ def canonical_code(d):
         object.__setattr__(d, "numberings", tuple([tuple(o) for _lab, o in achievers]))
         tag = "S" if d.mode == SPHERE else "P"
         return (tag, table, (("I", (best, marker, ())),))
-    ctx = _Ctx(d)
-    if d.mode == SPHERE:
-        body = min(
-            (_region_code(ctx, d.rerooted(r), ROOT)) for r in d.region_keys
+    table, sym, deco = _decorations(d)
+    # re-rootings keep theta, so every rooting shares each island's walks
+    walks = {
+        key: _canon_py.best_walk(
+            d.theta, deco, darts, [f for f in d.faces if d.island_of[f[0]] == key], d.face_of
         )
-        return ("S", ctx.table, body)
-    return ("P", ctx.table, _region_code(ctx, d, ROOT))
+        for key, darts in d.islands.items()
+    }
+    if d.mode == SPHERE:
+        body = min(_region_code(d.rerooted(r), sym, walks, ROOT) for r in d.region_keys)
+        return ("S", table, body)
+    return ("P", table, _region_code(d, sym, walks, ROOT))
 
 
 def state_digest(code) -> bytes:

@@ -134,8 +134,11 @@ def _shadow_pieces(d):
 def partition_sides(partition):
     """The sides a split partition names: (side_a, side_b) for a tuple or
     list of exactly two collections of component names, else (side,),
-    one side whose complement is the other.  `is_split_diagram` and
+    one side whose complement is the other; a string is one component
+    name, the one member of its side.  `is_split_diagram` and
     `search.Goal.describe` read a partition through this."""
+    if isinstance(partition, str):
+        return ((partition,),)
     if (
         isinstance(partition, (tuple, list))
         and len(partition) == 2

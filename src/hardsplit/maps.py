@@ -423,10 +423,6 @@ class Diagram:
     def label_of_dart(self, d):
         return self.labels[self.comp_of[d]]
 
-    def island_faces(self, key):
-        face_of = self.face_of
-        return tuple(x for x in self.islands.get(key, ()) if face_of[x] == x)
-
     # -- regions -----------------------------------------------------
     #
     # Region keys: ROOT, ('f', face_key) for a face that is not some
@@ -493,7 +489,7 @@ class Diagram:
         out = []
         for key, ds in self.islands.items():
             ncr = len(ds) // 4
-            nfaces = len(self.island_faces(key))
+            nfaces = sum(self.face_of[x] == x for x in ds)
             chi = ncr - 2 * ncr + nfaces
             if chi != 2:
                 out.append(

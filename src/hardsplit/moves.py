@@ -81,6 +81,9 @@ __all__ = [
 #: crossing-count change per move kind
 CROSSING_DELTA = {"RI+": 1, "RI-": -1, "RII+": 2, "RII-": -2, "RIII": 0, "ROOT": 0}
 
+# the lengths a spot may have, per move kind (see `MoveSite`)
+_SPOT_SIZES = {"RI+": (3, 4), "RI-": (1,), "RII+": (6,), "RII-": (1,), "RIII": (1,), "ROOT": (1,)}
+
 
 class MoveSite(NamedTuple):
     """One applicable move, pinned to the diagram it was enumerated on.
@@ -214,8 +217,17 @@ def rooting_free(site) -> bool:
 
 
 def apply_move(d: Diagram, site) -> Diagram:
-    "Apply one site; raises MoveError when the site is stale or illegal."
-    kind, spot = site
+    "Apply one site; raises MoveError when the site is stale, illegal or malformed."
+    try:
+        kind, spot = site
+        sizes, size = _SPOT_SIZES.get(kind), len(spot)
+    except (TypeError, ValueError) as e:
+        raise MoveError("a site is a (kind, spot) pair, not %r" % (site,)) from e
+    if sizes is None:
+        raise MoveError("unknown move kind %r" % (kind,))
+    if size not in sizes:
+        allowed = " or ".join(map(str, sizes))
+        raise MoveError("%s spot %r has %d entries, not %s" % (kind, spot, size, allowed))
     if kind == "RI+":
         return surgery.ri_add(d, spot[:-1], spot[-1])
     if kind == "RI-":
@@ -233,14 +245,13 @@ def apply_move(d: Diagram, site) -> Diagram:
         if not triangle_coherent(d, surgery.site_face(d, f, 3)[0]):
             raise MoveError("triangle heights are cyclic; no slide exists")
         return surgery.riii(d, f)
-    if kind == "ROOT":
-        if d.mode != SPHERE:
-            raise MoveError("re-rooting is a move only on the sphere")
-        try:
-            return d.rerooted(spot[0])
-        except DiagramError as e:
-            raise MoveError(str(e)) from e
-    raise MoveError("unknown move kind %r" % (kind,))
+    # ROOT
+    if d.mode != SPHERE:
+        raise MoveError("re-rooting is a move only on the sphere")
+    try:
+        return d.rerooted(spot[0])
+    except DiagramError as e:
+        raise MoveError(str(e)) from e
 
 
 def inverse_face(d: Diagram, site, child: Diagram):

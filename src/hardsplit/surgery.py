@@ -392,6 +392,10 @@ def rii_add(
     """
     if over not in ("A", "B"):
         raise MoveError("over must be 'A' or 'B'")
+    try:
+        captured, engulfed = set(captured), set(engulfed)
+    except TypeError as e:
+        raise MoveError("captured and engulfed must be collections of children") from e
     n = d.ncross
     pl, pu = 4 * n, 4 * n + 4  # A runs E-W through both; B enters pu from N
     try:
@@ -431,8 +435,6 @@ def rii_add(
             raise DiagramError("finger pocket did not separate")
         pocket_face = cand.pop()
 
-    captured = set(captured)
-    engulfed = set(engulfed)
     if captured & engulfed:
         raise MoveError("captured and engulfed overlap")
     if captured:

@@ -176,12 +176,14 @@ def test_one_island_code_records_an_achieving_numbering():
             assert d.numberings is None
             continue
         single += 1
-        ctx = canon._Ctx(d)
-        _best, numberings = ctx.island_best(d, min(d.islands))
-        orders = [tuple(order) for _lab, order in numberings]
+        table, sym, deco = canon._decorations(d)
+        (key,) = d.islands
+        walk = _canon_py.best_walk(d.theta, deco, d.islands[key], d.faces, d.face_of)
+        orders = [tuple(order) for _lab, order in walk[1]]
         if d.mode == PLANE:
-            assert code == ("P", ctx.table, canon._region_code(ctx, d, ROOT))
-            up = d.face_darts(d.hosts[min(d.islands)][1])
+            # the region recursion, given the same walk, codes it alike
+            assert code == ("P", table, canon._region_code(d, sym, {key: walk}, ROOT))
+            up = d.face_darts(d.hosts[key][1])
             marker = code[2][0][1][1]
             orders = [o for o in orders if min(o.index(x) for x in up) == marker]
         assert d.numberings == tuple(orders)
@@ -265,17 +267,25 @@ def test_face_start_set_matches_the_per_dart_rule():
 
 
 # sha256 of repr((state_digest, numberings)) over the children of every
-# enumerated site of the trefoil, the Hopf link and d_pq(2,3), in order
-CHILDREN_PIN = "e96b38fb05146485514d783640cefcceb88c8bc70960d474686a0f85915d8e66"
+# enumerated site of the trefoil, the Hopf link and d_pq(2,3), in order, in
+# each mode; on the sphere the order of the walk kernel's start set shows
+CHILDREN_PINS = {
+    PLANE: "e96b38fb05146485514d783640cefcceb88c8bc70960d474686a0f85915d8e66",
+    SPHERE: "077ce3adaefba4ec192e8c4276fdfce060acbf0a22d874e534d6adbd80a25913",
+}
 
 
 def test_children_digests_and_numberings_are_pinned():
-    h = sha256()
-    for d in (torus_knot_diagram(2, 3), hopf(), d_pq(2, 3)):
-        for site in enumerate_moves(d):
-            child = apply_move(d, site)
-            h.update(repr((state_digest(canonical_code(child)), child.numberings)).encode())
-    assert h.hexdigest() == CHILDREN_PIN
+    got = {}
+    for mode in CHILDREN_PINS:
+        h = sha256()
+        for d in (torus_knot_diagram(2, 3), hopf(), d_pq(2, 3)):
+            d = d.with_mode(mode)
+            for site in enumerate_moves(d):
+                child = apply_move(d, site)
+                h.update(repr((state_digest(canonical_code(child)), child.numberings)).encode())
+        got[mode] = h.hexdigest()
+    assert got == CHILDREN_PINS
 
 
 @st.composite

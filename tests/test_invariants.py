@@ -150,6 +150,9 @@ def test_split_predicate_partitioned():
     assert is_split_diagram(s, (("U",), ("M1", "M2")))
     assert is_split_diagram(s, ("M1", "M2"))
     assert not is_split_diagram(s, ("M1",))
+    # a bare string is one component name, not a set of one-letter names
+    assert not is_split_diagram(s, "M1")
+    assert is_split_diagram(s, "U")
     for side in [("U",), ("M1",), ("M2",), ("M1", "M2")]:
         assert not is_split_diagram(d_pq(2, 3), side)
 

@@ -438,6 +438,24 @@ def poke(region, a, b, over):
     return lambda d: surgery.rii_add(d, region, a, b, over)
 
 
+def trefoil0():
+    return trefoil([0, 0, 0])
+
+
+def trefoil_sphere():
+    return trefoil0().with_mode(SPHERE)
+
+
+def apply_site(kind, *spot):
+    return lambda d: apply_move(d, MoveSite(kind, spot))
+
+
+def captured_int(d):
+    "An RII+ that enumeration lists, with `captured` an int, not a collection."
+    region, a, b, over, _cap, eng = next(s.spot for s in enumerate_moves(d) if s.kind == "RII+")
+    return apply_move(d, MoveSite("RII+", (region, a, b, over, 5, eng)))
+
+
 # one input refusal per row: the start, what is done to it, and the
 # MoveError it must raise (a TypeError or ValueError fails the row)
 REFUSALS = [
@@ -460,7 +478,14 @@ REFUSALS = [
         "bound no common region",
     ),
     ("empty-line", kink, script("  "), "empty move line"),
-    ("apply-unknown-kind", kink, lambda d: apply_move(d, MoveSite("FLIP", ())), "unknown move"),
+    ("apply-unknown-kind", kink, apply_site("FLIP"), "unknown move"),
+    ("apply-ri-add-empty", trefoil0, apply_site("RI+"), r"RI\+ spot \(\) has 0 entries, not 3 or"),
+    ("apply-ri-remove-empty", trefoil0, apply_site("RI-"), r"RI- spot \(\) has 0 entries, not 1"),
+    ("apply-rii-add-short", trefoil0, apply_site("RII+", ROOT), r"has 1 entries, not 6"),
+    ("apply-riii-empty", trefoil0, apply_site("RIII"), r"RIII spot \(\) has 0 entries"),
+    ("apply-bare-kind", trefoil0, lambda d: apply_move(d, ("RI+",)), r"\(kind, spot\) pair"),
+    ("apply-root-empty", trefoil_sphere, apply_site("ROOT"), r"ROOT spot \(\) has 0"),
+    ("rii-add-captured-int", lambda: split_d_pq(2, 3), captured_int, "collections of children"),
     ("format-unknown-kind", kink, lambda d: format_move(MoveSite("FLIP", ())), "unknown move"),
     ("ri-add-dart-range", kink, curl("d", 4), "no dart 4"),
     ("ri-add-dart-negative", lambda: unknot_diagram(1), curl("d", -1), "no dart -1"),

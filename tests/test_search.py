@@ -112,6 +112,7 @@ def test_goal_describe():
     assert Goal.zero_crossing().describe() == "unknot"
     assert Goal.split_any().describe() == "split"
     assert Goal.split_partition(("U",)).describe() == "split-partition=U"
+    assert Goal.split_partition("M1").describe() == "split-partition=M1"
     assert (
         Goal.split_partition((("U",), ("M2", "M1"))).describe()
         == "split-partition=U|M1,M2"
