@@ -131,20 +131,28 @@ def _shadow_pieces(d):
     return pieces
 
 
+_SIDE_TYPES = (set, frozenset, tuple, list)
+
+
 def partition_sides(partition):
-    """The sides a split partition names: (side_a, side_b) for a tuple or
-    list of exactly two collections of component names, else (side,),
-    one side whose complement is the other; a string is one component
-    name, the one member of its side.  `is_split_diagram` and
-    `search.Goal.describe` read a partition through this."""
+    """The sides a split partition names.
+
+    A string is one component name, the one member of its side.  A tuple
+    or list of two members, at least one of them a collection of
+    component names, is two sides (side_a, side_b); its other member may
+    be a bare name, a side of one.  Anything else, a pair of two names
+    among them, is one side (side,), whose complement is the other.
+    `is_split_diagram` and `search.Goal.describe` read a partition
+    through this.
+    """
     if isinstance(partition, str):
         return ((partition,),)
     if (
         isinstance(partition, (tuple, list))
         and len(partition) == 2
-        and all(isinstance(s, (set, frozenset, tuple, list)) for s in partition)
+        and any(isinstance(s, _SIDE_TYPES) for s in partition)
     ):
-        return tuple(partition)
+        return tuple(s if isinstance(s, _SIDE_TYPES) else (s,) for s in partition)
     return (partition,)
 
 

@@ -83,6 +83,8 @@ CROSSING_DELTA = {"RI+": 1, "RI-": -1, "RII+": 2, "RII-": -2, "RIII": 0, "ROOT":
 
 # the lengths a spot may have, per move kind (see `MoveSite`)
 _SPOT_SIZES = {"RI+": (3, 4), "RI-": (1,), "RII+": (6,), "RII-": (1,), "RIII": (1,), "ROOT": (1,)}
+# an RI+ spot's element kind and the spot length it takes
+_CURL_SHAPES = (("d", 3), ("wrap", 3), ("loop", 4))
 
 
 class MoveSite(NamedTuple):
@@ -216,8 +218,8 @@ def rooting_free(site) -> bool:
     return kind in ("RI-", "RII-", "RIII") or (kind == "RI+" and spot[0] == "d")
 
 
-def apply_move(d: Diagram, site) -> Diagram:
-    "Apply one site; raises MoveError when the site is stale, illegal or malformed."
+def _site_parts(site):
+    "(kind, spot) of `site`; MoveError unless its kind, spot length and curl element fit."
     try:
         kind, spot = site
         sizes, size = _SPOT_SIZES.get(kind), len(spot)
@@ -228,6 +230,15 @@ def apply_move(d: Diagram, site) -> Diagram:
     if size not in sizes:
         allowed = " or ".join(map(str, sizes))
         raise MoveError("%s spot %r has %d entries, not %s" % (kind, spot, size, allowed))
+    if kind == "RI+" and (spot[0], size) not in _CURL_SHAPES:
+        shapes = "(d or wrap, dart, over) or (loop, index, side, over)"
+        raise MoveError("RI+ spot %r is not %s" % (spot, shapes))
+    return kind, spot
+
+
+def apply_move(d: Diagram, site) -> Diagram:
+    "Apply one site; raises MoveError when the site is stale, illegal or malformed."
+    kind, spot = _site_parts(site)
     if kind == "RI+":
         return surgery.ri_add(d, spot[:-1], spot[-1])
     if kind == "RI-":
@@ -359,7 +370,15 @@ def _fmt_children(refs):
 
 
 def format_move(site) -> str:
-    kind, spot = site
+    "The script line of one site; raises MoveError when the site is malformed."
+    kind, spot = _site_parts(site)
+    try:
+        return _format_spot(kind, spot)
+    except (TypeError, ValueError, IndexError) as e:
+        raise MoveError("malformed %s spot %r" % (kind, spot)) from e
+
+
+def _format_spot(kind, spot):
     if kind == "RI+":
         if spot[0] == "d":
             return "RI+ dart=%d side=R over=%d" % (spot[1], spot[2])
@@ -389,10 +408,9 @@ def format_move(site) -> str:
         return "RII+ " + " ".join(toks)
     if kind in ("RII-", "RIII"):
         return "%s face=%d" % (kind, spot[0])
-    if kind == "ROOT":
-        (r,) = spot
-        return "ROOT region=%s" % ("root" if r == ROOT else "%s%d" % r)
-    raise MoveError("unknown move kind %r" % (kind,))
+    # ROOT
+    (r,) = spot
+    return "ROOT region=%s" % ("root" if r == ROOT else "%s%d" % r)
 
 
 def _digits(s):

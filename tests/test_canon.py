@@ -1,5 +1,5 @@
 import random
-from hashlib import sha256
+from hashlib import blake2b, sha256
 
 import pytest
 from hypothesis import given, settings
@@ -85,6 +85,20 @@ def test_digest_shape():
     assert isinstance(fp, bytes) and len(fp) == 16
     assert fp == state_digest(canonical_code(d.relabeled([2, 0, 1], [1, 2, 3])))
     assert fp != state_digest(canonical_code(tre(over=(0, 0, 1))))
+
+
+def test_digest_is_hashlib_blake2b_of_the_code_repr():
+    # `canon` takes blake2b from `_blake2` so as not to load OpenSSL; the
+    # digests must be the bytes `hashlib.blake2b` gives
+    starts = (torus_knot_diagram(2, 3), split_d_pq(2, 3))
+    n = 0
+    for d in starts + tuple(s.with_mode(SPHERE) for s in starts):
+        for child in [d] + [apply_move(d, site) for site in enumerate_moves(d)[:6]]:
+            code = canonical_code(child)
+            want = blake2b(repr(code).encode(), digest_size=16).digest()
+            assert state_digest(code) == want
+            n += len(code[2]) > 1
+    assert n > 0  # multi-piece codes among them
 
 
 def test_label_table_limit():

@@ -11,6 +11,9 @@ the tests, `bench/` or `scripts/`.  Dunder names are exempt.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -137,3 +140,24 @@ def test_the_scan_finds_an_unread_definition(tmp_path):
 def test_every_defined_name_is_read():
     readers = [p for d in ("src", "tests", "bench", "scripts") for p in (ROOT / d).rglob("*.py")]
     assert len(PACKAGE) > 10 and unread_definitions(PACKAGE, readers) == []
+
+
+def test_the_package_does_not_load_openssl():
+    """`import hashlib` loads `_hashlib`, which maps OpenSSL's libcrypto
+    (several MB of resident memory); `canon` takes blake2b from the builtin
+    `_blake2` instead, and no module may bring `hashlib` back."""
+    names = ["hardsplit"] + ["hardsplit." + p.stem for p in PACKAGE if p.stem != "__init__"]
+    code = "import sys\n%s\nprint(' '.join(sorted(sys.modules)))" % "\n".join(
+        "import " + n for n in names
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = set(out.stdout.split())
+    assert set(names) <= loaded
+    assert not loaded & {"hashlib", "_hashlib"}

@@ -153,6 +153,11 @@ def test_split_predicate_partitioned():
     # a bare string is one component name, not a set of one-letter names
     assert not is_split_diagram(s, "M1")
     assert is_split_diagram(s, "U")
+    # a pair with a collection in it is two sides, a bare name a side of one;
+    # a pair of two names stays one side (above)
+    assert is_split_diagram(s, ("U", ("M1", "M2")))
+    assert is_split_diagram(s, [["M2", "M1"], "U"])
+    assert not is_split_diagram(s, ("M1", ("U", "M2")))
     for side in [("U",), ("M1",), ("M2",), ("M1", "M2")]:
         assert not is_split_diagram(d_pq(2, 3), side)
 
@@ -169,6 +174,8 @@ def test_split_partition_errors():
         is_split_diagram(s, (("U", "M1"), ("M1", "M2")))  # overlap
     with pytest.raises(DiagramError):
         is_split_diagram(s, (("U",), ("M1",)))  # misses M2
+    with pytest.raises(DiagramError, match="misses"):
+        is_split_diagram(s, ("U", ("M1",)))
 
 
 def test_splitness_is_not_move_invariant():

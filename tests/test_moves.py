@@ -450,6 +450,10 @@ def apply_site(kind, *spot):
     return lambda d: apply_move(d, MoveSite(kind, spot))
 
 
+def format_site(kind, *spot):
+    return lambda d: format_move(MoveSite(kind, spot))
+
+
 def captured_int(d):
     "An RII+ that enumeration lists, with `captured` an int, not a collection."
     region, a, b, over, _cap, eng = next(s.spot for s in enumerate_moves(d) if s.kind == "RII+")
@@ -486,7 +490,21 @@ REFUSALS = [
     ("apply-bare-kind", trefoil0, lambda d: apply_move(d, ("RI+",)), r"\(kind, spot\) pair"),
     ("apply-root-empty", trefoil_sphere, apply_site("ROOT"), r"ROOT spot \(\) has 0"),
     ("rii-add-captured-int", lambda: split_d_pq(2, 3), captured_int, "collections of children"),
+    ("apply-ri-add-long", kink, apply_site("RI+", "d", 0, 1, 2), r"is not \(d or wrap, dart"),
+    ("apply-ri-add-elem-kind", kink, apply_site("RI+", "x", 0, 1), r"RI\+ spot \('x', 0, 1\)"),
     ("format-unknown-kind", kink, lambda d: format_move(MoveSite("FLIP", ())), "unknown move"),
+    ("format-ri-add-empty", kink, format_site("RI+"), r"RI\+ spot \(\) has 0 entries"),
+    ("format-ri-remove-empty", kink, format_site("RI-"), r"RI- spot \(\) has 0 entries"),
+    ("format-rii-add-empty", kink, format_site("RII+"), r"RII\+ spot \(\) has 0 entries"),
+    ("format-root-empty", kink, format_site("ROOT"), r"ROOT spot \(\) has 0 entries"),
+    ("format-bare-kind", kink, lambda d: format_move(("RI+",)), r"\(kind, spot\) pair"),
+    ("format-rii-remove-letter", kink, format_site("RII-", "a"), r"malformed RII- spot"),
+    ("format-ri-remove-letter", kink, format_site("RI-", "a"), r"malformed RI- spot"),
+    ("format-rii-add-elem-int", kink, format_site("RII+", ROOT, 1, 2, "A", (), ()), "malformed"),
+    ("format-ri-add-elem-kind", kink, format_site("RI+", "x", 0, 1), r"is not \(d or wrap"),
+    # one entry too many would print the line of a different, valid site
+    ("format-ri-add-long", kink, format_site("RI+", "d", 0, 1, 2), r"is not \(d or wrap"),
+    ("format-ri-add-loop-short", kink, format_site("RI+", "loop", 0, 1), r"is not \(d or wrap"),
     ("ri-add-dart-range", kink, curl("d", 4), "no dart 4"),
     ("ri-add-dart-negative", lambda: unknot_diagram(1), curl("d", -1), "no dart -1"),
     ("ri-add-dart-str", lambda: unknot_diagram(1), curl("d", "0"), "no dart '0'"),

@@ -101,6 +101,7 @@ def test_goal_kinds():
     assert not Goal.split_any().met(d_pq(2, 3))
     assert Goal.split_partition((("U",), ("M1", "M2"))).met(split_d_pq(2, 3))
     assert not Goal.split_partition(("M1",)).met(split_d_pq(2, 3))
+    assert Goal.split_partition(("U", ("M1", "M2"))).met(split_d_pq(2, 3))
     t = Goal.target(hopf())
     assert t.met(hopf())
     assert not t.met(torus_knot_diagram(2, 3))
@@ -113,6 +114,8 @@ def test_goal_describe():
     assert Goal.split_any().describe() == "split"
     assert Goal.split_partition(("U",)).describe() == "split-partition=U"
     assert Goal.split_partition("M1").describe() == "split-partition=M1"
+    assert Goal.split_partition(("M1", "M2")).describe() == "split-partition=M1,M2"
+    assert Goal.split_partition(("U", ("M2", "M1"))).describe() == "split-partition=U|M1,M2"
     assert (
         Goal.split_partition((("U",), ("M2", "M1"))).describe()
         == "split-partition=U|M1,M2"
