@@ -28,6 +28,16 @@ one full derivation for every other theta, and `curled` the one patch.
 A face's darts are read from the record (`face_darts`), never walked
 again.
 
+Records and diagrams share what does not vary between them.  A record
+with one island takes `island_of` and `islands` from one pair per dart
+count (`_lone`), and one with one strand takes the same zeros tuple as
+`comp_of`; a diagram whose one island sits in the root region, with no
+loops, takes one `region_children` (`_ROOT_ISLAND`).  Every state of a
+one-island search holds them, so a waiting state costs only what is
+its own.  Nothing may mutate a record's or a diagram's fields: a
+builder that changes one copies it first, as `curled` and `rerooted`
+do.
+
 This module is the bottom of the package and imports none of it;
 canonical codes, which compare diagrams up to isotopy, come from
 `canon.canonical_code`.
@@ -79,7 +89,10 @@ class Structure(NamedTuple):
     reads faces and islands from it, and hands it to `Diagram` as the
     theta argument.  Both builders check theta: `structure` at every
     dart, `curled` at the darts whose partner changed and their old
-    partners, the parent's record being checked already.
+    partners, the parent's record being checked already.  A record with
+    one island shares `island_of` and `islands` with every other of its
+    dart count, and one with one strand shares `comp_of` too (`_lone`),
+    so no field may be mutated.
     """
 
     theta: tuple
@@ -152,10 +165,12 @@ def structure(theta) -> Structure:
                 break
         comps.append(tuple(orb))
 
-    # islands: connected sets of crossings
-    ikey = [-1] * (nd >> 2)
+    # islands: connected sets of crossings; one that holds them all takes
+    # the shared pair
+    ncross = nd >> 2
+    ikey = [-1] * ncross
     islands = {}
-    for c0 in range(nd >> 2):
+    for c0 in range(ncross):
         if ikey[c0] >= 0:
             continue
         key = 4 * c0
@@ -166,21 +181,41 @@ def structure(theta) -> Structure:
                 if ikey[t >> 2] < 0:
                     ikey[t >> 2] = key
                     members.append(t >> 2)
+        if len(members) == ncross:
+            island_of, islands = _lone(nd)
+            break
         members.sort()
         # from a list, not a generator: tuple() of a generator resizes a
         # small tuple and never reuses the freed tuples of the final size,
         # which pile up in the interpreter's free list (+0.3 MB peak RSS)
         islands[key] = tuple([d for c in members for d in range(4 * c, 4 * c + 4)])
+    else:
+        island_of = tuple([ikey[d >> 2] for d in range(nd)])
 
     return Structure(
         theta,
         tuple(faces),
         tuple(fkey),
         tuple(comps),
-        tuple(cidx),
+        _lone(nd)[0] if len(comps) == 1 else tuple(cidx),
         islands,
-        tuple([ikey[d >> 2] for d in range(nd)]),
+        island_of,
     )
+
+
+# the shared (island_of, islands) pair of each dart count, made on first use
+_LONE = {}
+
+
+def _lone(nd):
+    """The `(island_of, islands)` pair that every record with `nd` darts
+    and one island holds: the island's key is dart 0, so `island_of` is
+    `(0,) * nd`, which a record with one strand also takes as `comp_of`.
+    Made once per dart count and shared, so nothing may mutate it."""
+    pair = _LONE.get(nd)
+    if pair is None:
+        pair = _LONE[nd] = ((0,) * nd, {0: tuple(range(nd))})
+    return pair
 
 
 def _face_index(faces, f):
@@ -241,17 +276,22 @@ def curled(s, x) -> Structure:
     orb = comps[c]
     comps[c] = _spliced(orb, x, (n0, n1)) if x in orb else _spliced(orb, tx, (n3, n2))
 
-    k = s.island_of[x]
-    islands = dict(s.islands)
-    islands[k] += (n0, n1, n2, n3)
+    # one island (key 0) and one strand take the shared maps
+    if len(s.islands) == 1:
+        island_of, islands = _lone(n0 + 4)
+    else:
+        k = s.island_of[x]
+        islands = dict(s.islands)
+        islands[k] += (n0, n1, n2, n3)
+        island_of = s.island_of + (k, k, k, k)
     return Structure(
         new,
         tuple(faces),
         face_of + (n0, fx, ft, fx),
         tuple(comps),
-        s.comp_of + (c, c, c, c),
+        _lone(n0 + 4)[0] if len(comps) == 1 else s.comp_of + (c, c, c, c),
         islands,
-        s.island_of + (k, k, k, k),
+        island_of,
     )
 
 
@@ -275,10 +315,16 @@ def carried_labels(d, skel, dmap):
 
 
 def _in_range(x, n):
-    """Whether `x`, a dart, face or loop key from a caller, is an int in
-    range(n); `surgery` checks the keys it is given with it too, and
-    `resolution.verify_isotopy` the edge indices of a given path."""
-    return isinstance(x, int) and 0 <= x < n
+    """Whether `x`, a dart, face or loop key from a caller, is an int (not
+    a bool) in range(n); `surgery` checks the keys it is given with it
+    too, and `resolution.verify_isotopy` the edge indices of a given
+    path."""
+    return type(x) is int and 0 <= x < n
+
+
+#: the `region_children` of every diagram whose one island sits in the
+#: root region and which has no loops; shared, so nothing may mutate it
+_ROOT_ISLAND = {ROOT: [("I", 0)]}
 
 
 def _face_darts(s, fkey):
@@ -312,7 +358,9 @@ class Diagram:
     Attributes
     ----------
     The structure is built once, by the constructor; the fields of the
-    `Structure` record (theta to island_of) are taken from it unchanged:
+    `Structure` record (theta to island_of) are taken from it unchanged.
+    Some are shared with other diagrams (below), and none may be
+    mutated:
 
     faces : face orbits of phi = rot . theta, each starting at its smallest
         dart, in order of that dart
@@ -321,16 +369,20 @@ class Diagram:
         edge).  The forward direction is the orbit containing the
         component's smallest dart, which makes derived orientations
         deterministic.
-    comp_of : per dart, its component index
+    comp_of : per dart, its component index; with one strand, the zeros
+        tuple every such diagram of its dart count shares
     islands : map island key (the smallest dart of a connected shadow
-        piece) -> sorted tuple of its darts, in order of key
-    island_of : per dart, its island key
+        piece) -> sorted tuple of its darts, in order of key; with one
+        island, shared like `island_of`
+    island_of : per dart, its island key; with one island, the zeros
+        tuple every such diagram of its dart count shares (`_lone`)
     region_keys : ROOT, then ("f", face_key) for each face that is not an
         up face, then ("l", loop_index) for each loop's far side; computed
         on each access, not stored
     region_children : map region key -> list of ("I", island_key) and
         ("L", loop_index) hosted there; a region that hosts nothing has no
-        entry
+        entry.  One island in the root region and no loops share one map,
+        `_ROOT_ISLAND`
     numberings : None until `canon.canonical_code` codes a diagram with
         one island and no loops; then one tuple per walk numbering that
         achieves the code (in the plane, per achiever with the smallest
@@ -391,11 +443,15 @@ class Diagram:
                     raise DiagramError("host entry for unknown island %r" % (key,))
         put(self, "hosts", norm_hosts)
 
-        children = {}
-        for key in s.islands:
-            children.setdefault(norm_hosts[key][0], []).append(("I", key))
-        for i, lp in enumerate(loops):
-            children.setdefault(lp.host, []).append(("L", i))
+        if not loops and len(norm_hosts) == 1 and norm_hosts[0][0] == ROOT:
+            # one island (key 0) in the root region: the shared tree
+            children = _ROOT_ISLAND
+        else:
+            children = {}
+            for key in s.islands:
+                children.setdefault(norm_hosts[key][0], []).append(("I", key))
+            for i, lp in enumerate(loops):
+                children.setdefault(lp.host, []).append(("L", i))
         put(self, "region_children", children)
         put(self, "numberings", None)
 

@@ -219,7 +219,8 @@ def rooting_free(site) -> bool:
 
 
 def _site_parts(site):
-    "(kind, spot) of `site`; MoveError unless its kind, spot length and curl element fit."
+    """(kind, spot) of `site`; MoveError unless its kind, spot length, curl
+    element and numbers fit."""
     try:
         kind, spot = site
         sizes, size = _SPOT_SIZES.get(kind), len(spot)
@@ -233,7 +234,27 @@ def _site_parts(site):
     if kind == "RI+" and (spot[0], size) not in _CURL_SHAPES:
         shapes = "(d or wrap, dart, over) or (loop, index, side, over)"
         raise MoveError("RI+ spot %r is not %s" % (spot, shapes))
+    # a float or bool would format as the number of another site
+    for x in _numbered(kind, spot):
+        if type(x) is not int:
+            raise MoveError(
+                "malformed %s spot %r: a dart, face or index is not an int" % (kind, spot)
+            )
     return kind, spot
+
+
+def _numbered(kind, spot):
+    """The dart, face and index fields of a spot of the right length: the
+    curl's dart or loop, the one field of RI-, RII- and RIII, the element
+    numbers of RII+ and the face or loop of a ROOT region."""
+    if kind == "RI+":
+        return spot[1:2]
+    if kind == "RII+":
+        return [e[1] for e in spot[1:3] if type(e) is tuple and len(e) == 2]
+    if kind == "ROOT":
+        (r,) = spot
+        return r[1:] if type(r) is tuple and len(r) == 2 else ()
+    return spot
 
 
 def apply_move(d: Diagram, site) -> Diagram:

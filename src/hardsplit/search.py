@@ -12,14 +12,14 @@ and exhaustion is a proof of unreachability.  On that proof sit
 
 The crossing cap is applied where sites are enumerated
 (`enumerate_moves(d, cap)`): a move that would exceed it is never
-listed.  Each state waiting to be expanded also carries a set of sites
-that its expansion never builds, because their children are already in
-the dedup table and could only be thrown away.  The set starts with the
-site that undoes the move that first reached the state
+listed.  Each state waiting to be expanded also carries a tuple of
+sites that its expansion never builds, because their children are
+already in the dedup table and could only be thrown away.  The tuple
+starts with the site that undoes the move that first reached the state
 (`moves.inverse_site`), whose child is the BFS parent.  When a state
 with one island and no loops is met again, as a duplicate, before it is
 expanded, the site that undoes that move as well is carried into the
-waiting state's numbering and added to its set (`_carried` composes
+waiting state's numbering and added to its tuple (`_carried` composes
 the map; the argument is in `_expand_one`).  So each edge of the move
 graph between such states whose move has a tracked inverse is built
 from one end only.
@@ -44,10 +44,12 @@ of its symmetries.  `canon.canonical_code` records on it the walk
 orders that achieve its code, and its expansion composes the first with
 each other one into its automorphisms; a site that one of them maps
 onto a site already built from the state is skipped, since its child is
-that site's child renumbered.  Expansion adds those images to a copy of
-the state's skip set, so one set holds both kinds of site whose child
-is known.  On the sphere such a state skips every wrap curl too, which
-builds its plain dart curl's child.  `_carried` is the one composition
+that site's child renumbered.  Expansion copies the state's skip tuple
+into a set and adds those images to it, so one set holds both kinds of
+site whose child is known.  The waiting tuple stays small: on CPython
+3.11 one of one site takes 48 bytes, and even an empty set 216.  On
+the sphere such a state skips every wrap curl too, which builds its
+plain dart curl's child.  `_carried` is the one composition
 of walk orders, for both the automorphisms and the carry map of a
 duplicate, and only a state that is expanded or met again pays for it.
 This is the orderly-generation rule of McKay ("Isomorph-free exhaustive
@@ -191,17 +193,17 @@ def _expand_one(d, cap, skips):
     digest).
 
     The crossing cap is applied at enumeration, so no site over the cap
-    is built.  `skips` holds sites whose children are already in the
-    dedup table; they are never built, in any rooting.  On the sphere
-    a state with more than one island or a loop is enumerated in every
-    re-rooting, since some sites only exist when the right region is
-    outermost; a rooting-free site is built in the first rooting, the
+    is built.  `skips`, a tuple, holds sites whose children are already
+    in the dedup table; they are never built, in any rooting.  On the
+    sphere a state with more than one island or a loop is enumerated in
+    every re-rooting, since some sites only exist when the right region
+    is outermost; a rooting-free site is built in the first rooting, the
     state itself, and skipped in the later ones, whose copy of it would
     rebuild the same child.  A state with one island and no loops adds
-    the twins of each site it builds to a copy of `skips` (below), and
-    skips what that set holds.  Every other site enumerated is built.  A
-    generator, so a parent's children are built only as they are merged
-    and a cap that fires mid-parent stops the building.
+    the twins of each site it builds to a set copied from `skips`
+    (below), and skips what that set holds.  Every other site enumerated
+    is built.  A generator, so a parent's children are built only as
+    they are merged and a cap that fires mid-parent stops the building.
 
     A sphere state with one island and no loops - the condition under
     which `canon.canonical_code` codes it without its hosts - is
@@ -396,9 +398,10 @@ def _run(d0, goal, budget, limits, floor):
     parent = {start: None}
     maxcr = mincr = d0.ncross
     found = start if goal is not None and goal.met(d0, start) else None
-    # the states not yet expanded, by digest: (diagram, sites to skip), in
-    # discovery order; once a level is expanded it holds the next level
-    waiting = {start: (d0, set())}
+    # the states not yet expanded, by digest: (diagram, tuple of sites to
+    # skip), in discovery order; once a level is expanded it holds the
+    # next level
+    waiting = {start: (d0, ())}
     truncated = False
     while waiting and found is None and not truncated:
         for pdigest in list(waiting):
@@ -412,9 +415,13 @@ def _run(d0, goal, budget, limits, floor):
                     if entry is not None and child.numberings is not None:
                         inv = inverse_site(rep, site, child)
                         if inv is not None:
-                            w = entry[0]
+                            w, wskips = entry
                             sigma = _carried(child.numberings[0], w.numberings[0])
-                            entry[1].add(_image(inv, sigma, w))
+                            img = _image(inv, sigma, w)
+                            # two moves into w can carry one site; a
+                            # reassigned key keeps its place in `waiting`
+                            if img not in wskips:
+                                waiting[digest] = (w, wskips + (img,))
                     continue
                 if len(parent) >= lim.max_states:
                     truncated = True
@@ -427,7 +434,7 @@ def _run(d0, goal, budget, limits, floor):
                     found = digest
                     break
                 inv = inverse_site(rep, site, child)
-                waiting[digest] = (child, set() if inv is None else {inv})
+                waiting[digest] = (child, () if inv is None else (inv,))
             if found is not None or truncated:
                 break
 

@@ -1,3 +1,4 @@
+import copy
 import random
 import sys
 
@@ -25,6 +26,7 @@ from hardsplit.maps import (
     rot,
 )
 from hardsplit.moves import MoveSite, apply_move, enumerate_moves
+from hardsplit.search import closure_digests
 from hardsplit.surgery import ri_add, ri_remove, rii_add, site_face
 
 KINK = [3, 2, 1, 0]
@@ -584,3 +586,60 @@ def test_malformed_theta_rejected_through_constructor(structure_calls):
     assert len(structure_calls) == 4
     d = Diagram(PLANE, KINK, [0])
     assert len(structure_calls) == 5 and d.faces == ((0,), (1, 3), (2,))
+
+
+HOPF = [5, 4, 7, 6, 1, 0, 3, 2]
+
+
+def test_one_island_records_share_their_constant_maps():
+    # the trefoil from one `structure` pass, a twice-curled kink from two
+    # `curled` patches: one island and one strand each, on 12 darts
+    a = Diagram(PLANE, TREFOIL, [0, 0, 0])
+    b = ri_add(ri_add(Diagram(PLANE, KINK, [0]), ("d", 0), 0), ("d", 1), 1)
+    assert a.ndart == b.ndart == 12 and a.theta != b.theta
+    shared = ("island_of", "islands", "comp_of", "region_children")
+    for name in shared:
+        assert getattr(a, name) is getattr(b, name), name
+    assert a.island_of is a.comp_of == (0,) * 12
+    assert a.islands == {0: tuple(range(12))}
+    assert a.region_children == {ROOT: [("I", 0)]}
+    # a mode change and a re-rooting keep theta, and the island stays the
+    # root region's one child
+    s = a.with_mode(SPHERE)
+    for e in (s, s.rerooted(s.region_keys[-1])):
+        for name in shared:
+            assert getattr(e, name) is getattr(a, name), name
+    # one more curl: the shared maps of the next dart count
+    c, d = ri_add(a, ("d", 5), 0), ri_add(b, ("d", 2), 1)
+    for name in shared:
+        assert getattr(c, name) is getattr(d, name), name
+    assert c.island_of is not a.island_of and c.island_of == (0,) * 16
+
+
+def test_several_strands_islands_or_loops_keep_their_own_maps():
+    hopf = Diagram(PLANE, HOPF, [1, 1])
+    split = split_d_pq(2, 3)
+    for d in (hopf, split, ri_add(hopf, ("d", 0), 0)):
+        # one island, two strands
+        assert len(d.islands) == 1 and len(d.components) == 2
+        assert d.island_of is maps._lone(d.ndart)[0]
+        assert d.comp_of is not d.island_of and d.comp_of != d.island_of
+    # split_d_pq's U is a loop
+    assert split.loops and split.region_children is not maps._ROOT_ISLAND
+    two = Diagram(PLANE, KINK + [7, 6, 5, 4], [0, 0])
+    assert len(two.islands) == 2 and two.island_of == (0,) * 4 + (4,) * 4
+    assert two.comp_of == (0,) * 4 + (1,) * 4
+    assert two.region_children == {ROOT: [("I", 0), ("I", 4)]}
+    curled_two = ri_add(two, ("d", 5), 0)
+    assert curled_two.islands == {0: (0, 1, 2, 3), 4: (4, 5, 6, 7, 8, 9, 10, 11)}
+    assert curled_two.island_of == (0,) * 4 + (4,) * 8
+
+
+def test_shared_maps_are_unchanged_by_closures():
+    shared = [maps._lone(nd) for nd in range(0, 28, 4)] + [maps._ROOT_ISLAND]
+    before = copy.deepcopy(shared)
+    circles = Diagram(PLANE, [], [], labels=[], loops=[Loop(None, ROOT)] * 3)
+    for d0 in (Diagram(PLANE, TREFOIL, [0, 0, 0]), Diagram(PLANE, HOPF, [1, 1]), circles):
+        for d in (d0, d0.with_mode(SPHERE)):
+            assert closure_digests(d, 1)[1]
+    assert shared == before

@@ -460,6 +460,8 @@ def captured_int(d):
     return apply_move(d, MoveSite("RII+", (region, a, b, over, 5, eng)))
 
 
+NOT_INT = "a dart, face or index is not an int"
+
 # one input refusal per row: the start, what is done to it, and the
 # MoveError it must raise (a TypeError or ValueError fails the row)
 REFUSALS = [
@@ -505,10 +507,36 @@ REFUSALS = [
     # one entry too many would print the line of a different, valid site
     ("format-ri-add-long", kink, format_site("RI+", "d", 0, 1, 2), r"is not \(d or wrap"),
     ("format-ri-add-loop-short", kink, format_site("RI+", "loop", 0, 1), r"is not \(d or wrap"),
+    # a float or bool number would format as another, valid site's line
+    ("format-ri-add-dart-float", kink, format_site("RI+", "d", 2.0, 0), NOT_INT),
+    ("apply-ri-add-dart-float", kink, apply_site("RI+", "d", 2.0, 0), NOT_INT),
+    ("format-ri-add-dart-bool", kink, format_site("RI+", "d", True, 0), NOT_INT),
+    ("apply-ri-add-dart-bool", kink, apply_site("RI+", "d", True, 0), NOT_INT),
+    ("format-ri-add-loop-bool", free_loop, format_site("RI+", "loop", False, "out", 0), NOT_INT),
+    ("format-rii-remove-float", kink, format_site("RII-", 1.5), NOT_INT),
+    ("apply-rii-remove-float", kink, apply_site("RII-", 1.5), NOT_INT),
+    ("format-rii-remove-bool", kink, format_site("RII-", True), NOT_INT),
+    ("apply-rii-remove-bool", kink, apply_site("RII-", True), NOT_INT),
+    ("format-riii-bool", trefoil0, format_site("RIII", True), NOT_INT),
+    ("apply-riii-bool", trefoil0, apply_site("RIII", True), NOT_INT),
+    (
+        "format-rii-add-dart-float",
+        kink,
+        format_site("RII+", ROOT, ("d", 1.0), ("d", 3), "A", (), ()),
+        NOT_INT,
+    ),
+    (
+        "apply-rii-add-dart-bool",
+        kink,
+        apply_site("RII+", ROOT, ("d", True), ("d", 3), "A", (), ()),
+        NOT_INT,
+    ),
+    ("format-root-face-float", kink_sphere, format_site("ROOT", ("f", 1.0)), NOT_INT),
     ("ri-add-dart-range", kink, curl("d", 4), "no dart 4"),
     ("ri-add-dart-negative", lambda: unknot_diagram(1), curl("d", -1), "no dart -1"),
     ("ri-add-dart-str", lambda: unknot_diagram(1), curl("d", "0"), "no dart '0'"),
     ("ri-add-dart-float", lambda: unknot_diagram(1), curl("d", 2.0), "no dart 2.0"),
+    ("ri-add-dart-bool", lambda: unknot_diagram(1), curl("d", True), "no dart True"),
     ("ri-add-loop-str", free_loop, curl("loop", "0", "out"), "no loop '0'"),
     ("ri-add-loop-side", free_loop, curl("loop", 0, "up"), "side must"),
     ("ri-add-over-str", kink, lambda d: surgery.ri_add(d, ("d", 0), "x"), "not 'x'"),

@@ -139,10 +139,21 @@ CURLED_OVERLAY = (
         (HOPF_OVERLAY + "\nRI+ dart=0 side=R", "line 2: missing or bad over="),
         (HOPF_OVERLAY + "\nROOT region=root", "line 2: re-rooting is a move only on the sphere"),
         (CURLED_OVERLAY, "must start with a simple curve"),
+        ("", "^empty trace: an OVERLAY line is required$"),
+        ("# a comment\nRI+ dart=0 side=R over=0", "^line 2: trace must open with an OVERLAY line$"),
+        # an event that does not apply names its own line, not the first
+        (
+            HOPF_OVERLAY + "\nRI+ dart=0 side=R over=0\nRIII face=0",
+            "^line 3: face 0 is not a three-crossing triangle$",
+        ),
+        (HOPF_OVERLAY + "\nRI- crossing=5", "^line 2: no crossing 5$"),
+        # a second OVERLAY line is read as a move line
+        (HOPF_OVERLAY + "\n" + HOPF_OVERLAY, "^line 2: bad token 'X'$"),
     ],
     ids=[
         "overlay-pd", "overlay-pd-record-2", "no-curve", "two-curves", "c-kind", "c-over",
-        "root-hop", "curled-start",
+        "root-hop", "curled-start", "empty", "no-overlay-line", "event-line-3",
+        "missing-crossing", "second-overlay",
     ],
 )
 def test_bad_input_is_a_trace_error(text, match):
@@ -569,6 +580,40 @@ def random_trace(seed):
             text += moves.format_move(pool[rng.randrange(len(pool))]) + "\n"
             trace = parse_trace(text)
     return trace
+
+
+def test_mutated_trace_lines_raise_only_trace_errors():
+    # one token of a seeded walk's line changed, the lines perhaps shuffled:
+    # every text either verifies or raises TraceError, never an engine or
+    # Python error
+    values = ["0", "1", "7", "-1", "99", "A", "B", "root", "f2", "L0", "x", "2.0"]
+    kinds = ["RI+", "RI-", "RII+", "RII-", "RIII", "ROOT", "X"]
+    outcomes = Counter()
+    for seed in range(1, 41):
+        trace = random_trace(seed)
+        head = BARE_LOOP_OVERLAY if seed % 4 == 0 else HOPF_OVERLAY
+        lines = [head] + [ev.text for ev in trace.events]
+        rng = random.Random(seed)
+        for _ in range(4):
+            out = list(lines)
+            i = rng.randrange(1, len(out))
+            toks = out[i].split()
+            j = rng.randrange(len(toks))
+            if "=" in toks[j]:
+                toks[j] = toks[j].split("=")[0] + "=" + rng.choice(values)
+            else:
+                toks[j] = rng.choice(kinds)
+            out[i] = " ".join(toks)
+            if rng.random() < 0.3:
+                out[1:] = rng.sample(out[1:], len(out) - 1)
+            try:
+                verify_isotopy(parse_trace("\n".join(out)))
+                outcomes["verified"] += 1
+            except TraceError:
+                outcomes["refused"] += 1
+    # both outcomes occur, so the mutations neither always break a line
+    # nor never do
+    assert outcomes["verified"] and outcomes["refused"]
 
 
 def test_seeded_traces_verify_at_their_peak():
