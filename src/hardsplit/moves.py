@@ -2,7 +2,7 @@
 
 `surgery` rewires darts and owns the geometry of a site: the shape of
 the face a removal or slide acts on, the emptiness of the swept disk,
-and what an RII+ poke may capture or engulf (`surgery.rii_scope`, which
+and what an RII+ poke may capture (`surgery.rii_scope`, which
 enumeration here and `surgery.rii_add`'s validation share).  This module
 owns the decoration policy - which sites count as moves (an RII- bigon
 must be over/under, an RIII triangle `triangle_coherent`) - enumerates
@@ -14,19 +14,25 @@ whose result has at most that many crossings; a move kind that cannot
 fit under the cap is never built.  Below the cap the list is the full
 one, in the same order, so a capped search loses nothing it could keep.
 
-Enumeration works on one rooted representative and is identical in
-plane and sphere mode.  Some sites depend on which region is outermost:
-a wrap curl around an island's outer face, a curl of a bare circle
-(whose "out" side is the side of its host region), and the sets an RII+
-poke can capture or engulf.  Plane search needs only the given root.
-Sphere equality quotients out the choice of outer region, so the sphere
-search also enumerates every re-rooting of a state that has more than
-one island or a loop (`search._expand_one`; a state with one island and
-no loops gains no child from another rooting).  The other sites - RI-,
-RII-, RIII and the plain dart curl - are `rooting_free`: every rooting
-lists them in the same order and each builds the same sphere diagram in
-every rooting, so the sphere search builds them in the state's own
-rooting only.
+No move sweeps content: a removal or slide needs its face empty, and
+an insertion leaves an empty petal or bigon, so each insertion is
+undone by a listed removal.
+
+Enumeration works on one rooted representative, and differs by mode in
+one kind only: the plane lists a wrap curl, which throws a curl around
+an island alone at the root, so that the petal becomes the outer face.
+On the sphere that curl is the plain dart curl's child, rooted in its
+petal, so the sphere does not list it.  Some sites depend on which
+region is outermost: a curl of a bare circle (whose "out" side is the
+side of its host region), and the set an RII+ poke can capture.  Plane
+search needs only the given root.  Sphere equality quotients out the
+choice of outer region, so the sphere search also enumerates every
+re-rooting of a state that has more than one island or a loop
+(`search._expand_one`; a state with one island and no loops gains no
+child from another rooting).  The other sites - RI-, RII-, RIII and the
+plain dart curl - are `rooting_free`: every rooting lists them in the
+same order and each builds the same sphere diagram in every rooting, so
+the sphere search builds them in the state's own rooting only.
 Scripts record a re-rooting as an explicit `ROOT` step - a sphere
 isotopy, not a Reidemeister move - so a sequence found on a re-rooted
 representative stays replayable line by line.
@@ -57,7 +63,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import surgery
-from .maps import ROOT, SPHERE, Diagram, DiagramError, MoveError, opp
+from .maps import PLANE, ROOT, SPHERE, Diagram, DiagramError, MoveError, opp
 from .pdio import text_lines
 
 __all__ = [
@@ -82,7 +88,7 @@ __all__ = [
 CROSSING_DELTA = {"RI+": 1, "RI-": -1, "RII+": 2, "RII-": -2, "RIII": 0, "ROOT": 0}
 
 # the lengths a spot may have, per move kind (see `MoveSite`)
-_SPOT_SIZES = {"RI+": (3, 4), "RI-": (1,), "RII+": (6,), "RII-": (1,), "RIII": (1,), "ROOT": (1,)}
+_SPOT_SIZES = {"RI+": (3, 4), "RI-": (1,), "RII+": (5,), "RII-": (1,), "RIII": (1,), "ROOT": (1,)}
 # an RI+ spot's element kind and the spot length it takes
 _CURL_SHAPES = (("d", 3), ("wrap", 3), ("loop", 4))
 
@@ -94,7 +100,7 @@ class MoveSite(NamedTuple):
         RI+   a `surgery.ri_add` element, then over: ("d", dart, over),
               ("wrap", dart, over) or ("loop", index, side, over)
         RI-   (petal_dart,)
-        RII+  (region, elem_a, elem_b, over, captured, engulfed)
+        RII+  (region, elem_a, elem_b, over, captured)
         RII-  (bigon_face,)
         RIII  (triangle_face,)
         ROOT  (region,)       sphere re-rooting, never enumerated
@@ -139,14 +145,17 @@ def enumerate_moves(d: Diagram, max_cross=None):
     over every re-rooting - but in plane mode that fails for some RII+
     insertions: a diagram that returns to `d` by RII- need not be
     rebuilt by any RII+ site of `d` (ROADMAP item 1).  Distinct sites
-    may still produce equal diagrams.  The search skips two classes of
+    may still produce equal diagrams.  The search skips one class of
     such twins on a diagram with one island and no loops: a site that
     an automorphism of the diagram maps onto another
-    (`search._expand_one`), and on the sphere a wrap curl, which builds
-    the plain dart curl's child.  Others are left and built: curls on
+    (`search._expand_one`).  Others are left and built: curls on
     either side of an existing kink of the same type, RI- of either of
     two such kinks, and RII+ pokes that no automorphism relates (some
     are one poke named from either strand's point of view).
+
+    A wrap curl is listed in the plane only, on an arc of the outer face
+    of an island alone at the root: anywhere else its petal would hold
+    the rest of the diagram.
     """
 
     def fits(kind):
@@ -154,12 +163,16 @@ def enumerate_moves(d: Diagram, max_cross=None):
 
     sites = []
     if fits("RI+"):
+        # the outer face of an island alone at the root, which a plane
+        # wrap curl may throw its lobe around; None when there is none
+        root = d.region_children.get(ROOT, ())
+        wrap_face = None
+        if d.mode == PLANE and len(root) == 1 and root[0][0] == "I":
+            wrap_face = d.hosts[root[0][1]][1]
         for x in d.darts():
             for ov in (0, 1):
                 sites.append(MoveSite("RI+", ("d", x, ov)))
-            if d.hosts[d.island_of[x]][1] == d.face_of[x]:
-                # arc on the island's outer face: the lobe can also wrap
-                # around the island, putting everything inside the petal
+            if d.face_of[x] == wrap_face:
                 for ov in (0, 1):
                     sites.append(MoveSite("RI+", ("wrap", x, ov)))
         for i in range(len(d.loops)):
@@ -188,17 +201,16 @@ def enumerate_moves(d: Diagram, max_cross=None):
 
 
 def _rii_add_sites(d):
-    "Every RII+ poke: two boundary elements of a region, plus what it moves."
+    "Every RII+ poke: two boundary elements of a region, plus what it captures."
     sites = []
     for region in d.region_keys:
         elems = d.region_boundary(region)
         for a in elems:
             for b in elems:
-                _split, cap_pool, eng_pool = surgery.rii_scope(d, region, a, b)
+                _split, cap_pool = surgery.rii_scope(d, region, a, b)
                 for ov in ("A", "B"):
                     for cap in _subsets(cap_pool):
-                        for eng in _subsets(eng_pool):
-                            sites.append(MoveSite("RII+", (region, a, b, ov, cap, eng)))
+                        sites.append(MoveSite("RII+", (region, a, b, ov, cap)))
     return sites
 
 
@@ -211,8 +223,9 @@ def rooting_free(site) -> bool:
     `surgery.swept_face_ok`, which judges the same disk of the sphere
     whichever region is outer.  So every rooting of a state enumerates
     the same rooting-free sites in the same order, and each builds the
-    same sphere diagram in every rooting.  Wrap and loop curls and RII+
-    pokes name sides, regions and contents that a re-rooting moves.
+    same sphere diagram in every rooting.  Loop curls and RII+ pokes
+    name sides, regions and contents that a re-rooting moves; the sphere
+    lists no wrap curl.
     """
     kind, spot = site
     return kind in ("RI-", "RII-", "RIII") or (kind == "RI+" and spot[0] == "d")
@@ -265,8 +278,8 @@ def apply_move(d: Diagram, site) -> Diagram:
     if kind == "RI-":
         return surgery.ri_remove(d, spot[0])
     if kind == "RII+":
-        region, a, b, ov, cap, eng = spot
-        return surgery.rii_add(d, region, a, b, ov, captured=cap, engulfed=eng)
+        region, a, b, ov, cap = spot
+        return surgery.rii_add(d, region, a, b, ov, captured=cap)
     if kind == "RII-":
         (f,) = spot
         if not _rii_decorations_ok(d, surgery.site_face(d, f, 2)[0]):
@@ -301,9 +314,6 @@ def inverse_face(d: Diagram, site, child: Diagram):
     * RIII: `surgery.riii` keeps every dart number, and the new triangle
       is made of the darts opp(x) for the darts x of the slid one (it
       checks this), so opp of the named dart lies on it.
-
-    The face is named whether or not it is empty: an RII+ that engulfs
-    fills its bigon.
     """
     kind, spot = site
     if kind == "RI+":
@@ -335,13 +345,14 @@ def inverse_site(d: Diagram, site, child: Diagram):
     """The site on `child` = apply_move(d, site) that rebuilds `d`, or None.
 
     It acts on `inverse_face`: RI- of the new petal, RII- of the new
-    bigon, RIII of the slid triangle.  The swept face must also be empty
-    for the site to be enumerated on `child`; when it is not, the answer
-    is None.  The inverse of RI- or RII- is an insertion, which would
-    have to be recovered from the compacted numbering; it is not tracked,
-    and the answer is None.  The sites returned name a face key of theta,
-    which every re-rooting keeps, so on the sphere the answer holds in
-    every rooting of `child` that enumerates it.
+    bigon, RIII of the slid triangle.  That face is empty, since no
+    insertion sweeps content and a slide needs an empty triangle, so the
+    site is enumerated on `child`.  The inverse of RI- or RII- is an
+    insertion, which would have to be recovered from the compacted
+    numbering; it is not tracked, and the answer is None.  The sites
+    returned name a face key of theta, which every re-rooting keeps, so
+    on the sphere the answer holds in every rooting of `child` that
+    enumerates it.
 
     The search calls it for each discovery, to skip the site that
     rebuilds the BFS parent, and also for each duplicate of a state
@@ -350,7 +361,7 @@ def inverse_site(d: Diagram, site, child: Diagram):
     and skipped there (`search._carried`).
     """
     f = inverse_face(d, site, child)
-    if f is None or not surgery.swept_face_ok(child, f):
+    if f is None:
         return None
     return MoveSite(_INVERSE_KIND[site.kind], (f,))
 
@@ -377,7 +388,7 @@ def top_of_sequence(seq: MoveSequence) -> int:
 #   RI+ dart=5 side=R over=1        RI+ loop=0 side=out over=0
 #   RI- crossing=2                  (petal=2 or 3 names a petal at that slot)
 #   RII+ dartA=1 dartB=3 over=A     (loopA=/loopB=; from=far,
-#                                    captured=I0,L1 engulfed=... as needed)
+#                                    captured=I0,L1 as needed)
 #   RII- face=5
 #   RIII face=0
 #   ROOT region=f5                  (also root / l0; sphere scripts only)
@@ -412,7 +423,7 @@ def _format_spot(kind, spot):
             return "RI- crossing=%d" % (p >> 2)
         return "RI- crossing=%d petal=%d" % (p >> 2, p & 3)
     if kind == "RII+":
-        region, a, b, ov, cap, eng = spot
+        region, a, b, ov, cap = spot
         toks = []
         for name, e in (("A", a), ("B", b)):
             if e[0] == "d":
@@ -424,8 +435,6 @@ def _format_spot(kind, spot):
             toks.append("from=far")
         if cap:
             toks.append("captured=%s" % _fmt_children(cap))
-        if eng:
-            toks.append("engulfed=%s" % _fmt_children(eng))
         return "RII+ " + " ".join(toks)
     if kind in ("RII-", "RIII"):
         return "%s face=%d" % (kind, spot[0])
@@ -542,8 +551,7 @@ def parse_move(d: Diagram, line: str) -> MoveSite:
         if ov not in ("A", "B"):
             raise MoveError("over must be A or B")
         cap = _parse_children(kv.pop("captured")) if "captured" in kv else ()
-        eng = _parse_children(kv.pop("engulfed")) if "engulfed" in kv else ()
-        site = MoveSite("RII+", (region, a, b, ov, cap, eng))
+        site = MoveSite("RII+", (region, a, b, ov, cap))
 
     elif kind in ("RII-", "RIII"):
         # `surgery.site_face` checks the face when the site is applied

@@ -261,8 +261,8 @@ def parse_trace(text) -> Trace:
     events, states, names = [], [], []
     fresh = count()
     for ln, line in pdio.text_lines(text):
+        head, _, rest = line.partition(" ")
         if overlay is None:
-            head, _, rest = line.partition(" ")
             if head != "OVERLAY":
                 raise TraceError("line %d: trace must open with an OVERLAY line" % ln)
             try:
@@ -274,6 +274,8 @@ def parse_trace(text) -> Trace:
             states.append(overlay)
             names.append(tuple(islice(fresh, overlay.diagram.ncross)))
             continue
+        if head == "OVERLAY":
+            raise TraceError("line %d: a trace has one OVERLAY line" % ln)
         d = states[-1].diagram
         try:
             site = moves.parse_move(d, line)

@@ -27,14 +27,14 @@ These are the "used operator" bits of frontier search (Korf, Zhang,
 Thayer and Hohwald, J. ACM 52(5), 2005).
 
 On the sphere a state with one island and no loops is enumerated in its
-own rooting only: there every wrap curl and RII+ poke of a later
-rooting builds the same state as a site of the own rooting (the
-argument is in `_expand_one`).  Any other sphere state is enumerated in
-every re-rooting, because wrap and loop curls and RII+ pokes depend on
-which region is outer.  Every other site is `moves.rooting_free`: all
-rootings list it, in the same order, and it builds the same sphere
-diagram in each, so it is built in the state's own rooting only
-(`region_keys[0]` is `ROOT`, which re-roots to the state itself).  In a
+own rooting only: there every RII+ poke of a later rooting builds the
+same state as a site of the own rooting (the argument is in
+`_expand_one`).  Any other sphere state is enumerated in every
+re-rooting, because loop curls and RII+ pokes depend on which region is
+outer.  Every other site is `moves.rooting_free`: all rootings list it,
+in the same order, and it builds the same sphere diagram in each, so it
+is built in the state's own rooting only (`region_keys[0]` is `ROOT`,
+which re-roots to the state itself).  In a
 later rooting its child is already in the dedup table, so skipping it
 changes no discovery.  A skipped site names a face key of theta as well,
 and is skipped in every rooting.
@@ -47,11 +47,10 @@ onto a site already built from the state is skipped, since its child is
 that site's child renumbered.  Expansion copies the state's skip tuple
 into a set and adds those images to it, so one set holds both kinds of
 site whose child is known.  The waiting tuple stays small: on CPython
-3.11 one of one site takes 48 bytes, and even an empty set 216.  On
-the sphere such a state skips every wrap curl too, which builds its
-plain dart curl's child.  `_carried` is the one composition
-of walk orders, for both the automorphisms and the carry map of a
-duplicate, and only a state that is expanded or met again pays for it.
+3.11 one of one site takes 48 bytes, and even an empty set 216.
+`_carried` is the one composition of walk orders, for both the
+automorphisms and the carry map of a duplicate, and only a state that
+is expanded or met again pays for it.
 This is the orderly-generation rule of McKay ("Isomorph-free exhaustive
 generation", J. Algorithms 26, 1998), with the automorphisms read off
 the plantri-style walk kernel.  Only a later twin of a child already
@@ -211,18 +210,15 @@ def _expand_one(d, cap, skips):
     state itself, so each parent-table entry still names `ROOT`).  Its
     later rootings add no child:
 
-    - The curls and pokes below add a crossing to the one island, so
-      their children again have one island and no loops, and two such
+    - The pokes below add crossings to the one island, so their
+      children again have one island and no loops, and two such
       children with equal theta, `over` and labels get equal digests:
       their code ignores hosts (up marker 0).
-    - A wrap curl builds the same theta, `over` and labels as the plain
-      dart curl on the same dart; `surgery.ri_add` differs only in
-      hosts.  The own rooting lists the plain curl on every dart.
-    - Every RII+ element is a dart and the capture and engulf pools are
-      empty.  `rii_add`'s theta for two darts depends only on (a, b,
-      over), never on the region key, and the own rooting lists the same
-      poke with empty sets.
-    - There are no loop curls, and the other sites are rooting-free.
+    - Every RII+ element is a dart and the capture pool is empty.
+      `rii_add`'s theta for two darts depends only on (a, b, over),
+      never on the region key, and the own rooting lists the same poke.
+    - There are no loop curls, the sphere lists no wrap curl, and the
+      other sites are rooting-free.
 
     So each later-rooting child is already in the dedup table when it is
     reached, or it is a skipped one, and no discovery changes.
@@ -267,17 +263,13 @@ def _expand_one(d, cap, skips):
     sphere, perhaps rooted in another region), and gets its digest.
     The search builds the first site of each orbit that it builds at
     all; a later site of the orbit rebuilds a child already merged from
-    this parent, so no discovery changes.  A sphere wrap curl is skipped
-    on its own, as argued above.
+    this parent, so no discovery changes.
     """
-    lone = len(d.islands) == 1 and not d.loops
     if d.mode == PLANE:
         reps = [(None, d)]
     else:
-        roots = (ROOT,) if lone else d.region_keys
+        roots = (ROOT,) if len(d.islands) == 1 and not d.loops else d.region_keys
         reps = ((r, d.rerooted(r)) for r in roots)
-    # a lone sphere state's wrap curl builds its plain dart curl's child
-    no_wraps = d.mode != PLANE and lone
     nums = d.numberings or ()
     autos = [_carried(nums[0], other) for other in nums[1:]]
     # the state's skips, then the images of each site built under every
@@ -287,8 +279,6 @@ def _expand_one(d, cap, skips):
         later = rep is not d
         for site in enumerate_moves(rep, cap):
             if site in skip or (later and rooting_free(site)):
-                continue
-            if no_wraps and site.kind == "RI+" and site.spot[0] == "wrap":
                 continue
             child = apply_move(rep, site)
             for sigma in autos:
@@ -310,9 +300,9 @@ def _image(site, sigma, d):
         how, x, ov = spot
         return MoveSite(kind, (how, sigma[x], ov))
     if kind == "RII+":
-        _region, (_ka, a), (_kb, b), ov, cap, eng = spot
+        _region, (_ka, a), (_kb, b), ov, cap = spot
         a, b = sigma[a], sigma[b]
-        return MoveSite(kind, (d.region_of_face(a), ("d", a), ("d", b), ov, cap, eng))
+        return MoveSite(kind, (d.region_of_face(a), ("d", a), ("d", b), ov, cap))
     (f,) = spot
     return MoveSite(kind, (d.face_of[sigma[f]],))
 

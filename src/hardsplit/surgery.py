@@ -4,8 +4,8 @@ Each surgery rebuilds theta/decorations/hosting for one Reidemeister
 move and returns the new diagram.  This module owns the geometry of a
 move site: which faces are petals, bigons and triangles (`site_faces`,
 checked by `site_face`), whether a swept disk is empty
-(`swept_face_ok`), and what an RII+ poke may capture or engulf
-(`rii_scope`); no other module decides these.  Which sites count as *admissible moves* -
+(`swept_face_ok`), and what an RII+ poke may capture (`rii_scope`); no
+other module decides these.  Which sites count as *admissible moves* -
 crossing decorations, strand classes - is the caller's policy (see
 `moves` and `resolution`).
 
@@ -18,10 +18,12 @@ the host, and every other piece the removal leaves is hosted in it
 
 An insertion (RI+, RII+) appends its crossings and threads new strand
 runs through its site elements (`_splice`): a dart's edge is cut and
-routed through them, a bare circle is closed through them.  A dart
-curl, plain or wrap, changes only two faces, one strand and one island,
-so its child's record is the parent's, patched by `maps.curled`; the
-two curls differ only in where the island's up face lies.  Every other
+routed through them, a bare circle is closed through them.  It sweeps
+nothing: its new petal or bigon is an empty face, which the matching
+removal may sweep again.  A dart curl, plain or wrap, changes only two
+faces, one strand and one island, so its child's record is the
+parent's, patched by `maps.curled`; the two curls differ only in where
+the island's up face lies.  Every other
 surgery runs one `structure` pass over its new theta.  A circle so
 consumed becomes a strand; its side away from the poke becomes a named
 face, and the circles after it shift down (`_remap_circles`).  An RII+
@@ -98,27 +100,20 @@ def swept_face_ok(d, fkey):
 
 def rii_scope(d, region, a, b):
     """What an RII+ poke of strand `a` across `b` through `region` may
-    carry along: (split, capturable, engulfable).
+    carry along: (split, capturable).
 
     a, b are valid site elements bounding the region, ("d", dart) or
     ("loop", i).  split: the finger separates the region, which happens
     when a and b lie on one boundary circle (one face, or one circle
     poked through itself).  capturable: the region's children that may
-    ride into the finger pocket, empty unless split.  engulfable: the
-    children of the region beyond B that the tip may wrap into the new
-    bigon.  Neither set holds the islands or circles of the site itself.
+    ride into the finger pocket, empty unless split; it holds no island
+    or circle of the site itself.
     """
-    parts = {("I", d.island_of[e[1]]) if e[0] == "d" else ("L", e[1]) for e in (a, b)}
     split = a == b or (a[0] == "d" == b[0] and d.face_of[a[1]] == d.face_of[b[1]])
-    if b[0] == "d":
-        far = d.region_of_face(d.face_of[d.theta[b[1]]])
-    elif region == ("l", b[1]):
-        far = d.loops[b[1]].host
-    else:
-        far = ("l", b[1])
-    capturable = set(d.region_children.get(region, ())) - parts if split else set()
-    engulfable = set(d.region_children.get(far, ())) - parts
-    return split, capturable, engulfable
+    if not split:
+        return split, set()
+    parts = {("I", d.island_of[e[1]]) if e[0] == "d" else ("L", e[1]) for e in (a, b)}
+    return split, set(d.region_children.get(region, ())) - parts
 
 
 # -- insertion rules, RI ---------------------------------------------
@@ -155,8 +150,9 @@ def ri_add(d: Diagram, elem, over: int) -> Diagram:
     elem : ("d", dart) — curl the dart's edge into the face on its right;
            ("wrap", dart) — same arc and side, but the lobe is thrown
            around the whole island, so the petal becomes its outer face
-           (only meaningful when the face right of the dart already is
-           the island's outer face);
+           (only when the face right of the dart is the island's outer
+           face and the island sits alone at the root, so that the
+           petal holds nothing: `swept_face_ok`'s rule for that face);
            ("loop", i, side) — curl a bare circle instead; side "out"
            puts the petal on the side of the circle's hosting region,
            "in" on its far side.
@@ -179,8 +175,10 @@ def ri_add(d: Diagram, elem, over: int) -> Diagram:
         hosts = d.hosts
         if how == "wrap":
             isl = d.island_of[x]
-            if hosts[isl][1] != d.face_of[x]:
-                raise MoveError("wrap curl needs the arc on its island's outer face")
+            if hosts[isl][1] != d.face_of[x] or not swept_face_ok(d, x):
+                raise MoveError(
+                    "wrap curl needs the arc on the outer face of an island alone at the root"
+                )
             hosts = dict(hosts)
             hosts[isl] = (hosts[isl][0], n0)
         # every old face and island keeps its key: new darts sort last
@@ -369,7 +367,6 @@ def rii_add(
     elem_b,
     over: str,
     captured=(),
-    engulfed=(),
 ) -> Diagram:
     """Push a finger of strand A across strand B through `region`.
 
@@ -381,21 +378,19 @@ def rii_add(
         its own: both runs are stretches of the one edge, so which of
         them is the finger is the same choice as which passes over, and
         that splice builds this poke with `over` swapped and the same
-        `captured` and `engulfed` (the same pocket and bigon).
+        `captured` (the same pocket).
     over : "A" if the finger passes over, "B" if under.
     captured : children of `region` that end up inside the finger pocket
         (possible only when both site elements lie on one boundary
-        circle, which is when the finger separates the region).
-    engulfed : children of the region beyond B wrapped into the new
-        bigon by the finger tip.
-    Both must lie in the pools `rii_scope` names.
+        circle, which is when the finger separates the region); they
+        must lie in the pool `rii_scope` names.  The new bigon is empty.
     """
     if over not in ("A", "B"):
         raise MoveError("over must be 'A' or 'B'")
     try:
-        captured, engulfed = set(captured), set(engulfed)
+        captured = set(captured)
     except TypeError as e:
-        raise MoveError("captured and engulfed must be collections of children") from e
+        raise MoveError("captured must be a collection of children") from e
     n = d.ncross
     pl, pu = 4 * n, 4 * n + 4  # A runs E-W through both; B enters pu from N
     try:
@@ -406,7 +401,7 @@ def rii_add(
     for e in (elem_a, elem_b):
         if e not in elems:
             raise MoveError("%r does not bound region %r" % (e, region))
-    split, capturable, engulfable = rii_scope(d, region, elem_a, elem_b)
+    split, capturable = rii_scope(d, region, elem_a, elem_b)
 
     theta = list(d.theta) + [0] * 8
     over_list = list(d.over) + ([0, 0] if over == "A" else [1, 1])
@@ -435,15 +430,11 @@ def rii_add(
             raise DiagramError("finger pocket did not separate")
         pocket_face = cand.pop()
 
-    if captured & engulfed:
-        raise MoveError("captured and engulfed overlap")
     if captured:
         if not split:
             raise MoveError("capture needs both site elements on one circle")
         if not captured <= capturable:
             raise MoveError("captured content is not in the region")
-    if not engulfed <= engulfable:
-        raise MoveError("engulfed content is not beyond the crossed strand")
 
     # a consumed circle's side away from the poke becomes the face behind
     # the finger (A, or a circle poked through itself) or beyond the tip
@@ -485,8 +476,6 @@ def rii_add(
     def map_ref(child, rkey):
         if child in captured:
             return ("f", pocket_face)
-        if child in engulfed:
-            return ("f", bigon)
         if rkey == region:
             return region_new
         return _remap_circles(rkey, faces)

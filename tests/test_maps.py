@@ -571,7 +571,9 @@ def test_one_structure_pass_per_child(make, structure_calls):
         if curl:
             curls.add(site.spot[0])
         assert len(structure_calls) == (0 if curl else 1), site
-    assert curls == {"d", "wrap"}
+    # a wrap curl needs its island alone at the root: split d_pq(2,3)
+    # has two pieces there
+    assert curls == ({"d"} if len(d0.islands) + len(d0.loops) > 1 else {"d", "wrap"})
     s = d0.with_mode(SPHERE)
     del structure_calls[:]
     for rkey in s.region_keys:

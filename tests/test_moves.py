@@ -422,6 +422,17 @@ def stuffed_kink():
     return Diagram(PLANE, KINK, [0], labels=["K"], loops=[Loop(None, ("f", 2))])
 
 
+def stuffed_bigon():
+    "The kink poked across itself, with a bare circle inside the new bigon, face 5."
+    d = surgery.rii_add(kink(), ("f", 1), ("d", 1), ("d", 3), "A")
+    return Diagram(PLANE, d.theta, d.over, d.labels, [Loop(None, ("f", 5))], d.hosts)
+
+
+def kink_beside_circle():
+    "The kink with a bare circle beside it in the root region."
+    return Diagram(PLANE, KINK, [0], labels=["K"], loops=[Loop(None, ROOT)])
+
+
 def kink_sphere():
     return kink().with_mode(SPHERE)
 
@@ -456,8 +467,8 @@ def format_site(kind, *spot):
 
 def captured_int(d):
     "An RII+ that enumeration lists, with `captured` an int, not a collection."
-    region, a, b, over, _cap, eng = next(s.spot for s in enumerate_moves(d) if s.kind == "RII+")
-    return apply_move(d, MoveSite("RII+", (region, a, b, over, 5, eng)))
+    region, a, b, over, _cap = next(s.spot for s in enumerate_moves(d) if s.kind == "RII+")
+    return apply_move(d, MoveSite("RII+", (region, a, b, over, 5)))
 
 
 NOT_INT = "a dart, face or index is not an int"
@@ -487,11 +498,18 @@ REFUSALS = [
     ("apply-unknown-kind", kink, apply_site("FLIP"), "unknown move"),
     ("apply-ri-add-empty", trefoil0, apply_site("RI+"), r"RI\+ spot \(\) has 0 entries, not 3 or"),
     ("apply-ri-remove-empty", trefoil0, apply_site("RI-"), r"RI- spot \(\) has 0 entries, not 1"),
-    ("apply-rii-add-short", trefoil0, apply_site("RII+", ROOT), r"has 1 entries, not 6"),
+    ("apply-rii-add-short", trefoil0, apply_site("RII+", ROOT), r"has 1 entries, not 5"),
+    # the sixth entry was the set an RII+ once engulfed into its bigon
+    (
+        "apply-rii-add-six",
+        kink,
+        apply_site("RII+", ("f", 1), ("d", 1), ("d", 3), "A", (), ()),
+        r"has 6 entries, not 5",
+    ),
     ("apply-riii-empty", trefoil0, apply_site("RIII"), r"RIII spot \(\) has 0 entries"),
     ("apply-bare-kind", trefoil0, lambda d: apply_move(d, ("RI+",)), r"\(kind, spot\) pair"),
     ("apply-root-empty", trefoil_sphere, apply_site("ROOT"), r"ROOT spot \(\) has 0"),
-    ("rii-add-captured-int", lambda: split_d_pq(2, 3), captured_int, "collections of children"),
+    ("rii-add-captured-int", lambda: split_d_pq(2, 3), captured_int, "a collection of children"),
     ("apply-ri-add-long", kink, apply_site("RI+", "d", 0, 1, 2), r"is not \(d or wrap, dart"),
     ("apply-ri-add-elem-kind", kink, apply_site("RI+", "x", 0, 1), r"RI\+ spot \('x', 0, 1\)"),
     ("format-unknown-kind", kink, lambda d: format_move(MoveSite("FLIP", ())), "unknown move"),
@@ -502,7 +520,7 @@ REFUSALS = [
     ("format-bare-kind", kink, lambda d: format_move(("RI+",)), r"\(kind, spot\) pair"),
     ("format-rii-remove-letter", kink, format_site("RII-", "a"), r"malformed RII- spot"),
     ("format-ri-remove-letter", kink, format_site("RI-", "a"), r"malformed RI- spot"),
-    ("format-rii-add-elem-int", kink, format_site("RII+", ROOT, 1, 2, "A", (), ()), "malformed"),
+    ("format-rii-add-elem-int", kink, format_site("RII+", ROOT, 1, 2, "A", ()), "malformed"),
     ("format-ri-add-elem-kind", kink, format_site("RI+", "x", 0, 1), r"is not \(d or wrap"),
     # one entry too many would print the line of a different, valid site
     ("format-ri-add-long", kink, format_site("RI+", "d", 0, 1, 2), r"is not \(d or wrap"),
@@ -522,13 +540,13 @@ REFUSALS = [
     (
         "format-rii-add-dart-float",
         kink,
-        format_site("RII+", ROOT, ("d", 1.0), ("d", 3), "A", (), ()),
+        format_site("RII+", ROOT, ("d", 1.0), ("d", 3), "A", ()),
         NOT_INT,
     ),
     (
         "apply-rii-add-dart-bool",
         kink,
-        apply_site("RII+", ROOT, ("d", True), ("d", 3), "A", (), ()),
+        apply_site("RII+", ROOT, ("d", True), ("d", 3), "A", ()),
         NOT_INT,
     ),
     ("format-root-face-float", kink_sphere, format_site("ROOT", ("f", 1.0)), NOT_INT),
@@ -547,25 +565,28 @@ REFUSALS = [
     ("site-face-letter", kink, lambda d: surgery.site_face(d, "a", 1), "no face 'a'"),
     ("ri-remove-letter", kink, lambda d: surgery.ri_remove(d, "a"), "no face 'a'"),
     ("petal-not-empty", stuffed_kink, lambda d: surgery.ri_remove(d, 2), "petal is not empty"),
+    ("bigon-not-empty", stuffed_bigon, lambda d: surgery.rii_remove(d, 5), "bigon is not empty"),
     ("over-not-ab", free_loop, poke(ROOT, ("loop", 0), ("loop", 0), "C"), "over must be"),
     ("rii-add-bad-region", kink, poke(("f", "a"), ("d", 1), ("d", 3), "A"), "no face for"),
-    (
-        "captured-and-engulfed",
-        three_circles,
-        script("RII+ loopA=0 loopB=0 over=A captured=L1 engulfed=L1"),
-        "overlap",
-    ),
     (
         "capture-no-split",
         three_circles,
         script("RII+ loopA=0 loopB=1 over=A captured=L2"),
         "capture needs",
     ),
+    # no move sweeps content: a poke engulfs nothing, and a wrap curl
+    # needs its island alone at the root
     (
-        "engulf-outside-pool",
+        "engulfed-token",
         three_circles,
         script("RII+ loopA=0 loopB=0 over=A engulfed=L1"),
-        "not beyond",
+        "unexpected tokens engulfed",
+    ),
+    (
+        "wrap-beside-a-circle",
+        kink_beside_circle,
+        script("RI+ dart=0 side=R over=0 wrap=1"),
+        "alone at the root",
     ),
 ]
 
@@ -580,8 +601,8 @@ def test_input_refusals_are_move_errors(make, act, match):
 
 def test_self_poke_script_names_far_side():
     d = free_loop()
-    near = MoveSite("RII+", (ROOT, ("loop", 0), ("loop", 0), "A", (), ()))
-    far = MoveSite("RII+", (("l", 0), ("loop", 0), ("loop", 0), "A", (), ()))
+    near = MoveSite("RII+", (ROOT, ("loop", 0), ("loop", 0), "A", ()))
+    far = MoveSite("RII+", (("l", 0), ("loop", 0), ("loop", 0), "A", ()))
     assert "from=far" not in format_move(near)
     assert "from=far" in format_move(far)
     for s in (near, far):

@@ -122,11 +122,9 @@ def test_ri_loop_curl_layouts():
 
 def test_ri_wrap_layout():
     # the same arc curled plainly and wrapped: one theta, and the wrapped
-    # petal becomes the island's outward face
-    t = Diagram(
-        PLANE, TREFOIL, [0, 0, 1], labels=["T"],
-        loops=[Loop("C", ROOT), Loop("D", ("f", 2))],
-    ).check()
+    # petal becomes the island's outward face.  The island sits alone at
+    # the root; a circle D inside one of its faces stays where it is
+    t = Diagram(PLANE, TREFOIL, [0, 0, 1], labels=["T"], loops=[Loop("D", ("f", 2))]).check()
     theta = [11, 10, 5, 13, 14, 2, 9, 8, 7, 6, 1, 0, 15, 3, 4, 12]
     wrap = surgery.ri_add(t, ("wrap", 4), over=0).check()
     plain = surgery.ri_add(t, ("d", 4), over=0).check()
@@ -135,8 +133,16 @@ def test_ri_wrap_layout():
     assert wrap.hosts == {0: (ROOT, 12)}
     assert plain.hosts == {0: (ROOT, 0)}
     assert wrap.loops == plain.loops == t.loops
-    with pytest.raises(MoveError):
+    with pytest.raises(MoveError, match="outer face"):
         surgery.ri_add(t, ("wrap", 1), over=0)  # arc not on the outward face
+    # a circle C beside the island at the root would be swept into the
+    # petal, which no move does
+    beside = Diagram(
+        PLANE, TREFOIL, [0, 0, 1], labels=["T"],
+        loops=[Loop("C", ROOT), Loop("D", ("f", 2))],
+    ).check()
+    with pytest.raises(MoveError, match="alone at the root"):
+        surgery.ri_add(beside, ("wrap", 4), over=0)
 
 
 def test_ri_remove_total_death():
@@ -189,18 +195,6 @@ def test_rii_capture():
     assert_same(surgery.rii_remove(d, 5).check(), base)
     plain = surgery.rii_add(base, ("f", 1), ("d", 1), ("d", 3), "A")
     assert plain.loops == (Loop("C", ("f", 1)),)  # stays on the keep side
-
-
-def test_rii_engulf_blocks_removal():
-    base = kink(loops=[Loop("E", ROOT)])
-    d = surgery.rii_add(
-        base, ("f", 1), ("d", 1), ("d", 3), "A", engulfed=[("L", 0)]
-    ).check()
-    assert d.loops == (Loop("E", ("f", 5)),)  # wrapped into the new bigon
-    with pytest.raises(MoveError):
-        surgery.rii_remove(d, 5)
-    plain = surgery.rii_add(base, ("f", 1), ("d", 1), ("d", 3), "A")
-    assert plain.loops == (Loop("E", ROOT),)
 
 
 def test_rii_capture_validation():
